@@ -136,22 +136,19 @@ def extract(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray) -> TangentV
     return TangentVector(forward_batch(theta, cfg, x[None, :])[0])
 
 
-def _backward(cfg: ExtractorConfig, acts, tensors, d_out: np.ndarray) -> ParamVector:
+def _backward(
+    cfg: ExtractorConfig, acts, tensors, d_out: np.ndarray, grads: dict[str, np.ndarray]
+) -> None:
+    """Write each layer's gradient into the matching view of ``grads``."""
     n_layers = len(cfg.dims) - 1
-    grads: dict[str, np.ndarray] = {}
     delta = d_out
     for i in reversed(range(n_layers)):
-        grads[f"w{i}"] = delta.T @ acts[i]
-        grads[f"b{i}"] = delta.sum(axis=0)
+        grads[f"w{i}"][...] = delta.T @ acts[i]
+        grads[f"b{i}"][...] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ tensors[f"w{i}"]) * _act_prime_from_output(
                 acts[i], cfg.activation
             )
-    named = []
-    for i in range(n_layers):
-        named.append((f"w{i}", grads[f"w{i}"]))
-        named.append((f"b{i}", grads[f"b{i}"]))
-    return ParamVector.from_tensors(named)
 
 
 def _distances(points: np.ndarray, protos: PrototypeSet, metric: str) -> np.ndarray:
@@ -168,12 +165,15 @@ def _distance_grad(points: np.ndarray, targets: np.ndarray, metric: str) -> np.n
     return poincare.euclidean_grad_wrt_point_arr(points, targets)
 
 
-def sample_negative(y: int, num_classes: int, rng: np.random.Generator) -> int:
-    """Uniform draw over the full class set excluding the true label."""
-    if num_classes < 2:
-        raise ValueError("need at least two classes to sample a negative")
-    j = int(rng.integers(num_classes - 1))
-    return j + 1 if j >= y else j
+def sample_negative(y: int | np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform draws over the full class set excluding the true label.
+
+    Returns one negative per entry of ``y``, in an array of the same shape (a
+    scalar label gives a 0-d array).  The batch takes one ``rng.integers``
+    call and consumes the stream exactly as one scalar draw per label would.
+    """
+    j = rng.integers(num_classes - 1, size=np.shape(y))
+    return j + (j >= y)
 
 
 def triplet_loss(
@@ -204,36 +204,51 @@ def triplet_grad(
     tcfg: TripletConfig,
     rng: np.random.Generator | None = None,
     metric: str = "geodesic",
+    out: ParamVector | None = None,
 ) -> tuple[float, ParamVector]:
     """Batch-mean triplet loss and its analytic gradient in theta.
 
     Per sample the loss averages tcfg.negatives_per_sample independently
-    drawn negatives.  Samples whose hinge is inactive contribute nothing to
-    the gradient.
+    drawn negatives; each round of negatives is one batched
+    ``sample_negative`` draw for the whole batch.  Samples whose hinge is
+    inactive contribute nothing to the gradient.
+
+    The gradient is written into ``out`` and returned.  ``out`` must share
+    theta's layout; a caller that steps repeatedly passes the same buffer
+    every time, and when it is None a fresh vector is allocated.  The class
+    count and output dimension are checked once per call, and the finished
+    gradient once for finiteness, so a diverging step raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
+    c = protos.num_classes
+    if c < 2:
+        raise ValueError("need at least two classes to sample a negative")
     if cfg.output_dim != protos.dim:
         raise ValueError("extractor output dimension must match the prototypes")
+    if out is None:
+        out = ParamVector(np.zeros_like(theta.values), theta.layout)
+    elif not out.same_layout(theta):
+        raise ValueError("gradient buffer layout differs from the parameters")
     if rng is None:
         rng = np.random.default_rng(tcfg.seed)
     b = x.shape[0]
-    c = protos.num_classes
+    rows = np.arange(b)
 
     z, acts, tensors = _forward_cached(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
     d_all = _distances(p, protos, metric)
-    d_pos = d_all[np.arange(b), y]
+    d_pos = d_all[rows, y]
     w_pos = protos.weights[y]
 
     loss_acc = np.zeros(b)
     d_p_acc = np.zeros_like(p)
     grad_pos = _distance_grad(p, w_pos, metric)
     for _ in range(tcfg.negatives_per_sample):
-        neg = np.array([sample_negative(int(label), c, rng) for label in y])
-        gap = d_pos - d_all[np.arange(b), neg] + tcfg.margin
+        neg = sample_negative(y, c, rng)
+        gap = d_pos - d_all[rows, neg] + tcfg.margin
         active = gap > 0.0
         loss_acc += np.maximum(gap, 0.0)
         if np.any(active):
@@ -242,7 +257,10 @@ def triplet_grad(
     scale = 1.0 / (b * tcfg.negatives_per_sample)
     loss = float(np.sum(loss_acc) * scale)
     d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc * scale)
-    return loss, _backward(cfg, acts, tensors, d_z)
+    _backward(cfg, acts, tensors, d_z, out.tensors())
+    if not np.isfinite(out.values).all():
+        raise ValueError("gradient is not finite; training diverged")
+    return loss, out
 
 
 def mean_triplet_loss(
@@ -284,6 +302,10 @@ def local_train(
     negative sampling, so a run is reproducible bit-for-bit.  ``max_steps``
     optionally caps the number of SGD steps across all epochs (used for
     step-granular finetuning).
+
+    Each step is one ``triplet_grad`` call writing into a single gradient
+    buffer allocated here and reused for every step; a non-finite gradient
+    raises ValueError.
     """
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
@@ -291,6 +313,7 @@ def local_train(
     n = train.size
     if n == 0:
         raise ValueError(f"client {shard.client_id}: empty training split")
+    grad = ParamVector(np.zeros_like(theta.values), theta.layout)
     steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -298,11 +321,12 @@ def local_train(
             if max_steps is not None and steps >= max_steps:
                 return theta
             idx = order[start : start + batch_size]
-            _, grad = triplet_grad(
+            triplet_grad(
                 theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
-                rng=rng, metric=metric,
+                rng=rng, metric=metric, out=grad,
             )
-            theta.values -= lr * grad.values
+            grad.values *= lr
+            theta.values -= grad.values
             steps += 1
     return theta
 

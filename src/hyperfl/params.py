@@ -12,6 +12,7 @@ then the raw values as little-endian float64.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,7 +72,7 @@ class ParamVector:
         out = {}
         offset = 0
         for name, shape in self.layout:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             out[name] = self.values[offset : offset + size].reshape(shape)
             offset += size
         return out

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hyperfl import poincare
+from hyperfl import learner, poincare
 from hyperfl.data import ClientShard, LabeledDataset, make_synthetic, split_local
 from hyperfl.learner import (
     ExtractorConfig,
@@ -205,6 +207,19 @@ class TestSampleNegative:
         assert draws.count(2) > 0
 
 
+    def test_batch_draw_matches_scalar_draws(self):
+        # one batched draw consumes the stream exactly like one scalar draw per
+        # label; a scalar label gives a 0-d array
+        y = np.random.default_rng(4).integers(0, 10, 33)
+        batched, scalar = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            neg = sample_negative(y, 10, batched)
+            assert neg.shape == y.shape
+            assert np.array_equal(neg, [sample_negative(int(label), 10, scalar) for label in y])
+        one = sample_negative(7, 10, batched)
+        assert one.shape == () and one == sample_negative(7, 10, scalar)
+
+
 def make_blob_shard(seed=0):
     ds = make_synthetic(num_classes=2, dim=2, per_class=60, spread=0.2, hierarchy_depth=0, seed=seed)
     return split_local(ds, client_id=0, seed=seed)
@@ -312,3 +327,162 @@ def test_single_instance_shard_still_trains():
     shard = ClientShard(client_id=0, train=ds, test=None)
     out = local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 1, 4, 0.1, seed=0)
     assert out.values.shape == init_params(cfg).values.shape
+
+
+def random_protos(num_classes, dim, seed, slope=0.9):
+    w = np.random.default_rng(seed).standard_normal((num_classes, dim))
+    return PrototypeSet(weights=slope * w / np.linalg.norm(w, axis=1, keepdims=True), slope=slope)
+
+
+def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
+    """Per-sample reference for triplet_grad: one scalar RNG draw per
+    sample, and a fresh concatenated gradient per call."""
+    b, c = x.shape[0], protos.num_classes
+    z, acts, tensors = learner._forward_cached(theta, cfg, x)
+    p = poincare.exp_map_origin_arr(z)
+    d_all = learner._distances(p, protos, metric)
+    d_pos = d_all[np.arange(b), y]
+    loss_acc = np.zeros(b)
+    d_p_acc = np.zeros_like(p)
+    grad_pos = learner._distance_grad(p, protos.weights[y], metric)
+    for _ in range(tcfg.negatives_per_sample):
+        neg = []
+        for label in y:
+            j = int(rng.integers(c - 1))
+            neg.append(j + 1 if j >= label else j)
+        neg = np.array(neg)
+        gap = d_pos - d_all[np.arange(b), neg] + tcfg.margin
+        active = gap > 0.0
+        loss_acc += np.maximum(gap, 0.0)
+        if np.any(active):
+            grad_neg = learner._distance_grad(p[active], protos.weights[neg[active]], metric)
+            d_p_acc[active] += grad_pos[active] - grad_neg
+    scale = 1.0 / (b * tcfg.negatives_per_sample)
+    d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc * scale)
+    n_layers = len(cfg.dims) - 1
+    grads = {}
+    delta = d_z
+    for i in reversed(range(n_layers)):
+        grads[f"w{i}"] = delta.T @ acts[i]
+        grads[f"b{i}"] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ tensors[f"w{i}"]) * learner._act_prime_from_output(
+                acts[i], cfg.activation
+            )
+    named = [(name, grads[name]) for name, _ in theta.layout]
+    return float(np.sum(loss_acc) * scale), ParamVector.from_tensors(named)
+
+
+def reference_local_train(theta_in, shard, protos, cfg, tcfg, epochs, batch_size, lr,
+                          seed, metric="geodesic", max_steps=None):
+    rng = np.random.default_rng(seed)
+    theta = theta_in.copy()
+    n = shard.train.size
+    steps = 0
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            if max_steps is not None and steps >= max_steps:
+                return theta
+            idx = order[start : start + batch_size]
+            _, grad = reference_triplet_grad(
+                theta, cfg, shard.train.features[idx], shard.train.labels[idx], protos,
+                tcfg, rng, metric,
+            )
+            theta.values -= lr * grad.values
+            steps += 1
+    return theta
+
+
+class TestBitExactAgainstReference:
+    """local_train and triplet_grad reproduce the reference step bit for bit."""
+
+    @pytest.mark.parametrize("num_classes", [2, 5, 100])
+    @pytest.mark.parametrize("negatives", [1, 4])
+    @pytest.mark.parametrize("max_steps", [None, 3])
+    def test_local_train_bitwise_equal(self, num_classes, negatives, max_steps):
+        dim = 3 if num_classes < 100 else 8
+        protos = random_protos(num_classes, dim, seed=num_classes)
+        rng = np.random.default_rng(num_classes + negatives)
+        # 37 samples in batches of 8 leave a ragged last batch of 5
+        ds = LabeledDataset(rng.standard_normal((37, 6)), rng.integers(0, num_classes, 37),
+                            num_classes)
+        shard = ClientShard(client_id=0, train=ds, test=None)
+        cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=dim, init_seed=1)
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=negatives, seed=0)
+        theta = init_params(cfg)
+        # step-granular finetuning passes one epoch per allowed step
+        epochs = 2 if max_steps is None else max_steps
+        args = (theta, shard, protos, cfg, tcfg, epochs, 8, 0.3)
+        got = local_train(*args, seed=11, max_steps=max_steps)
+        want = reference_local_train(*args, seed=11, max_steps=max_steps)
+        assert not np.array_equal(got.values, theta.values)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
+    def test_triplet_grad_bitwise_equal(self, protos3, metric):
+        cfg = ExtractorConfig(input_dim=4, hidden=(5, 6), output_dim=3, activation="relu")
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=2, seed=0)
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
+        theta = init_params(cfg)
+        loss, grad = triplet_grad(theta, cfg, x, y, protos3, tcfg,
+                                  rng=np.random.default_rng(1), metric=metric)
+        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos3, tcfg,
+                                                    np.random.default_rng(1), metric)
+        assert loss == ref_loss
+        assert grad.values.tobytes() == ref_grad.values.tobytes()
+
+
+class TestGradientBuffer:
+    def setup_method(self):
+        self.ps, _ = build_prototypes(4, 3, 0.9, seed=2)
+        self.cfg = ExtractorConfig(input_dim=5, hidden=(6,), output_dim=3, init_seed=2)
+        self.tcfg = TripletConfig(margin=3.0, negatives_per_sample=2, seed=4)
+        rng = np.random.default_rng(3)
+        self.x, self.y = rng.standard_normal((10, 5)), rng.integers(0, 4, 10)
+
+    def test_prefilled_buffer_matches_fresh_gradient(self):
+        theta = init_params(self.cfg)
+        out = ParamVector(np.zeros_like(theta.values), theta.layout)
+        out.values[:] = np.nan
+        loss, grad = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg, out=out)
+        fresh_loss, fresh = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg)
+        assert grad is out
+        assert loss == fresh_loss
+        assert out.values.tobytes() == fresh.values.tobytes()
+
+    def test_buffer_layout_mismatch_rejected(self):
+        theta = init_params(self.cfg)
+        other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3))
+        with pytest.raises(ValueError, match="layout"):
+            triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg, out=other)
+
+    def test_single_class_rejected(self):
+        # PrototypeSet itself refuses C < 2, so a stand-in carries the count
+        ps = SimpleNamespace(weights=np.array([[0.9, 0.0, 0.0]]), num_classes=1, dim=3)
+        with pytest.raises(ValueError, match="two classes"):
+            triplet_grad(init_params(self.cfg), self.cfg, self.x, np.zeros(10, dtype=int),
+                         ps, self.tcfg)
+
+
+class TestDivergenceFailsFast:
+    @pytest.mark.parametrize("reuse_buffer", [False, True])
+    def test_huge_weights_overflow_gradient(self, reuse_buffer):
+        ps = antipodal_protos()
+        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
+        theta = init_params(cfg)
+        theta.values *= 1e150  # finite, but the backward pass overflows
+        out = ParamVector(np.zeros_like(theta.values), theta.layout) if reuse_buffer else None
+        x, y = np.array([[1.0, -0.5], [0.3, 2.0]]), np.array([0, 1])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            triplet_grad(theta, cfg, x, y, ps, TripletConfig(seed=0), out=out)
+
+    def test_huge_learning_rate_raises_in_local_train(self):
+        ps = antipodal_protos()
+        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, init_seed=0)
+        rng = np.random.default_rng(0)
+        ds = LabeledDataset(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), 2)
+        shard = ClientShard(client_id=0, train=ds, test=None)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 3, 8, 1e200)
