@@ -305,7 +305,8 @@ def local_train(
 
     Each step is one ``triplet_grad`` call writing into a single gradient
     buffer allocated here and reused for every step; a non-finite gradient
-    raises ValueError.
+    raises ValueError, and so do non-finite parameters after the last step
+    (a finite gradient times a huge lr can still overflow the update).
     """
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
@@ -319,7 +320,7 @@ def local_train(
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             if max_steps is not None and steps >= max_steps:
-                return theta
+                return _finite_params(theta, shard)
             idx = order[start : start + batch_size]
             triplet_grad(
                 theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
@@ -328,6 +329,14 @@ def local_train(
             grad.values *= lr
             theta.values -= grad.values
             steps += 1
+    return _finite_params(theta, shard)
+
+
+def _finite_params(theta: ParamVector, shard: ClientShard) -> ParamVector:
+    if not np.isfinite(theta.values).all():
+        raise ValueError(
+            f"client {shard.client_id}: local training diverged (parameters not finite)"
+        )
     return theta
 
 

@@ -38,7 +38,7 @@ class PrototypeSet:
         if w.ndim != 2 or w.shape[0] < 2:
             raise ValueError("prototype matrix must be (C, n) with C >= 2")
         norms = np.linalg.norm(w, axis=1)
-        if np.any(np.abs(norms - self.slope) > 1e-9):
+        if not np.all(np.abs(norms - self.slope) <= 1e-9):  # NaN fails too
             raise ValueError("every prototype row must have norm equal to slope")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -81,7 +81,7 @@ class TammesConfig:
     lr: float = 0.1
     max_iters: int = 2000
     tol: float = 1e-7  # best-loss improvement below this counts as flat
-    patience: int = 50  # consecutive flat steps (in the decay phase) to stop
+    patience: int = 50  # flat final steps that count as converged; never stops early
     hold_frac: float = 0.5
     lr_final: float = 1e-6
 
@@ -91,7 +91,7 @@ def _check_unit_rows(w: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     if w.ndim != 2:
         raise ValueError("expected a (C, n) matrix")
     norms = np.linalg.norm(w, axis=1)
-    if np.any(np.abs(norms - 1.0) > tol):
+    if not np.all(np.abs(norms - 1.0) <= tol):  # NaN fails too
         raise ValueError("rows must be unit norm")
     return w
 
@@ -103,30 +103,50 @@ def tammes_loss(w: np.ndarray) -> float:
     worst *pair* for each prototype.
     """
     w = _check_unit_rows(w)
-    m = w @ w.T - 2.0 * np.eye(w.shape[0])
-    return float(np.mean(np.max(m, axis=1)))
+    return float(np.mean(np.max(_shifted_gram(w), axis=1)))
 
 
 def tammes_loss_grad(w: np.ndarray) -> np.ndarray:
     """Subgradient of tammes_loss; only the per-row argmax entries carry
-    gradient, ties broken toward the lowest column index (np.argmax)."""
+    gradient, ties broken toward the lowest column index (np.argmax).
+
+    Row i with partner j_i adds w[j_i]/c to grad[i], then w[i]/c to
+    grad[j_i].  One unbuffered ``np.add.at`` over the interleaved pairs
+    (0, j_0, 1, j_1, ...) applies those additions in exactly that order, so
+    every entry rounds as a row-by-row loop would; a buffered
+    ``grad[idx] += vals`` would drop repeated indices.  A row whose argmax
+    is itself (every pair already at cosine -1) adds 2 w[i]/c once.
+    """
     w = np.asarray(w, dtype=np.float64)
-    c = w.shape[0]
-    m = w @ w.T - 2.0 * np.eye(c)
-    grad = np.zeros_like(w)
-    for i in range(c):
-        j = int(np.argmax(m[i]))
-        if j == i:  # degenerate: every pair already at cosine -1
-            grad[i] += 2.0 * w[i] / c
-        else:
-            grad[i] += w[j] / c
-            grad[j] += w[i] / c
-    return grad
+    c, n = w.shape
+    rows = np.arange(c)
+    j = np.argmax(_shifted_gram(w), axis=1)
+    wc = w / c
+    idx = np.stack([rows, j], axis=1).reshape(-1)
+    vals = np.stack([wc[j], wc], axis=1).reshape(2 * c, n)
+    own = np.flatnonzero(j == rows)
+    if own.size:
+        vals[2 * own] = 2.0 * w[own] / c
+        keep = np.ones(2 * c, dtype=bool)
+        keep[2 * own + 1] = False
+        idx, vals = idx[keep], vals[keep]
+    # element indices keep numpy's fast 1-D add.at path; each element still
+    # takes its additions in pair order
+    grad = np.zeros(c * n)
+    np.add.at(grad, (idx[:, None] * n + np.arange(n)).reshape(-1), vals.reshape(-1))
+    return grad.reshape(c, n)
 
 
 def max_pairwise_cosine(w: np.ndarray) -> float:
-    m = w @ w.T - 2.0 * np.eye(w.shape[0])
-    return float(np.max(m))
+    return float(np.max(_shifted_gram(w)))
+
+
+def _shifted_gram(w: np.ndarray) -> np.ndarray:
+    """W W^T - 2I, the -2 subtracted in place on the diagonal; every entry
+    has the bits of ``w @ w.T - 2.0 * np.eye(c)`` (x - 0.0 == x)."""
+    m = w @ w.T
+    m.flat[:: w.shape[0] + 1] -= 2.0
+    return m
 
 
 def _normalize_rows(w: np.ndarray) -> np.ndarray:
@@ -152,9 +172,11 @@ def optimize_prototypes(
     Projected subgradient descent: ambient step, then row renormalization.
     The best iterate seen so far is tracked and returned; only improving
     steps enter the loss trace, so the recorded trace is non-increasing.
-    converged=True means the final cfg.patience iterations brought no
-    improvement of cfg.tol or more; a budget that ends while the loss is
-    still moving reports converged=False with the best-so-far result.
+    The loop always runs all cfg.max_iters iterations; cfg.patience only
+    sets the reported flag.  converged=True means the final cfg.patience
+    iterations brought no improvement of cfg.tol or more; a budget that
+    ends while the loss is still moving reports converged=False with the
+    best-so-far result.
     """
     if c < 2 or n < 2:
         raise ValueError("need at least 2 classes and 2 dimensions")

@@ -486,3 +486,16 @@ class TestDivergenceFailsFast:
         shard = ClientShard(client_id=0, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 3, 8, 1e200)
+
+    @pytest.mark.parametrize("max_steps", [1, None])
+    def test_overflowing_update_raises_naming_client(self, max_steps):
+        # the one step's gradient is finite (its largest entry is about 1.4),
+        # but lr times it overflows to inf
+        ps = antipodal_protos()
+        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, init_seed=0)
+        rng = np.random.default_rng(1)
+        ds = LabeledDataset(100.0 * rng.standard_normal((12, 2)), rng.integers(0, 2, 12), 2)
+        shard = ClientShard(client_id=7, train=ds, test=None)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="client 7"):
+            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 1, 16,
+                        np.finfo(np.float64).max, max_steps=max_steps)

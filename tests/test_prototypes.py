@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfl.poincare import BallPoint, geodesic_distance
 from hyperfl.prototypes import (
     PrototypeSet,
     TammesConfig,
+    TammesReport,
     build_prototypes,
     contract,
     load_prototypes,
     max_pairwise_cosine,
     optimize_prototypes,
     random_prototypes,
+    random_unit_rows,
     save_prototypes,
     tammes_loss,
+    tammes_loss_grad,
 )
 
 SIMPLEX_CASES = [(2, 2), (3, 2), (4, 3), (5, 4), (10, 20), (21, 20)]
@@ -133,6 +138,14 @@ class TestPrototypeSet:
         with pytest.raises(ValueError):
             PrototypeSet(weights=np.array([[0.9, 0.0], [0.5, 0.0]]), slope=0.9)
 
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError):
+            PrototypeSet(weights=np.full((3, 2), np.nan), slope=0.9)
+
+    def test_contract_rejects_nan_rows(self):
+        with pytest.raises(ValueError):
+            contract(np.full((3, 2), np.nan), 0.9)
+
     def test_immutable(self):
         ps, _ = build_prototypes(3, 3, 0.9, seed=0)
         with pytest.raises(ValueError):
@@ -163,6 +176,15 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_prototypes(path)
 
+    def test_nan_payload_rejected(self, tmp_path):
+        ps, _ = build_prototypes(3, 2, 0.9, seed=0)
+        raw = ps.to_bytes()
+        header = raw[: len(raw) - ps.weights.nbytes]
+        path = tmp_path / "protos.bin"
+        path.write_bytes(header + np.full(ps.weights.size, np.nan, dtype="<f8").tobytes())
+        with pytest.raises(ValueError):
+            load_prototypes(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a prototype file at all")
@@ -181,3 +203,99 @@ def test_max_pairwise_cosine_matches_loss_for_symmetric_config():
     angles = np.deg2rad([0.0, 120.0, 240.0])
     w = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     assert max_pairwise_cosine(w) == pytest.approx(-0.5, abs=1e-12)
+
+
+# Reference for the batched Tammes subgradient: the original row-by-row loop,
+# and the optimizer driven by it with the original explicit -2I Gram matrix.
+
+
+def reference_tammes_loss_grad(w):
+    w = np.asarray(w, dtype=np.float64)
+    c = w.shape[0]
+    m = w @ w.T - 2.0 * np.eye(c)
+    grad = np.zeros_like(w)
+    for i in range(c):
+        j = int(np.argmax(m[i]))
+        if j == i:  # degenerate: every pair already at cosine -1
+            grad[i] += 2.0 * w[i] / c
+        else:
+            grad[i] += w[j] / c
+            grad[j] += w[i] / c
+    return grad
+
+
+def _reference_loss(w):
+    m = w @ w.T - 2.0 * np.eye(w.shape[0])
+    return float(np.mean(np.max(m, axis=1)))
+
+
+def reference_optimize_prototypes(c, n, seed, cfg=TammesConfig()):
+    rng = np.random.default_rng(seed)
+    w = random_unit_rows(c, n, rng)
+    best_w = w.copy()
+    best_loss = _reference_loss(w)
+    trace = [best_loss]
+    hold = int(cfg.max_iters * cfg.hold_frac)
+    decay = (cfg.lr_final / cfg.lr) ** (1.0 / max(cfg.max_iters - hold, 1))
+    lr = cfg.lr
+    last_progress = 0
+    iterations = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        if iterations > hold:
+            lr *= decay
+        w = w - lr * reference_tammes_loss_grad(w)
+        w = w / np.linalg.norm(w, axis=1, keepdims=True)
+        loss = _reference_loss(w)
+        improvement = best_loss - loss
+        if improvement >= 0:
+            best_loss = loss
+            best_w = w.copy()
+            trace.append(loss)
+        if improvement >= cfg.tol:
+            last_progress = iterations
+    m = best_w @ best_w.T - 2.0 * np.eye(c)
+    report = TammesReport(
+        final_loss=best_loss,
+        max_pairwise_cosine=float(np.max(m)),
+        iterations=iterations,
+        converged=iterations - last_progress >= cfg.patience,
+        loss_trace=trace,
+    )
+    return best_w, report
+
+
+class TestBatchedGradientMatchesReference:
+    """The batched subgradient and the optimizer keep the reference's bytes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        c=st.integers(2, 120),
+        n=st.integers(2, 20),
+        seed=st.integers(0, 2**32 - 1),
+        duplicates=st.integers(0, 8),
+    )
+    def test_gradient_bytes(self, c, n, seed, duplicates):
+        rng = np.random.default_rng(seed)
+        w = random_unit_rows(c, n, rng)
+        # copied rows tie at cosine 1, so argmax picks the lowest copy
+        for _ in range(min(duplicates, c - 1)):
+            w[rng.integers(c)] = w[rng.integers(c)]
+        assert tammes_loss_grad(w).tobytes() == reference_tammes_loss_grad(w).tobytes()
+
+    def test_antipodal_pair_argmax_is_self(self):
+        w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        got = tammes_loss_grad(w)
+        assert got.tobytes() == reference_tammes_loss_grad(w).tobytes()
+        assert np.array_equal(got, [[0.5, 0.0], [0.5, 0.0]])
+
+    @pytest.mark.parametrize("c,n", [(2, 3), (5, 4), (10, 8), (100, 16)])
+    def test_optimizer_bytes(self, c, n):
+        for seed in range(3):
+            w, report = optimize_prototypes(c, n, seed)
+            ref_w, ref = reference_optimize_prototypes(c, n, seed)
+            assert w.tobytes() == ref_w.tobytes()
+            assert report.loss_trace == ref.loss_trace
+            assert report.final_loss == ref.final_loss
+            assert report.iterations == ref.iterations
+            assert report.converged == ref.converged
+            assert report.max_pairwise_cosine == ref.max_pairwise_cosine
