@@ -64,20 +64,24 @@ class AggregationWeights:
 def compute_deviations(global_params: ParamVector, locals_: list[ParamVector]) -> DeviationSet:
     """Deltas of every client against the broadcast parameters, with Gram.
 
-    Entries are individual dot products (not a matmul) so they match a
-    brute-force oracle bit-for-bit.
+    Each row of the upper triangle is one ``np.vecdot`` of a delta against
+    the deltas from it on; every entry is still one dot product of two
+    vectors (not a matmul), so it matches a brute-force ``np.dot`` oracle
+    bit-for-bit.
     """
     if not locals_:
         raise ValueError("need at least one client")
     for loc in locals_:
         if not loc.same_layout(global_params):
             raise ValueError("client and global parameter layouts differ")
-    deltas = [loc - global_params for loc in locals_]
+    # one (K, P) block; each delta is a view of its row
+    stacked = np.stack([loc.values for loc in locals_])
+    stacked -= global_params.values
+    deltas = [ParamVector(row, global_params.layout) for row in stacked]
     k = len(deltas)
     gram = np.empty((k, k))
     for i in range(k):
-        for j in range(i, k):
-            gram[i, j] = gram[j, i] = float(np.dot(deltas[i].values, deltas[j].values))
+        gram[i, i:] = gram[i:, i] = np.vecdot(stacked[i], stacked[i:])
     return DeviationSet(deltas=deltas, gram=gram)
 
 

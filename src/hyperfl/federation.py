@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -107,6 +108,19 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if not 0 < self.slope <= 1 - 1e-5:
             raise ValueError("slope must be in (0, 1 - 1e-5]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError("lr must be finite and nonnegative")
+        if self.local_epochs < 1:
+            raise ValueError("local_epochs must be at least 1")
+        if self.finetune_epochs < 0:
+            raise ValueError("finetune_epochs must be nonnegative")
+        if self.finetune_steps is not None and self.finetune_steps < 0:
+            raise ValueError("finetune_steps must be None or nonnegative")
+        for name in ("global_test_fraction", "train_fraction"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in (0, 1)")
 
     def to_dict(self) -> dict:
         d = asdict(self)

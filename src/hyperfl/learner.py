@@ -159,6 +159,25 @@ def _distances(points: np.ndarray, protos: PrototypeSet, metric: str) -> np.ndar
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _distances_at(p: np.ndarray, w: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
+    """Distance from row i of ``p`` to ``w[cols[..., i]]``, for class indices
+    ``cols`` of shape (..., B).
+
+    Each entry has the bits of the matching entry of ``_distances``: its
+    inner product is gathered from the full BLAS ``p @ w.T`` (a per-pair
+    product rounds differently), and only the gathered entries go through the
+    distance formula.
+    """
+    if metric == "geodesic":
+        from_inner = poincare._geodesic_from_inner
+    elif metric == "euclidean":
+        from_inner = poincare._euclidean_from_inner
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    pw = (p @ w.T)[np.arange(p.shape[0]), cols]
+    return from_inner(np.sum(p * p, axis=-1), np.sum(w * w, axis=-1)[cols], pw)
+
+
 def _distance_grad(points: np.ndarray, targets: np.ndarray, metric: str) -> np.ndarray:
     if metric == "geodesic":
         return poincare.dist_grad_wrt_point_arr(points, targets)
@@ -210,8 +229,12 @@ def triplet_grad(
 
     Per sample the loss averages tcfg.negatives_per_sample independently
     drawn negatives; each round of negatives is one batched
-    ``sample_negative`` draw for the whole batch.  Samples whose hinge is
-    inactive contribute nothing to the gradient.
+    ``sample_negative`` draw for the whole batch, and all rounds are drawn
+    before any distance is taken.  Only the 1 + R distances per sample that
+    the hinge reads are computed.  Samples whose hinge is inactive contribute
+    nothing to the gradient; one distance-gradient call covers every active
+    (round, sample) pair and one more the positive prototypes (a step with
+    no active hinge makes neither).
 
     The gradient is written into ``out`` and returned.  ``out`` must share
     theta's layout; a caller that steps repeatedly passes the same buffer
@@ -235,28 +258,36 @@ def triplet_grad(
     if rng is None:
         rng = np.random.default_rng(tcfg.seed)
     b = x.shape[0]
-    rows = np.arange(b)
 
     z, acts, tensors = _forward_cached(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
-    d_all = _distances(p, protos, metric)
-    d_pos = d_all[rows, y]
-    w_pos = protos.weights[y]
+    # row 0: the true labels; row 1 + r: the negatives of round r
+    cols = np.empty((1 + tcfg.negatives_per_sample, b), dtype=np.int64)
+    cols[0] = y
+    for r in range(1, cols.shape[0]):
+        cols[r] = sample_negative(y, c, rng)
+    negs = cols[1:]
+    d = _distances_at(p, protos.weights, cols, metric)
+    gap = d[0] - d[1:] + tcfg.margin
 
+    n = p.shape[1]
+    d_p_acc = np.zeros(p.size)
+    rnd, s = np.nonzero(gap > 0.0)
+    if s.size:
+        grad_pos = _distance_grad(p, protos.weights[y], metric)
+        grad_neg = _distance_grad(p[s], protos.weights[negs[rnd, s]], metric)
+        # unbuffered, over (round, sample) pairs in round-major order: an
+        # entry hit by several rounds takes their terms one at a time, in
+        # draw order (scattered flat, where numpy's add.at is fastest)
+        flat = (s[:, None] * n + np.arange(n)).ravel()
+        np.add.at(d_p_acc, flat, (grad_pos[s] - grad_neg).ravel())
+    # summed one round at a time: a reduction over the rounds may pair them up
     loss_acc = np.zeros(b)
-    d_p_acc = np.zeros_like(p)
-    grad_pos = _distance_grad(p, w_pos, metric)
-    for _ in range(tcfg.negatives_per_sample):
-        neg = sample_negative(y, c, rng)
-        gap = d_pos - d_all[rows, neg] + tcfg.margin
-        active = gap > 0.0
-        loss_acc += np.maximum(gap, 0.0)
-        if np.any(active):
-            grad_neg = _distance_grad(p[active], protos.weights[neg[active]], metric)
-            d_p_acc[active] += grad_pos[active] - grad_neg
+    for hinge in np.maximum(gap, 0.0):
+        loss_acc += hinge
     scale = 1.0 / (b * tcfg.negatives_per_sample)
     loss = float(np.sum(loss_acc) * scale)
-    d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc * scale)
+    d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc.reshape(b, n) * scale)
     _backward(cfg, acts, tensors, d_z, out.tensors())
     if not np.isfinite(out.values).all():
         raise ValueError("gradient is not finite; training diverged")

@@ -31,10 +31,10 @@ class ParamVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         self.layout = tuple((str(name), tuple(int(d) for d in shape)) for name, shape in self.layout)
-        expected = sum(int(np.prod(shape)) for _, shape in self.layout)
+        expected = sum(math.prod(shape) for _, shape in self.layout)
         if self.values.size != expected:
             raise ValueError(f"layout expects {expected} values, got {self.values.size}")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("parameter values must be finite")
 
     def same_layout(self, other: "ParamVector") -> bool:
@@ -101,7 +101,7 @@ def load_params(path: str | Path) -> ParamVector:
     header = json.loads(rest[:newline].decode())
     layout = tuple((n, tuple(s)) for n, s in header["layout"])
     body = rest[newline + 1 :]
-    expected = sum(int(np.prod(s)) for _, s in layout) * 8
+    expected = sum(math.prod(s) for _, s in layout) * 8
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)

@@ -178,6 +178,24 @@ def distance_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.arccosh(np.maximum(1.0 + 2.0 * num / den, 1.0))
 
 
+def _geodesic_from_inner(p2: np.ndarray, w2: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """Geodesic distance from the squared norms ``p2``, ``w2`` and the inner
+    product ``pw``, elementwise over their broadcast shape.
+
+    Elementwise, so an entry's bits depend only on its three inputs: fed
+    entries gathered from the set-wide quantities it reproduces the matching
+    entries of ``distance_to_set_arr``.
+    """
+    sq = np.maximum(p2 + w2 - 2.0 * pw, 0.0)
+    arg = 1.0 + 2.0 * sq / ((1.0 - p2) * (1.0 - w2))
+    return np.arccosh(np.maximum(arg, 1.0))
+
+
+def _euclidean_from_inner(p2: np.ndarray, w2: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """Euclidean counterpart of ``_geodesic_from_inner``."""
+    return np.sqrt(np.maximum(p2 + w2 - 2.0 * pw, 0.0))
+
+
 def distance_to_set_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Distances from each row of ``p`` (B, n) to each row of ``w`` (C, n).
 
@@ -185,16 +203,14 @@ def distance_to_set_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """
     p2 = np.sum(p * p, axis=-1)[:, None]
     w2 = np.sum(w * w, axis=-1)[None, :]
-    sq = np.maximum(p2 + w2 - 2.0 * (p @ w.T), 0.0)
-    arg = 1.0 + 2.0 * sq / ((1.0 - p2) * (1.0 - w2))
-    return np.arccosh(np.maximum(arg, 1.0))
+    return _geodesic_from_inner(p2, w2, p @ w.T)
 
 
 def euclidean_distance_to_set_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(B, C) Euclidean distances; the optional flat-metric variant."""
     p2 = np.sum(p * p, axis=-1)[:, None]
     w2 = np.sum(w * w, axis=-1)[None, :]
-    return np.sqrt(np.maximum(p2 + w2 - 2.0 * (p @ w.T), 0.0))
+    return _euclidean_from_inner(p2, w2, p @ w.T)
 
 
 def dist_grad_wrt_point_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 negatives per anchor, the flat-metric option, step-granular finetuning,
 file-backed datasets, and solver budget exhaustion."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +214,57 @@ def test_labeled_dataset_subset_preserves_classes():
     sub = ds.subset(np.arange(5))
     assert isinstance(sub, LabeledDataset)
     assert sub.num_classes == 4
+
+
+def small_config(**overrides):
+    return ExperimentConfig(
+        dataset=SyntheticSpec(num_classes=3, dim=4, per_class=10),
+        partition=PartitionSpec(alpha=0.5, num_clients=2),
+        extractor=ExtractorConfig(input_dim=4, hidden=(), output_dim=2),
+        triplet=TripletConfig(),
+        rounds=1,
+        **overrides,
+    )
+
+
+class TestExperimentConfigValidation:
+    """Bad training fields fail when the config is built, naming the field,
+    not mid-run (or never)."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_size", 0),
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("lr", -1.0),
+            ("local_epochs", 0),
+            ("finetune_epochs", -1),
+            ("finetune_steps", -3),
+            ("global_test_fraction", 0.0),
+            ("global_test_fraction", 1.0),
+            ("train_fraction", 0.0),
+            ("train_fraction", 1.0),
+        ],
+    )
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+        # a config file goes through from_dict and fails the same way
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict({**small_config().to_dict(), field: value})
+
+    def test_boundary_values_accepted(self):
+        # lr = 0 freezes the model and zero finetuning scores the global model:
+        # both are meaningful runs
+        cfg = small_config(lr=0.0, finetune_epochs=0, finetune_steps=0)
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_benchmark_configs_valid(self):
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        cfgs = [workloads.config(name, 0) for name in workloads.WORKLOADS]
+        for cfg in [*cfgs, workloads.TINY]:
+            ExperimentConfig.from_dict(json.loads(json.dumps(cfg)))

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfl import learner, poincare
 from hyperfl.data import ClientShard, LabeledDataset, make_synthetic, split_local
@@ -432,6 +434,94 @@ class TestBitExactAgainstReference:
                                                     np.random.default_rng(1), metric)
         assert loss == ref_loss
         assert grad.values.tobytes() == ref_grad.values.tobytes()
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_many_rounds_on_one_sample(self, seed):
+        # eight or more rounds on a single sample: a reduction over the rounds
+        # would pair their hinges up instead of adding them in draw order
+        protos = random_protos(100, 8, seed=seed)
+        cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=8, init_seed=seed)
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=12, seed=0)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((1, 6)), rng.integers(0, 100, 1)
+        theta = init_params(cfg)
+        theta.values += rng.standard_normal(theta.values.size)
+        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
+                                  rng=np.random.default_rng(seed))
+        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
+                                                    np.random.default_rng(seed), "geodesic")
+        assert loss == ref_loss
+        assert grad.values.tobytes() == ref_grad.values.tobytes()
+
+
+class TestNoActiveHinge:
+    @pytest.mark.parametrize("negatives", [1, 3])
+    def test_triplet_grad_bitwise_equal(self, negatives):
+        # anchors sit on their own prototypes and every pair of prototypes is
+        # further apart than the margin: no hinge is active in any round
+        protos = random_protos(6, 4, seed=3)
+        cfg = linear_cfg(6, 4)
+        z = np.stack([poincare.log_map_origin(poincare.BallPoint(w)).coords
+                      for w in protos.weights])
+        theta = ParamVector.from_tensors([("w0", z.T), ("b0", np.zeros(4))])
+        y = np.array([0, 3, 5, 1, 1, 2, 4])
+        x = np.eye(6)[y]
+        tcfg = TripletConfig(margin=0.1, negatives_per_sample=negatives, seed=0)
+        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
+                                  rng=np.random.default_rng(2))
+        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
+                                                    np.random.default_rng(2), "geodesic")
+        assert loss == ref_loss == 0.0
+        assert grad.values.tobytes() == ref_grad.values.tobytes()
+        assert not grad.values.any()
+
+
+class TestGatheredDistances:
+    """Each gathered pair distance has the bits of the matching entry of the
+    (B, C) matrix, at the ball boundary and for near-coincident points too."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        b=st.integers(1, 40),
+        c=st.integers(2, 120),
+        n=st.integers(1, 20),
+        rounds=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        clamped=st.integers(0, 10),
+        coincident=st.integers(0, 10),
+    )
+    def test_pair_distance_bytes(self, b, c, n, rounds, seed, clamped, coincident):
+        rng = np.random.default_rng(seed)
+        w = poincare.exp_map_origin_arr(rng.standard_normal((c, n)))
+        p = poincare.exp_map_origin_arr(rng.standard_normal((b, n)))
+        # rounds == 0 stands for a single (B,) row of class indices
+        cols = rng.integers(0, c, (max(rounds, 1), b))
+        if rounds == 0:
+            cols = cols[0]
+        rows = np.atleast_2d(cols)
+        # huge tangent vectors land on the clamp at norm 1 - 1e-5
+        for _ in range(clamped):
+            p[rng.integers(b)] = poincare.exp_map_origin_arr(1e3 * rng.standard_normal((1, n)))
+            w[rng.integers(c)] = poincare.exp_map_origin_arr(1e3 * rng.standard_normal((1, n)))
+        # p on, or within rounding of, a prototype it is measured against
+        for _ in range(coincident):
+            i = rng.integers(b)
+            target = w[rows[rng.integers(rows.shape[0]), i]]
+            p[i] = target * (1.0 + float(rng.choice([0.0, 1e-16, -1e-12, 1e-9])))
+        full_rows = np.arange(b)
+        for metric, full in [
+            ("geodesic", poincare.distance_to_set_arr(p, w)),
+            ("euclidean", poincare.euclidean_distance_to_set_arr(p, w)),
+        ]:
+            got = learner._distances_at(p, w, cols, metric)
+            assert got.shape == cols.shape
+            assert got.tobytes() == full[full_rows, cols].tobytes()
+
+    def test_unknown_metric_rejected(self):
+        p = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="metric"):
+            learner._distances_at(p, np.eye(3) * 0.5, np.array([0, 1]), "cosine")
 
 
 class TestGradientBuffer:

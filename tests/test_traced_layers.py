@@ -1,0 +1,76 @@
+"""Every layer the benchmark's traced run reports on still exists.
+
+The traced benchmark run (bench/tracer.py) wraps each public function of the
+hyperfl modules, plus ParamVector.__post_init__, and reports the per-layer
+metrics that BENCHMARK.json names, such as ``learner.triplet_grad.calls``.  A
+run that misses one of them is marked incorrect.  Checking the names here
+makes a refactor that drops or renames a traced function fail in pytest
+instead.  This module only reads BENCHMARK.json and bench/tracer.py.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = ROOT / "BENCHMARK.json"
+
+
+def _tracer_modules() -> tuple[str, ...]:
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.MODULES
+
+
+MODULES = _tracer_modules()
+# suffixes of the figures taken per traced function (ParamVector counts
+# constructions); other three-part names, like prototypes.tammes.iterations,
+# are figures derived from a function's result
+FUNCTION_METRICS = ("calls", "self_s", "constructions")
+
+
+def per_layer_names() -> list[str]:
+    spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    return [m["name"] for m in spec["per_layer"]]
+
+
+def traced_functions() -> list[tuple[str, str]]:
+    found = set()
+    for name in per_layer_names():
+        parts = name.split(".")
+        if len(parts) == 3 and parts[0] in MODULES and parts[2] in FUNCTION_METRICS:
+            found.add((parts[0], parts[1]))
+    return sorted(found)
+
+
+def test_names_cover_the_training_step():
+    # guards against a metric naming scheme this module no longer parses
+    assert ("learner", "triplet_grad") in traced_functions()
+    assert ("params", "ParamVector") in traced_functions()
+
+
+@pytest.mark.parametrize("module,attr", traced_functions())
+def test_traced_function_exists(module, attr):
+    mod = importlib.import_module(f"hyperfl.{module}")
+    obj = getattr(mod, attr, None)
+    if (module, attr) == ("params", "ParamVector"):
+        assert inspect.isclass(obj) and inspect.isfunction(obj.__post_init__)
+        return
+    # the tracer wraps only public functions defined in the module itself
+    assert not attr.startswith("_")
+    assert inspect.isfunction(obj), f"hyperfl.{module}.{attr} is not a function"
+    assert obj.__module__ == mod.__name__, f"hyperfl.{module}.{attr} is defined elsewhere"
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in per_layer_names() if n.count(".") == 1 and n.endswith(".self_s")]
+)
+def test_module_totals_name_a_module(name):
+    module = name.split(".")[0]
+    assert module in MODULES
+    importlib.import_module(f"hyperfl.{module}")
