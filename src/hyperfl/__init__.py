@@ -11,7 +11,6 @@ with ``data`` providing Dirichlet non-IID partitioning and ``federation``
 running the synchronous round loop.
 """
 
-from hyperfl.poincare import BallPoint, TangentVector
 from hyperfl.prototypes import PrototypeSet, TammesReport, build_prototypes
 from hyperfl.params import ParamVector
 from hyperfl.learner import ExtractorConfig, TripletConfig
@@ -21,8 +20,6 @@ from hyperfl.federation import ExperimentConfig, RoundRecord, run_experiment, ru
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallPoint",
-    "TangentVector",
     "PrototypeSet",
     "TammesReport",
     "build_prototypes",

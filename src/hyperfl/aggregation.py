@@ -29,14 +29,15 @@ from hyperfl.params import ParamVector
 
 @dataclass
 class DeviationSet:
-    """Client deviations plus their Gram matrix V[k, k'] = <Delta_k, Delta_k'>."""
+    """Client deviations, one per row of the (K, P) block ``deltas``, plus
+    their Gram matrix V[k, k'] = <Delta_k, Delta_k'>."""
 
-    deltas: list[ParamVector]
+    deltas: np.ndarray
     gram: np.ndarray
 
     @property
     def num_clients(self) -> int:
-        return len(self.deltas)
+        return self.deltas.shape[0]
 
 
 @dataclass
@@ -74,46 +75,13 @@ def compute_deviations(global_params: ParamVector, locals_: list[ParamVector]) -
     for loc in locals_:
         if not loc.same_layout(global_params):
             raise ValueError("client and global parameter layouts differ")
-    # one (K, P) block; each delta is a view of its row
-    stacked = np.stack([loc.values for loc in locals_])
-    stacked -= global_params.values
-    deltas = [ParamVector(row, global_params.layout) for row in stacked]
-    k = len(deltas)
+    deltas = np.stack([loc.values for loc in locals_])
+    deltas -= global_params.values
+    k = len(locals_)
     gram = np.empty((k, k))
     for i in range(k):
-        gram[i, i:] = gram[i:, i] = np.vecdot(stacked[i], stacked[i:])
+        gram[i, i:] = gram[i:, i] = np.vecdot(deltas[i], deltas[i:])
     return DeviationSet(deltas=deltas, gram=gram)
-
-
-def least_aligned_client(p: np.ndarray, gram: np.ndarray) -> int:
-    """Index of the client whose deviation is least aligned with the current
-    combination: argmin_k of (V p)_k, ties toward the lowest index."""
-    p = np.asarray(p, dtype=np.float64)
-    return int(np.argmin(gram @ p))
-
-
-def line_search(delta_tau: ParamVector, delta_vir: ParamVector) -> float:
-    """Weight in [0, 1] minimizing ||q delta_tau + (1-q) delta_vir||^2.
-
-    Three regimes: when moving off the virtual combination cannot help the
-    answer is 0; when the selected deviation alone is the minimum it is 1;
-    otherwise the perpendicular-foot solution
-
-        q = <delta_vir - delta_tau, delta_vir> / ||delta_tau - delta_vir||^2
-
-    clamped into [0, 1].  Identical inputs (flat objective) return 0 so the
-    current combination is kept.
-    """
-    diff = delta_tau - delta_vir
-    denom = diff.norm_sq()
-    scale = max(delta_tau.norm_sq(), delta_vir.norm_sq())
-    if denom <= 1e-16 * scale or denom == 0.0:
-        return 0.0
-    if diff.dot(delta_vir) >= 0.0:
-        return 0.0
-    if diff.dot(delta_tau) <= 0.0:
-        return 1.0
-    return min(max(-diff.dot(delta_vir) / denom, 0.0), 1.0)
 
 
 def pareto_gap(gram: np.ndarray, p: np.ndarray) -> float:
@@ -215,5 +183,4 @@ def aggregate(
     """theta + sum_k p_k Delta_k (with data weights this is plain averaging)."""
     if len(weights.p) != dev.num_clients:
         raise ValueError("weight vector length must match the client count")
-    stacked = np.stack([d.values for d in dev.deltas])
-    return ParamVector(global_params.values + weights.p @ stacked, global_params.layout)
+    return ParamVector(global_params.values + weights.p @ dev.deltas, global_params.layout)

@@ -14,6 +14,7 @@ d feature values followed by an integer label.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,8 +85,8 @@ class PartitionSpec:
     def __post_init__(self):
         if self.num_clients < 1:
             raise ValueError("need at least one client")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError("alpha must be finite and positive")
 
 
 def _class_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:

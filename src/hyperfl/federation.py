@@ -87,7 +87,6 @@ class ExperimentConfig:
     local_epochs: int = 5
     batch_size: int = 128
     aggregator: str = "consistent"
-    prototype_mode: str = "tammes_fixed"
     metric: str = "geodesic"
     seed: int = 0
     finetune_epochs: int = 5
@@ -100,8 +99,6 @@ class ExperimentConfig:
             raise ValueError("need at least one round")
         if self.aggregator not in _AGGREGATORS:
             raise ValueError(f"aggregator must be one of {_AGGREGATORS}")
-        if self.prototype_mode != "tammes_fixed":
-            raise ValueError("only the tammes_fixed prototype mode is supported")
         if self.metric not in _METRICS:
             raise ValueError(f"metric must be one of {_METRICS}")
         if self.seed < 0:
@@ -134,6 +131,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
+        # older config files name the only prototype mode there is
+        if d.pop("prototype_mode", "tammes_fixed") != "tammes_fixed":
+            raise ValueError("prototype_mode must be 'tammes_fixed', the only mode")
         ds = d.pop("dataset")
         if isinstance(ds, dict):
             kind = ds.pop("kind", "synthetic")
@@ -231,7 +231,7 @@ def evaluate_gfl(
 def evaluate_pfl(
     global_params: ParamVector,
     shards: list[ClientShard],
-    protos: PrototypeSet | list[PrototypeSet],
+    protos: list[PrototypeSet],
     ext: ExtractorConfig,
     tcfg: TripletConfig,
     lr: float,
@@ -244,14 +244,13 @@ def evaluate_pfl(
     """Per-client accuracy after finetuning a copy of the global model.
 
     Each client receives its own copy, finetunes on the local train split
-    (epoch-granular by default; ``finetune_steps`` caps SGD steps instead
-    when set) and is scored on the local test split.  Clients without a
-    test split are skipped and reported as None.  The global parameters are
-    never mutated.
+    against its prototype set in ``protos`` (one per shard; epoch-granular by
+    default, ``finetune_steps`` caps SGD steps instead when set) and is
+    scored on the local test split.  Clients without a test split are
+    skipped and reported as None.  The global parameters are never mutated.
     """
-    proto_list = protos if isinstance(protos, list) else [protos] * len(shards)
     out: list[float | None] = []
-    for shard, proto_k in zip(shards, proto_list):
+    for shard, proto_k in zip(shards, protos, strict=True):
         if shard.test is None or shard.test.size == 0:
             log.debug("client %d has no local test split; skipped in P-FL", shard.client_id)
             out.append(None)
@@ -397,7 +396,7 @@ def _run(
         # conservation re-check against an independently ordered accumulation
         acc = theta.values.copy()
         for k in range(len(locals_)):
-            acc = acc + weights.p[k] * dev.deltas[k].values
+            acc = acc + weights.p[k] * dev.deltas[k]
         drift = float(np.max(np.abs(theta_next.values - acc)))
         if drift > 1e-12 * max(1.0, float(np.max(np.abs(acc)))):
             raise RuntimeError(f"round {t}: aggregation drifted from its definition ({drift})")
@@ -410,8 +409,7 @@ def _run(
 
         gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
         pfl = evaluate_pfl(
-            theta, shards, client_protos if variant == "fixed_only" else server_protos,
-            ext, tcfg, cfg.lr, cfg.batch_size,
+            theta, shards, client_protos, ext, tcfg, cfg.lr, cfg.batch_size,
             finetune_epochs=cfg.finetune_epochs, finetune_steps=cfg.finetune_steps,
             seed=derive_seed(cfg.seed, "pfl", t), metric=cfg.metric,
         )

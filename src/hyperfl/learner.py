@@ -25,7 +25,6 @@ import numpy as np
 from hyperfl import poincare
 from hyperfl.data import ClientShard, LabeledDataset
 from hyperfl.params import ParamVector
-from hyperfl.poincare import TangentVector
 from hyperfl.prototypes import PrototypeSet
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -128,14 +127,6 @@ def forward_batch(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray) -> np
     return z
 
 
-def extract(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray) -> TangentVector:
-    """Feature representation of a single input as a tangent vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != cfg.input_dim:
-        raise ValueError(f"expected a length-{cfg.input_dim} input, got shape {x.shape}")
-    return TangentVector(forward_batch(theta, cfg, x[None, :])[0])
-
-
 def _backward(
     cfg: ExtractorConfig, acts, tensors, d_out: np.ndarray, grads: dict[str, np.ndarray]
 ) -> None:
@@ -193,25 +184,6 @@ def sample_negative(y: int | np.ndarray, num_classes: int, rng: np.random.Genera
     """
     j = rng.integers(num_classes - 1, size=np.shape(y))
     return j + (j >= y)
-
-
-def triplet_loss(
-    z: TangentVector,
-    y: int,
-    protos: PrototypeSet,
-    neg: int,
-    margin: float,
-    metric: str = "geodesic",
-) -> float:
-    """Hinge on the gap between the positive- and negative-prototype distances."""
-    c = protos.num_classes
-    if not (0 <= y < c and 0 <= neg < c):
-        raise ValueError("class indices out of range")
-    if y == neg:
-        raise ValueError("negative class must differ from the true class")
-    p = poincare.exp_map_origin_arr(z.coords[None, :])
-    d = _distances(p, protos, metric)[0]
-    return float(max(d[y] - d[neg] + margin, 0.0))
 
 
 def triplet_grad(
@@ -382,14 +354,3 @@ def predict_batch(
     z = forward_batch(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
     return np.argmin(_distances(p, protos, metric), axis=1)
-
-
-def predict(
-    theta: ParamVector,
-    cfg: ExtractorConfig,
-    protos: PrototypeSet,
-    x: np.ndarray,
-    metric: str = "geodesic",
-) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    return int(predict_batch(theta, cfg, protos, x[None, :], metric)[0])

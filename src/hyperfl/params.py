@@ -2,8 +2,8 @@
 
 A ParamVector is the unit of exchange between clients and server: the
 feature-extractor tensors flattened into one float64 vector plus an ordered
-(name, shape) layout.  Two vectors can be combined (added, scaled, dotted)
-only when their layouts match exactly.
+(name, shape) layout.  Two vectors can be combined only when their layouts
+match exactly.
 
 Checkpoint format: magic, one UTF-8 JSON header line describing the layout,
 then the raw values as little-endian float64.
@@ -40,32 +40,8 @@ class ParamVector:
     def same_layout(self, other: "ParamVector") -> bool:
         return self.layout == other.layout
 
-    def _require_layout(self, other: "ParamVector"):
-        if not self.same_layout(other):
-            raise ValueError("parameter layouts differ; vectors are not combinable")
-
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
-
-    def __add__(self, other: "ParamVector") -> "ParamVector":
-        self._require_layout(other)
-        return ParamVector(self.values + other.values, self.layout)
-
-    def __sub__(self, other: "ParamVector") -> "ParamVector":
-        self._require_layout(other)
-        return ParamVector(self.values - other.values, self.layout)
-
-    def __mul__(self, scalar: float) -> "ParamVector":
-        return ParamVector(self.values * float(scalar), self.layout)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "ParamVector") -> float:
-        self._require_layout(other)
-        return float(self.values @ other.values)
-
-    def norm_sq(self) -> float:
-        return float(self.values @ self.values)
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Unflatten into named tensors (views reshaped from the flat vector)."""

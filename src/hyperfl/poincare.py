@@ -1,25 +1,19 @@
-"""Poincare-ball geometry at curvature -1 (open unit ball).
+"""Poincare-ball geometry at curvature -1 (open unit ball), as batched kernels.
 
 Conventions:
-    ball point   x : ||x||_2 < 1, clamped at construction to 1 - EPS_BALL
+    ball point   x : ||x||_2 < 1; kernels clamp their outputs to 1 - EPS_BALL
     tangent vec  z : any finite vector, read as tangent at the origin
-    conformal factor lambda_x = 2 / (1 - ||x||^2)
 
     mobius_add(a, b) = ((1 + 2<a,b> + ||b||^2) a + (1 - ||a||^2) b)
                        / (1 + 2<a,b> + ||a||^2 ||b||^2)
     distance(a, b)   = arcosh(1 + 2||a-b||^2 / ((1-||a||^2)(1-||b||^2)))
     exp0(z)          = tanh(||z||) z / ||z||
-    log0(p)          = artanh(||p||) p / ||p||
 
-Everything is float64 and pure (no shared mutable state).  The scalar
-operations work on BallPoint/TangentVector wrappers; the ``*_arr`` kernels
-are the batched equivalents used in training loops.
+Every kernel works row-wise on float64 arrays and is pure (no shared mutable
+state).
 """
 
 from __future__ import annotations
-
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +24,6 @@ EPS_BALL = 1e-5
 # Below this squared separation the distance gradient is treated as sitting
 # at the non-differentiable minimum d = 0.
 _ZERO_DIST_SQ = 1e-24
-
-
-class ZeroDistanceGradientWarning(RuntimeWarning):
-    """Raised when the distance gradient is requested at d = 0."""
-
-
-def _as_vector(coords) -> np.ndarray:
-    arr = np.asarray(coords, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coordinates must be finite")
-    return arr
 
 
 def project_to_ball_arr(x: np.ndarray) -> np.ndarray:
@@ -60,106 +41,16 @@ def project_to_ball_arr(x: np.ndarray) -> np.ndarray:
     return x * scale
 
 
-@dataclass(frozen=True)
-class BallPoint:
-    """A point strictly inside the unit Poincare ball.
-
-    Construction clamps the norm to 1 - EPS_BALL, so any finite vector is
-    accepted and the stored coordinates always satisfy the ball invariant.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = project_to_ball_arr(_as_vector(self.coords))
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector at the origin (plain Euclidean vector, any norm)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_vector(self.coords)
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-def _check_dims(a, b, op: str):
-    if a.dim != b.dim:
-        raise ValueError(f"{op}: dimension mismatch ({a.dim} vs {b.dim})")
-
-
-def mobius_add(a: BallPoint, b: BallPoint) -> BallPoint:
-    """Mobius addition a (+) b on the unit ball."""
-    _check_dims(a, b, "mobius_add")
-    x, y = a.coords, b.coords
-    x2 = float(x @ x)
-    y2 = float(y @ y)
-    xy = float(x @ y)
-    num = (1.0 + 2.0 * xy + y2) * x + (1.0 - x2) * y
-    den = 1.0 + 2.0 * xy + x2 * y2
-    return BallPoint(num / den)
-
-
-def conformal_factor(p: BallPoint) -> float:
-    """lambda_p = 2 / (1 - ||p||^2); equals 2 at the origin, >= 2 everywhere."""
-    sq = float(p.coords @ p.coords)
-    return 2.0 / (1.0 - sq)
-
-
-def geodesic_distance(a: BallPoint, b: BallPoint) -> float:
-    """Geodesic distance between two ball points.
-
-    The arcosh argument is clamped to >= 1 so that rounding noise on
-    near-identical points cannot produce NaN.
-    """
-    _check_dims(a, b, "geodesic_distance")
-    x, y = a.coords, b.coords
-    diff = x - y
-    arg = 1.0 + 2.0 * float(diff @ diff) / (
-        (1.0 - float(x @ x)) * (1.0 - float(y @ y))
-    )
-    return float(np.arccosh(max(arg, 1.0)))
-
-
-def exp_map_origin(z: TangentVector) -> BallPoint:
-    """Map a tangent vector at the origin onto the ball: tanh(||z||) z/||z||.
-
-    The zero vector maps to the origin by convention (the 0/0 direction is
-    never formed).
-    """
-    v = z.coords
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return BallPoint(np.zeros_like(v))
-    return BallPoint(np.tanh(r) / r * v)
-
-
-def log_map_origin(p: BallPoint) -> TangentVector:
-    """Inverse of exp_map_origin: artanh(||p||) p/||p||."""
-    v = p.coords
-    r = float(np.linalg.norm(v))
-    if r == 0.0:
-        return TangentVector(np.zeros_like(v))
-    return TangentVector(np.arctanh(r) / r * v)
+def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Mobius addition a (+) b of ball points, ball-clamped."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a2 = np.sum(a * a, axis=-1, keepdims=True)
+    b2 = np.sum(b * b, axis=-1, keepdims=True)
+    ab = np.sum(a * b, axis=-1, keepdims=True)
+    num = (1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b
+    den = 1.0 + 2.0 * ab + a2 * b2
+    return project_to_ball_arr(num / den)
 
 
 def exp_map_origin_arr(z: np.ndarray) -> np.ndarray:
@@ -168,14 +59,6 @@ def exp_map_origin_arr(z: np.ndarray) -> np.ndarray:
     r = np.linalg.norm(z, axis=-1, keepdims=True)
     scale = np.divide(np.tanh(r), r, out=np.ones_like(r), where=r > 0)
     return project_to_ball_arr(z * scale)
-
-
-def distance_arr(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise geodesic distance between (B, n) arrays of ball points."""
-    diff = p - q
-    num = np.sum(diff * diff, axis=-1)
-    den = (1.0 - np.sum(p * p, axis=-1)) * (1.0 - np.sum(q * q, axis=-1))
-    return np.arccosh(np.maximum(1.0 + 2.0 * num / den, 1.0))
 
 
 def _geodesic_from_inner(p2: np.ndarray, w2: np.ndarray, pw: np.ndarray) -> np.ndarray:
@@ -266,26 +149,3 @@ def exp_map_origin_jvp_transpose_arr(z: np.ndarray, v: np.ndarray) -> np.ndarray
     )
     zv = np.sum(z * v, axis=-1, keepdims=True)
     return g * v + gp_over_r * zv * z
-
-
-def geodesic_distance_grad(a_tangent: TangentVector, b: BallPoint) -> TangentVector:
-    """Gradient of z -> distance(exp0(z), b) with respect to z.
-
-    At the minimum (exp0(z) coincides with b) the distance is not
-    differentiable; the zero vector is returned as the minimum-norm
-    subgradient and a ZeroDistanceGradientWarning is emitted.
-    """
-    _check_dims(a_tangent, b, "geodesic_distance_grad")
-    z = a_tangent.coords[None, :]
-    p = exp_map_origin_arr(z)
-    diff = p - b.coords[None, :]
-    if float(np.sum(diff * diff)) <= _ZERO_DIST_SQ:
-        warnings.warn(
-            "distance gradient requested at d = 0; returning zero subgradient",
-            ZeroDistanceGradientWarning,
-            stacklevel=2,
-        )
-        return TangentVector(np.zeros(a_tangent.dim))
-    grad_p = dist_grad_wrt_point_arr(p, b.coords[None, :])
-    grad_z = exp_map_origin_jvp_transpose_arr(z, grad_p)
-    return TangentVector(grad_z[0])

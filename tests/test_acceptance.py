@@ -22,7 +22,7 @@ from hyperfl.federation import (
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.params import ParamVector
 from hyperfl.prototypes import build_prototypes, optimize_prototypes
-from hyperfl.poincare import BallPoint, TangentVector
+from oracles import log0
 
 
 def report(num, ok, desc):
@@ -63,33 +63,31 @@ def test_criterion_1_geometry_suite():
     for _ in range(1000):
         z = rng.standard_normal(5)
         z *= rng.uniform(0, 5) / max(np.linalg.norm(z), 1e-12)
-        back = poincare.log_map_origin(poincare.exp_map_origin(TangentVector(z)))
-        ok &= np.max(np.abs(back.coords - z)) < 1e-9
+        back = log0(poincare.exp_map_origin_arr(z))
+        ok &= np.max(np.abs(back - z)) < 1e-9
 
     for _ in range(200):
         x = rng.standard_normal(4)
         x *= rng.uniform(0, 0.999) / max(np.linalg.norm(x), 1e-12)
-        d = poincare.geodesic_distance(BallPoint(np.zeros(4)), BallPoint(x))
+        d = poincare.distance_to_set_arr(np.zeros((1, 4)), x[None, :])[0, 0]
         ok &= abs(d - 2.0 * np.arctanh(np.linalg.norm(x))) < 1e-9
 
     for _ in range(200):
         a = rng.standard_normal(3)
         a *= rng.uniform(0, 0.95) / max(np.linalg.norm(a), 1e-12)
-        out_id = poincare.mobius_add(BallPoint(a), BallPoint(np.zeros(3)))
-        ok &= np.max(np.abs(out_id.coords - a)) < 1e-12
-        out_inv = poincare.mobius_add(BallPoint(a), BallPoint(-a))
-        ok &= np.max(np.abs(out_inv.coords)) < 1e-12
+        out_id = poincare.mobius_add_arr(a, np.zeros(3))
+        ok &= np.max(np.abs(out_id - a)) < 1e-12
+        out_inv = poincare.mobius_add_arr(a, -a)
+        ok &= np.max(np.abs(out_inv)) < 1e-12
 
     for _ in range(1000):
         pts = []
         for _ in range(3):
             v = rng.standard_normal(4)
             v *= rng.uniform(0, 0.95) / max(np.linalg.norm(v), 1e-12)
-            pts.append(BallPoint(v))
-        a, b, c = pts
-        ok &= poincare.geodesic_distance(a, c) <= (
-            poincare.geodesic_distance(a, b) + poincare.geodesic_distance(b, c) + 1e-9
-        )
+            pts.append(v)
+        d = poincare.distance_to_set_arr(np.array(pts), np.array(pts))
+        ok &= d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
     elapsed = time.time() - t0
     ok &= elapsed < 5.0

@@ -5,8 +5,6 @@ from hyperfl.aggregation import (
     aggregate,
     compute_deviations,
     fedavg_weights,
-    least_aligned_client,
-    line_search,
     min_norm_weights,
     pareto_gap,
 )
@@ -45,7 +43,7 @@ class TestComputeDeviations:
     def test_zero_when_locals_equal_global(self):
         g = pv([1.0, 2.0, 3.0])
         dev = compute_deviations(g, [g.copy(), g.copy()])
-        assert all(np.array_equal(d.values, np.zeros(3)) for d in dev.deltas)
+        assert np.array_equal(dev.deltas, np.zeros((2, 3)))
         assert np.array_equal(dev.gram, np.zeros((2, 2)))
 
     def test_orthogonal_deltas(self):
@@ -60,7 +58,7 @@ class TestComputeDeviations:
         dev = compute_deviations(g, locals_)
         for i in range(6):
             for j in range(6):
-                direct = float(np.dot(dev.deltas[i].values, dev.deltas[j].values))
+                direct = float(np.dot(dev.deltas[i], dev.deltas[j]))
                 assert dev.gram[i, j] == direct  # bit-exact vs the dot oracle
 
     def test_gram_symmetric_nonneg_diag(self):
@@ -76,29 +74,17 @@ class TestComputeDeviations:
             compute_deviations(g, [other])
 
 
-class TestLeastAlignedClient:
-    def test_tie_goes_to_lowest_index(self):
-        assert least_aligned_client(np.array([0.5, 0.5]), np.eye(2)) == 0
-
-    def test_hand_computed_row_sums(self):
-        gram = np.array([[4.0, 0.0], [0.0, 1.0]])
-        # weighted row sums: (2.0, 0.5) -> client 1
-        assert least_aligned_client(np.array([0.5, 0.5]), gram) == 1
-
-    def test_one_hot_weights_select_column_argmin(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 4))
-        gram = m @ m.T
-        for k in range(4):
-            p = np.zeros(4)
-            p[k] = 1.0
-            assert least_aligned_client(p, gram) == int(np.argmin(gram[:, k]))
+def two_client_weight(d_tau, d_vir):
+    """Min-norm weight on ``d_tau`` against ``d_vir``: the line search that
+    ``min_norm_weights`` runs, at K = 2."""
+    dev = compute_deviations(pv(np.zeros(len(d_tau))), [pv(d_tau), pv(d_vir)])
+    return float(min_norm_weights(dev, [1, 1]).p[0])
 
 
 class TestLineSearch:
     def test_orthogonal_pair_balances(self):
         # minimizing q^2 + (1-q)^2 gives q = 0.5; verified against a grid scan
-        q = line_search(pv([1.0, 0.0]), pv([0.0, 1.0]))
+        q = two_client_weight([1.0, 0.0], [0.0, 1.0])
         assert q == pytest.approx(0.5, abs=1e-12)
         grid = np.linspace(0, 1, 100001)
         vals = grid**2 + (1 - grid) ** 2
@@ -106,24 +92,27 @@ class TestLineSearch:
 
     def test_collinear_clamps_to_one(self):
         # raw value (dvir - dtau).dvir / ||diff||^2 = 6/4 = 1.5, clamped to 1
-        assert line_search(pv([1.0, 0.0]), pv([3.0, 0.0])) == 1.0
+        assert two_client_weight([1.0, 0.0], [3.0, 0.0]) == 1.0
 
     def test_smaller_virtual_already_optimal(self):
         # (dtau - dvir).dvir = 2 >= 0 keeps the virtual combination
-        assert line_search(pv([3.0, 0.0]), pv([1.0, 0.0])) == 0.0
+        assert two_client_weight([3.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_identical_inputs_return_zero(self):
-        d = pv([0.7, -0.1])
-        assert line_search(d, d.copy()) == 0.0
+        # a flat objective: the search steps by q = 0, so the starting data
+        # weights stay
+        d = [0.7, -0.1]
+        assert two_client_weight(d, list(d)) == 0.5
 
     def test_both_zero_returns_zero(self):
-        assert line_search(pv([0.0, 0.0]), pv([0.0, 0.0])) == 0.0
+        # q = 0 again: the starting data weights stay
+        assert two_client_weight([0.0, 0.0], [0.0, 0.0]) == 0.5
 
     def test_interior_matches_scan(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             a, b = rng.standard_normal(6), rng.standard_normal(6)
-            q = line_search(pv(a), pv(b))
+            q = two_client_weight(a, b)
             grid = np.linspace(0, 1, 20001)
             vals = np.sum((grid[:, None] * a + (1 - grid)[:, None] * b) ** 2, axis=1)
             assert abs(q - grid[np.argmin(vals)]) < 1e-4

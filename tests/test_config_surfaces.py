@@ -84,8 +84,8 @@ class TestEuclideanMetric:
         cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
         theta = ParamVector.from_tensors([("w0", np.eye(2)), ("b0", np.zeros(2))])
         x = np.array([0.2, 0.0])
-        geo = learner.predict(theta, cfg, protos_in, x, metric="geodesic")
-        euc = learner.predict(theta, cfg, protos_in, x, metric="euclidean")
+        geo = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="geodesic")[0]
+        euc = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="euclidean")[0]
         assert geo == euc == 0  # sanity: both agree on an easy case
 
     def test_full_run_with_euclidean_metric(self):
@@ -110,7 +110,8 @@ class TestEuclideanMetric:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         cfg = ExtractorConfig(input_dim=3, hidden=(), output_dim=3)
         with pytest.raises(ValueError):
-            learner.predict(learner.init_params(cfg), cfg, protos, np.zeros(3), metric="cosine")
+            learner.predict_batch(learner.init_params(cfg), cfg, protos, np.zeros((1, 3)),
+                                  metric="cosine")
 
 
 class TestStepGranularFinetune:
@@ -120,10 +121,10 @@ class TestStepGranularFinetune:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
-        stepwise = evaluate_pfl(theta, [shard], protos, ext, TripletConfig(seed=0),
+        stepwise = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
                                 lr=0.3, batch_size=16, finetune_epochs=5,
                                 finetune_steps=0, seed=0)
-        epochless = evaluate_pfl(theta, [shard], protos, ext, TripletConfig(seed=0),
+        epochless = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
                                  lr=0.3, batch_size=16, finetune_epochs=0, seed=0)
         assert stepwise == epochless
 
@@ -259,6 +260,24 @@ class TestExperimentConfigValidation:
         # both are meaningful runs
         cfg = small_config(lr=0.0, finetune_epochs=0, finetune_steps=0)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_alpha_rejected(self, alpha):
+        # nan <= 0 is False, so a sign check alone lets NaN through
+        with pytest.raises(ValueError, match="alpha"):
+            PartitionSpec(alpha=alpha)
+        d = small_config().to_dict()
+        d["partition"]["alpha"] = alpha
+        with pytest.raises(ValueError, match="alpha"):
+            ExperimentConfig.from_dict(d)
+
+    def test_prototype_mode_only_in_old_files(self):
+        # the one prototype mode is not a field; old config files still name it
+        d = small_config().to_dict()
+        assert "prototype_mode" not in d
+        assert ExperimentConfig.from_dict({**d, "prototype_mode": "tammes_fixed"}) == small_config()
+        with pytest.raises(ValueError, match="prototype_mode"):
+            ExperimentConfig.from_dict({**d, "prototype_mode": "learned"})
 
     def test_benchmark_configs_valid(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"

@@ -21,6 +21,7 @@ from hyperfl.federation import (
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.params import ParamVector, load_params
 from hyperfl.prototypes import build_prototypes, load_prototypes
+from oracles import log0
 
 
 def tiny_config(seed=0, rounds=3, clients=4, aggregator="consistent", lr=0.3, alpha=0.5):
@@ -112,7 +113,7 @@ class TestRunExperiment:
 
         def hook(t, before, locals_, weights, after):
             dev = agg.compute_deviations(before, locals_)
-            expected = before.values + weights.p @ np.stack([d.values for d in dev.deltas])
+            expected = before.values + weights.p @ dev.deltas
             checks.append(float(np.max(np.abs(after.values - expected))))
 
         run_experiment(cfg, round_hook=hook)
@@ -179,11 +180,9 @@ class TestEvaluate:
     def test_gfl_perfect_when_predictor_matches_labels(self):
         # zero weights with the class-0 prototype as bias: every input lands
         # exactly on prototype 0, so every prediction is class 0
-        from hyperfl import poincare
-
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=4, hidden=(), output_dim=3)
-        bias = poincare.log_map_origin(poincare.BallPoint(protos.weights[0])).coords
+        bias = log0(protos.weights[0])
         theta = ParamVector.from_tensors([("w0", np.zeros((3, 4))), ("b0", bias)])
         test = LabeledDataset(np.random.default_rng(0).standard_normal((20, 4)),
                               np.zeros(20, dtype=int), 3)
@@ -205,7 +204,7 @@ class TestEvaluate:
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         tcfg = TripletConfig(margin=3.0, seed=0)
         theta = learner.init_params(ext)
-        accs = evaluate_pfl(theta, shards, protos, ext, tcfg, lr=0.3, batch_size=16,
+        accs = evaluate_pfl(theta, shards, [protos], ext, tcfg, lr=0.3, batch_size=16,
                             finetune_epochs=0, seed=0)
         direct = evaluate_gfl(theta, ext, protos, shards[0].test)
         assert accs[0] == pytest.approx(direct, abs=1e-12)
@@ -217,7 +216,7 @@ class TestEvaluate:
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
         digest = hashlib.sha256(theta.values.tobytes()).hexdigest()
-        evaluate_pfl(theta, shards, protos, ext, TripletConfig(seed=0), lr=0.3,
+        evaluate_pfl(theta, shards, [protos], ext, TripletConfig(seed=0), lr=0.3,
                      batch_size=16, finetune_epochs=2, seed=1)
         assert hashlib.sha256(theta.values.tobytes()).hexdigest() == digest
 
@@ -226,7 +225,7 @@ class TestEvaluate:
         shard = split_local(ds, 0, seed=0)  # single instance: no test split
         protos, _ = build_prototypes(2, 2, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
-        accs = evaluate_pfl(learner.init_params(ext), [shard], protos, ext,
+        accs = evaluate_pfl(learner.init_params(ext), [shard], [protos], ext,
                             TripletConfig(seed=0), lr=0.1, batch_size=4, seed=0)
         assert accs == [None]
 
@@ -245,7 +244,7 @@ class TestEvaluate:
                 ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=seed)
             )
             before = evaluate_gfl(theta, ext, protos, shard.test)
-            after = evaluate_pfl(theta, [shard], protos, ext, tcfg, lr=0.3, batch_size=16,
+            after = evaluate_pfl(theta, [shard], [protos], ext, tcfg, lr=0.3, batch_size=16,
                                  finetune_epochs=5, seed=seed)[0]
             wins += after >= before
         assert wins >= 9

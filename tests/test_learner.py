@@ -10,20 +10,18 @@ from hyperfl.data import ClientShard, LabeledDataset, make_synthetic, split_loca
 from hyperfl.learner import (
     ExtractorConfig,
     TripletConfig,
-    extract,
     forward_batch,
     init_params,
     layout_for,
     local_train,
     mean_triplet_loss,
-    predict,
     predict_batch,
     sample_negative,
     triplet_grad,
-    triplet_loss,
 )
 from hyperfl.params import ParamVector
 from hyperfl.prototypes import PrototypeSet, build_prototypes
+from oracles import log0
 
 
 def antipodal_protos(radius=0.9):
@@ -41,46 +39,52 @@ def protos3():
     return ps
 
 
+def constant_feature(z):
+    """A linear extractor (one input) whose tangent feature is always ``z``."""
+    theta = ParamVector.from_tensors([("w0", np.zeros((z.size, 1))), ("b0", z)])
+    return theta, linear_cfg(1, z.size)
+
+
 class TestExtract:
     def test_zero_parameters_give_zero_feature(self):
         cfg = ExtractorConfig(input_dim=4, hidden=(6,), output_dim=3)
         theta = ParamVector(np.zeros(sum(np.prod(s) for _, s in layout_for(cfg))), layout_for(cfg))
-        out = extract(theta, cfg, np.array([1.0, -2.0, 0.5, 3.0]))
-        assert np.array_equal(out.coords, np.zeros(3))
+        out = forward_batch(theta, cfg, np.array([[1.0, -2.0, 0.5, 3.0]]))
+        assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_identity_layer_passes_basis_vector(self):
         cfg = linear_cfg(3, 3)
         theta = ParamVector.from_tensors([("w0", np.eye(3)), ("b0", np.zeros(3))])
-        out = extract(theta, cfg, np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(out.coords, [1.0, 0.0, 0.0])
+        out = forward_batch(theta, cfg, np.array([[1.0, 0.0, 0.0]]))
+        assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_deterministic(self):
         cfg = ExtractorConfig(input_dim=5, hidden=(7,), output_dim=2, init_seed=3)
-        x = np.arange(5.0)
-        a = extract(init_params(cfg), cfg, x)
-        b = extract(init_params(cfg), cfg, x)
-        assert np.array_equal(a.coords, b.coords)
+        x = np.arange(5.0)[None, :]
+        a = forward_batch(init_params(cfg), cfg, x)
+        b = forward_batch(init_params(cfg), cfg, x)
+        assert np.array_equal(a, b)
 
     def test_dimension_checked(self):
         cfg = linear_cfg(3, 2)
         with pytest.raises(ValueError):
-            extract(init_params(cfg), cfg, np.zeros(4))
+            forward_batch(init_params(cfg), cfg, np.zeros((1, 4)))
 
 
 class TestTripletLoss:
     def test_anchor_on_positive_prototype(self, protos3):
-        z = poincare.log_map_origin(poincare.BallPoint(protos3.weights[0]))
-        assert triplet_loss(z, 0, protos3, 1, margin=3.0) == 0.0
+        # every other prototype is further than the margin, whichever is drawn
+        theta, cfg = constant_feature(log0(protos3.weights[0]))
+        loss, _ = triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), protos3,
+                               TripletConfig(margin=3.0))
+        assert loss == 0.0
 
     def test_equidistant_anchor_pays_margin(self):
         ps = antipodal_protos()
-        z = poincare.TangentVector(np.zeros(2))
-        assert triplet_loss(z, 0, ps, 1, margin=3.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_same_class_rejected(self, protos3):
-        z = poincare.TangentVector(np.zeros(3))
-        with pytest.raises(ValueError):
-            triplet_loss(z, 1, protos3, 1, margin=3.0)
+        theta, cfg = constant_feature(np.zeros(2))
+        loss, _ = triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), ps,
+                               TripletConfig(margin=3.0))
+        assert loss == pytest.approx(3.0, abs=1e-12)
 
 
 class TestTripletGrad:
@@ -89,8 +93,8 @@ class TestTripletGrad:
         # further apart than the margin, so every hinge is off
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
-        z0 = poincare.log_map_origin(poincare.BallPoint(ps.weights[0])).coords
-        z1 = poincare.log_map_origin(poincare.BallPoint(ps.weights[1])).coords
+        z0 = log0(ps.weights[0])
+        z1 = log0(ps.weights[1])
         theta = ParamVector.from_tensors(
             [("w0", np.stack([z0, z1], axis=1)), ("b0", np.zeros(2))]
         )
@@ -280,16 +284,16 @@ class TestPredict:
     def test_anchor_on_prototype_recovers_class(self, protos3):
         cfg = linear_cfg(3, 3)
         for c in range(3):
-            z = poincare.log_map_origin(poincare.BallPoint(protos3.weights[c])).coords
+            z = log0(protos3.weights[c])
             theta = ParamVector.from_tensors([("w0", np.diag(z)), ("b0", np.zeros(3))])
-            assert predict(theta, cfg, protos3, np.ones(3)) == c
+            assert predict_batch(theta, cfg, protos3, np.ones((1, 3)))[0] == c
 
     def test_tie_breaks_to_lowest_class(self):
         # zero features are equidistant from antipodal prototypes
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
         theta = ParamVector.from_tensors([("w0", np.zeros((2, 2))), ("b0", np.zeros(2))])
-        assert predict(theta, cfg, ps, np.array([1.0, 2.0])) == 0
+        assert predict_batch(theta, cfg, ps, np.array([[1.0, 2.0]]))[0] == 0
 
     def test_representation_stays_in_ball(self):
         cfg = ExtractorConfig(input_dim=3, hidden=(4,), output_dim=2, init_seed=0)
@@ -305,7 +309,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10, 3))
         batch = predict_batch(theta, cfg, protos3, x)
-        singles = [predict(theta, cfg, protos3, xi) for xi in x]
+        singles = [predict_batch(theta, cfg, protos3, xi[None, :])[0] for xi in x]
         assert np.array_equal(batch, singles)
 
 
@@ -462,8 +466,7 @@ class TestNoActiveHinge:
         # further apart than the margin: no hinge is active in any round
         protos = random_protos(6, 4, seed=3)
         cfg = linear_cfg(6, 4)
-        z = np.stack([poincare.log_map_origin(poincare.BallPoint(w)).coords
-                      for w in protos.weights])
+        z = log0(protos.weights)
         theta = ParamVector.from_tensors([("w0", z.T), ("b0", np.zeros(4))])
         y = np.array([0, 3, 5, 1, 1, 2, 4])
         x = np.eye(6)[y]

@@ -15,22 +15,11 @@ def test_layout_size_checked():
         ParamVector(np.zeros(5), LAYOUT)  # layout wants 8
 
 
-def test_arithmetic():
-    a = make_pv(np.arange(8))
-    b = make_pv(np.ones(8))
-    assert np.array_equal((a + b).values, np.arange(8) + 1)
-    assert np.array_equal((a - b).values, np.arange(8) - 1)
-    assert np.array_equal((2.0 * a).values, 2.0 * np.arange(8))
-    assert a.dot(b) == pytest.approx(np.arange(8).sum())
-
-
 def test_mismatched_layouts_not_combinable():
     a = make_pv(np.zeros(8))
     other = ParamVector(np.zeros(8), (("w0", (4, 2)),))
-    with pytest.raises(ValueError):
-        _ = a + other
-    with pytest.raises(ValueError):
-        a.dot(other)
+    assert not a.same_layout(other)
+    assert a.same_layout(a.copy())
 
 
 def test_tensors_view_layout():

@@ -3,16 +3,14 @@ import pytest
 
 from hyperfl import poincare as pb
 from hyperfl.poincare import (
-    BallPoint,
-    TangentVector,
-    ZeroDistanceGradientWarning,
-    conformal_factor,
-    exp_map_origin,
-    geodesic_distance,
-    geodesic_distance_grad,
-    log_map_origin,
-    mobius_add,
+    dist_grad_wrt_point_arr,
+    distance_to_set_arr,
+    exp_map_origin_arr,
+    exp_map_origin_jvp_transpose_arr,
+    mobius_add_arr,
+    project_to_ball_arr,
 )
+from oracles import log0
 
 RNG = np.random.default_rng(20240601)
 
@@ -20,161 +18,149 @@ RNG = np.random.default_rng(20240601)
 def random_ball_point(rng, dim, max_norm=0.9):
     v = rng.standard_normal(dim)
     v *= rng.uniform(0.0, max_norm) / max(np.linalg.norm(v), 1e-12)
-    return BallPoint(v)
+    return v
 
 
 def random_tangent(rng, dim, max_norm=5.0):
     v = rng.standard_normal(dim)
     v *= rng.uniform(0.0, max_norm) / max(np.linalg.norm(v), 1e-12)
-    return TangentVector(v)
+    return v
+
+
+def dist(a, b):
+    return float(distance_to_set_arr(a[None, :], b[None, :])[0, 0])
 
 
 class TestMobiusAdd:
     def test_zero_is_identity(self):
-        a = BallPoint(np.array([0.3, -0.2, 0.1]))
-        out = mobius_add(a, BallPoint(np.zeros(3)))
-        assert np.array_equal(out.coords, a.coords)
+        a = np.array([0.3, -0.2, 0.1])
+        out = mobius_add_arr(a, np.zeros(3))
+        assert np.array_equal(out, a)
 
     def test_left_inverse(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             a = random_ball_point(rng, 4)
-            out = mobius_add(a, BallPoint(-a.coords))
-            assert np.max(np.abs(out.coords)) < 1e-12
+            out = mobius_add_arr(a, -a)
+            assert np.max(np.abs(out)) < 1e-12
 
     def test_one_dimensional_formula(self):
         # scalar Mobius sum (r1 + r2) / (1 + r1 r2) evaluated by hand:
         # (0.3 + 0.4) / (1 + 0.12) = 0.625
-        a = BallPoint(np.array([0.3, 0.0]))
-        b = BallPoint(np.array([0.4, 0.0]))
-        out = mobius_add(a, b)
-        assert out.coords == pytest.approx([0.625, 0.0], abs=1e-15)
+        a = np.array([0.3, 0.0])
+        b = np.array([0.4, 0.0])
+        out = mobius_add_arr(a, b)
+        assert out == pytest.approx([0.625, 0.0], abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mobius_add(BallPoint(np.zeros(2)), BallPoint(np.zeros(3)))
+            mobius_add_arr(np.zeros(2), np.zeros(3))
 
 
 class TestGeodesicDistance:
     def test_identical_points(self):
-        x = BallPoint(np.array([0.2, 0.5]))
-        assert geodesic_distance(x, x) == 0.0
+        x = np.array([0.2, 0.5])
+        assert dist(x, x) == 0.0
 
     def test_distance_from_origin_closed_form(self):
         # d(0, x) = 2 artanh(||x||); at ||x|| = 0.5 this is ln 3
-        x = BallPoint(np.array([0.5, 0.0]))
-        d = geodesic_distance(BallPoint(np.zeros(2)), x)
+        x = np.array([0.5, 0.0])
+        d = dist(np.zeros(2), x)
         assert d == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             a, b = random_ball_point(rng, 3), random_ball_point(rng, 3)
-            assert geodesic_distance(a, b) == pytest.approx(geodesic_distance(b, a), abs=1e-12)
+            assert dist(a, b) == pytest.approx(dist(b, a), abs=1e-12)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
             a, b, c = (random_ball_point(rng, 4) for _ in range(3))
-            assert geodesic_distance(a, c) <= (
-                geodesic_distance(a, b) + geodesic_distance(b, c) + 1e-9
-            )
+            assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
 
     def test_identity_of_indiscernibles(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             a, b = random_ball_point(rng, 3), random_ball_point(rng, 3)
-            d = geodesic_distance(a, b)
+            d = dist(a, b)
             assert d >= 0.0
-            if np.max(np.abs(a.coords - b.coords)) > 1e-9:
+            if np.max(np.abs(a - b)) > 1e-9:
                 assert d > 0.0
 
 
 class TestExpLogMaps:
     def test_exp_of_zero_is_origin(self):
-        out = exp_map_origin(TangentVector(np.zeros(3)))
-        assert np.array_equal(out.coords, np.zeros(3))
+        out = exp_map_origin_arr(np.zeros(3))
+        assert np.array_equal(out, np.zeros(3))
 
     def test_exp_norm_is_tanh(self):
         z = np.array([0.6, 0.8])  # unit norm
-        out = exp_map_origin(TangentVector(z))
-        assert out.norm() == pytest.approx(np.tanh(1.0), abs=1e-12)
+        out = exp_map_origin_arr(z)
+        assert np.linalg.norm(out) == pytest.approx(np.tanh(1.0), abs=1e-12)
         # direction preserved
-        assert np.allclose(out.coords / out.norm(), z)
+        assert np.allclose(out / np.linalg.norm(out), z)
 
     def test_log_of_origin(self):
-        out = log_map_origin(BallPoint(np.zeros(2)))
-        assert np.array_equal(out.coords, np.zeros(2))
+        out = log0(np.zeros(2))
+        assert np.array_equal(out, np.zeros(2))
 
     def test_log_norm_is_artanh(self):
         z = np.array([0.6, 0.8]) * np.tanh(1.0)
-        out = log_map_origin(BallPoint(z))
-        assert out.norm() == pytest.approx(1.0, abs=1e-9)
+        out = log0(z)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_roundtrip_tangent_to_tangent(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
             z = random_tangent(rng, 5, max_norm=5.0)
-            back = log_map_origin(exp_map_origin(z))
-            assert np.max(np.abs(back.coords - z.coords)) < 1e-9
+            back = log0(exp_map_origin_arr(z))
+            assert np.max(np.abs(back - z)) < 1e-9
 
     def test_roundtrip_ball_to_ball(self):
         rng = np.random.default_rng(6)
         for _ in range(1000):
             p = random_ball_point(rng, 5, max_norm=1.0 - 1e-4)
-            back = exp_map_origin(log_map_origin(p))
-            assert np.max(np.abs(back.coords - p.coords)) < 1e-9
+            back = exp_map_origin_arr(log0(p))
+            assert np.max(np.abs(back - p)) < 1e-9
 
     def test_conformality_at_origin(self):
         # for tiny tangent vectors the geometry is Euclidean scaled by
         # lambda_0 = 2: d(exp0(u), exp0(v)) ~ 2 ||u - v||
         rng = np.random.default_rng(7)
         for _ in range(100):
-            u = TangentVector(rng.standard_normal(3) * 1e-3)
-            v = TangentVector(rng.standard_normal(3) * 1e-3)
-            d = geodesic_distance(exp_map_origin(u), exp_map_origin(v))
-            expected = 2.0 * np.linalg.norm(u.coords - v.coords)
+            u = rng.standard_normal(3) * 1e-3
+            v = rng.standard_normal(3) * 1e-3
+            d = dist(exp_map_origin_arr(u), exp_map_origin_arr(v))
+            expected = 2.0 * np.linalg.norm(u - v)
             assert d == pytest.approx(expected, rel=0.01)
-
-
-class TestConformalFactor:
-    def test_origin(self):
-        assert conformal_factor(BallPoint(np.zeros(4))) == 2.0
-
-    def test_half_radius(self):
-        p = BallPoint(np.array([0.5, 0.0]))
-        assert conformal_factor(p) == pytest.approx(8.0 / 3.0, abs=1e-12)
-
-    def test_monotone_in_norm(self):
-        radii = np.linspace(0.0, 0.95, 20)
-        factors = [conformal_factor(BallPoint(np.array([r, 0.0]))) for r in radii]
-        assert np.all(np.diff(factors) > 0)
 
 
 class TestClamping:
     def test_construction_clamps_to_ball(self):
-        p = BallPoint(np.array([5.0, 0.0]))
-        assert p.norm() <= 1.0 - pb.EPS_BALL + 1e-15
+        p = project_to_ball_arr(np.array([5.0, 0.0]))
+        assert np.linalg.norm(p) <= 1.0 - pb.EPS_BALL + 1e-15
 
     def test_no_nan_for_extreme_inputs(self):
-        huge = BallPoint(np.full(3, 1e12))
-        near = BallPoint(np.array([1.0 - 1e-12, 0.0, 0.0]))
+        huge = project_to_ball_arr(np.full(3, 1e12))
+        near = project_to_ball_arr(np.array([1.0 - 1e-12, 0.0, 0.0]))
         for a in (huge, near):
             for b in (huge, near):
-                assert np.isfinite(geodesic_distance(a, b))
-            assert np.all(np.isfinite(log_map_origin(a).coords))
-            assert np.all(np.isfinite(mobius_add(a, near).coords))
+                assert np.isfinite(dist(a, b))
+            assert np.all(np.isfinite(mobius_add_arr(a, near)))
 
     def test_exp_map_output_stays_inside(self):
-        z = TangentVector(np.full(4, 1e6))
-        out = exp_map_origin(z)
-        assert out.norm() <= 1.0 - pb.EPS_BALL + 1e-15
+        z = np.full(4, 1e6)
+        out = exp_map_origin_arr(z)
+        assert np.linalg.norm(out) <= 1.0 - pb.EPS_BALL + 1e-15
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            BallPoint(np.array([np.nan, 0.0]))
-        with pytest.raises(ValueError):
-            TangentVector(np.array([np.inf, 0.0]))
+
+def distance_grad(z, b):
+    """Gradient of z -> d(exp0(z), b), as the training step chains it."""
+    z = z[None, :]
+    grad_p = dist_grad_wrt_point_arr(exp_map_origin_arr(z), b[None, :])
+    return exp_map_origin_jvp_transpose_arr(z, grad_p)[0]
 
 
 def central_difference_grad(z, b, h=1e-5):
@@ -183,19 +169,16 @@ def central_difference_grad(z, b, h=1e-5):
         zp, zm = z.copy(), z.copy()
         zp[i] += h
         zm[i] -= h
-        g[i] = (
-            geodesic_distance(exp_map_origin(TangentVector(zp)), b)
-            - geodesic_distance(exp_map_origin(TangentVector(zm)), b)
-        ) / (2 * h)
+        g[i] = (dist(exp_map_origin_arr(zp), b) - dist(exp_map_origin_arr(zm), b)) / (2 * h)
     return g
 
 
 class TestDistanceGradient:
     def test_radial_configuration_is_collinear(self):
         # anchor on the ray through b: by symmetry the gradient is radial
-        b = BallPoint(np.array([0.5, 0.0, 0.0]))
+        b = np.array([0.5, 0.0, 0.0])
         z = np.array([1.2, 0.0, 0.0])
-        g = geodesic_distance_grad(TangentVector(z), b).coords
+        g = distance_grad(z, b)
         assert abs(g[1]) < 1e-12 and abs(g[2]) < 1e-12
         assert abs(g[0]) > 0
 
@@ -204,14 +187,14 @@ class TestDistanceGradient:
         for _ in range(25):
             z = rng.standard_normal(4) * rng.uniform(0.1, 2.0)
             b = random_ball_point(rng, 4, max_norm=0.9)
-            analytic = geodesic_distance_grad(TangentVector(z), b).coords
+            analytic = distance_grad(z, b)
             fd = central_difference_grad(z, b)
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-4
 
-    def test_zero_distance_returns_flagged_zero(self):
-        b = BallPoint(np.array([0.4, 0.3]))
-        z = log_map_origin(b)
-        with pytest.warns(ZeroDistanceGradientWarning):
-            g = geodesic_distance_grad(z, b)
-        assert np.array_equal(g.coords, np.zeros(2))
+    def test_zero_distance_returns_zero(self):
+        # d is not differentiable at its minimum; the kernel returns the
+        # minimum-norm subgradient
+        b = np.array([0.4, 0.3])
+        g = distance_grad(log0(b), b)
+        assert np.array_equal(g, np.zeros(2))

@@ -1,0 +1,96 @@
+"""Every public function and method of the package runs in a real run.
+
+The test drives ``hyperfl.cli.main`` in-process through every command on a
+tiny config (``run`` plus each ``--variant``, a Euclidean-metric run,
+``protos``, ``partition`` and ``eval``) under ``sys.setprofile`` and collects
+the code objects that were called.  A public name that none of these reaches
+is code that only tests use: it belongs in ``tests/``, not ``src/``.
+"""
+
+import importlib
+import inspect
+import json
+import pkgutil
+import sys
+
+import hyperfl
+from hyperfl import cli, data, federation
+
+# the only public names allowed to run under tests alone, with the reason
+ALLOWED_UNCALLED = {"poincare.mobius_add_arr": "acceptance criterion 1"}
+
+TINY = {
+    "dataset": {"kind": "synthetic", "num_classes": 3, "dim": 4, "per_class": 20},
+    "partition": {"num_clients": 3, "alpha": 0.5},
+    "extractor": {"input_dim": 4, "hidden": [6], "output_dim": 2},
+    "triplet": {},
+    "rounds": 2,
+    "local_epochs": 1,
+    "batch_size": 16,
+    "finetune_epochs": 1,
+}
+
+
+def public_code() -> dict:
+    """Qualified name -> code object of every public function, method and
+    property defined in a hyperfl module."""
+    found = {}
+    for info in pkgutil.iter_modules(hyperfl.__path__):
+        if info.name.startswith("_"):  # __main__ runs the CLI on import
+            continue
+        mod = importlib.import_module(f"hyperfl.{info.name}")
+        for attr, obj in vars(mod).items():
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{info.name}.{attr}"] = obj.__code__
+            elif inspect.isclass(obj):
+                for meth, member in vars(obj).items():
+                    if isinstance(member, property):
+                        member = member.fget
+                    member = getattr(member, "__func__", member)  # static/classmethod
+                    if not meth.startswith("_") and inspect.isfunction(member):
+                        found[f"{info.name}.{attr}.{meth}"] = member.__code__
+    return found
+
+
+def cli_commands(tmp_path) -> list[list[str]]:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY), encoding="utf-8")
+    flat = tmp_path / "euclidean.json"
+    flat.write_text(json.dumps({**TINY, "metric": "euclidean"}), encoding="utf-8")
+    dataset = tmp_path / "data.txt"
+    data.save_dataset(data.make_synthetic(3, 4, per_class=10, spread=0.1, seed=1), dataset)
+    runs = [["run", "--config", str(config), "--out", str(tmp_path / "full")]]
+    runs += [
+        ["run", "--config", str(config), "--variant", variant, "--out", str(tmp_path / variant)]
+        for variant in federation.VARIANTS
+    ]
+    runs.append(["run", "--config", str(flat), "--out", str(tmp_path / "euclidean")])
+    return runs + [
+        ["protos", "--classes", "3", "--dim", "2", "--out", str(tmp_path / "protos.bin")],
+        ["partition", "--data", str(dataset), "--clients", "2", "--alpha", "0.5",
+         "--out", str(tmp_path / "parts")],
+        ["eval", "--checkpoint", str(tmp_path / "full" / "global.params"),
+         "--data", str(dataset), "--protos", str(tmp_path / "full" / "prototypes.bin"),
+         "--hidden", "6"],
+    ]
+
+
+def test_every_public_name_runs_from_the_cli(tmp_path):
+    commands = cli_commands(tmp_path)
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * len(commands)
+    uncalled = sorted(name for name, code in public_code().items() if code not in called)
+    assert uncalled == sorted(ALLOWED_UNCALLED)
