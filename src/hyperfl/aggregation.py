@@ -10,17 +10,19 @@ averaging).  The consistent alternative solves
 
     min_p ||sum_k p_k Delta_k||^2   over the probability simplex,
 
-i.e. finds the minimum-norm point of the deviation hull, by repeatedly
-picking the client whose deviation is least aligned with the current
-combination and running an exact analytic line search between that
-deviation and the combination.  At the solution the variational inequality
-<Delta_k, Delta*> >= ||Delta*||^2 holds for every k (Pareto stationarity);
-the residual of that inequality is reported as ``pareto_gap``.
+i.e. finds the minimum-norm point of the deviation hull (the subproblem
+MGDA, Sener & Koltun 2018, solves too), with Wolfe's (1976) min-norm-point
+algorithm.  The algorithm is exact, ends after finitely many steps and reads
+only the Gram matrix V = D D^T.  At the solution the variational
+inequality <Delta_k, Delta*> >= ||Delta*||^2 holds for every k (Pareto
+stationarity); the residual of that inequality is reported as
+``pareto_gap``.  The min-norm point Delta* is unique, the weights p need
+not be.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +46,15 @@ class DeviationSet:
 class AggregationWeights:
     """A simplex weight vector over clients.
 
-    ``cu_iterations`` counts the iterations the min-norm solver used (zero
+    ``cu_iterations`` counts the major steps the min-norm solver took (zero
     for data-weighted averaging); ``pareto_gap`` is the stationarity
     residual ||Delta*||^2 - min_k <Delta_k, Delta*> (NaN when no deviations
-    were involved); ``norm_trace`` records ||Delta*||^2 per iteration.
+    were involved).
     """
 
     p: np.ndarray
     cu_iterations: int
     pareto_gap: float
-    norm_trace: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=np.float64)
@@ -91,80 +92,72 @@ def pareto_gap(gram: np.ndarray, p: np.ndarray) -> float:
 
 
 def min_norm_weights(
-    dev: DeviationSet,
-    n_samples: list[int] | np.ndarray,
-    max_iters: int = 500,
-    tol: float = 1e-12,
+    dev: DeviationSet, n_samples: list[int] | np.ndarray, max_iters: int = 500
 ) -> AggregationWeights:
-    """Iterate the least-aligned-client line search to a min-norm weight vector.
+    """Wolfe's min-norm-point algorithm over the deviation hull, in Gram space.
 
-    Weights start at the data fractions N_k / sum N.  Each iteration selects
-    the least aligned client tau and evaluates two analytic line searches:
-
-    * mix step: between Delta_tau and the current combination,
-      p <- (1 - q) p + q e_tau;
-    * transfer step: weight moved from the most redundant weighted client
-      (argmax of the alignment row among p_k > 0) to tau.
-
-    The better of the two is applied.  The mix step alone shrinks retired
-    weights only multiplicatively, which stalls short of stationarity when
-    the optimum sits on a face of the simplex; the transfer step can zero a
-    weight outright, restoring geometric convergence.  The loop runs in
-    Gram space (every quantity needed is an entry of V = D D^T) and stops
-    once the stationarity residual is negligible relative to the largest
-    deviation, the weights stop moving (max-norm below ``tol``), or the
-    iteration budget is spent.
+    The data fractions N_k / sum N are returned unchanged when they are
+    already stationary.  Otherwise the corral S (the clients carrying
+    weight) starts as the client least aligned with that combination, and
+    each major step adds the client with the smallest <Delta_k, Delta*> to
+    S.  Minor steps then move towards the minimum of S's affine hull,
+    found from the bordered system [[V_SS, 1], [1^T, 0]]: when some weight
+    would turn nonpositive, the step stops where the first one reaches
+    zero and that client leaves S.  The loop stops once the stationarity
+    residual is below 1e-14 of the largest Gram diagonal, after
+    ``max_iters`` major steps (the count reported as ``cu_iterations``), or
+    when a major step fails to shrink ||Delta*||^2, which happens only when
+    clients closer than rounding can resolve in V make S degenerate; the
+    weights from before that step are kept.
     """
     counts = np.asarray(n_samples, dtype=np.float64)
     k = dev.num_clients
     if counts.shape != (k,) or np.any(counts <= 0):
         raise ValueError("need one positive sample count per client")
     p = counts / counts.sum()
-    gram = dev.gram
-    if k == 1:
-        return AggregationWeights(
-            p=p, cu_iterations=0, pareto_gap=0.0, norm_trace=[float(gram[0, 0])]
-        )
-    max_diag = max(float(np.max(np.diag(gram))), np.finfo(float).tiny)
-    trace = [float(p @ gram @ p)]
+    # unitless Gram, so the bordered system and the stop test are scale-free
+    gram = dev.gram / max(float(np.max(np.diag(dev.gram))), np.finfo(float).tiny)
+    corral: list[int] = []
+    kept, kept_sq = p, np.inf
     iterations = 0
-    for step in range(1, max_iters + 1):
+    while iterations < max_iters:
         row = gram @ p
-        combined_sq = float(p @ row)
+        norm_sq = float(p @ row)
+        if norm_sq >= kept_sq:
+            # no progress: the corral is affinely dependent to rounding
+            p = kept
+            break
         tau = int(np.argmin(row))
-        if combined_sq - float(row[tau]) <= 1e-14 * max_diag:
+        # a corral client cannot be least aligned but by rounding: stop there
+        if norm_sq - float(row[tau]) <= 1e-14 or tau in corral:
             break
-        iterations = step
-        # mix step (line search between Delta_tau and the combination)
-        cross = float(row[tau])
-        denom = float(gram[tau, tau]) + combined_sq - 2.0 * cross
-        if denom <= 1e-16 * max(float(gram[tau, tau]), combined_sq) or denom == 0.0:
-            q = 0.0
+        iterations += 1
+        if corral:
+            kept, kept_sq = p.copy(), norm_sq
         else:
-            q = min(max((combined_sq - cross) / denom, 0.0), 1.0)
-        p_mix = (1.0 - q) * p
-        p_mix[tau] += q
-        f_mix = float(p_mix @ gram @ p_mix)
-        # transfer step (most redundant weighted client donates to tau)
-        sigma = int(np.argmax(np.where(p > 0, row, -np.inf)))
-        edge = float(gram[tau, tau] + gram[sigma, sigma] - 2.0 * gram[tau, sigma])
-        if sigma == tau or edge <= 0.0:
-            p_xfer, f_xfer = p, combined_sq
-        else:
-            gamma = min(max(float(row[sigma] - row[tau]) / edge, 0.0), float(p[sigma]))
-            p_xfer = p.copy()
-            p_xfer[tau] += gamma
-            p_xfer[sigma] -= gamma
-            f_xfer = float(p_xfer @ gram @ p_xfer)
-        p_new = p_mix if f_mix <= f_xfer else p_xfer
-        change = float(np.max(np.abs(p_new - p)))
-        p = p_new
-        trace.append(float(p @ gram @ p))
-        if change < tol:
-            break
-    return AggregationWeights(
-        p=p, cu_iterations=iterations, pareto_gap=pareto_gap(gram, p), norm_trace=trace
-    )
+            p = np.zeros(k)
+            p[tau] = 1.0
+        corral.append(tau)
+        while True:
+            s = np.array(corral)
+            m = len(s)
+            bordered = np.ones((m + 1, m + 1))
+            bordered[:m, :m] = gram[np.ix_(s, s)]
+            bordered[m, m] = 0.0
+            y = np.linalg.solve(bordered, np.append(np.zeros(m), 1.0))[:m]
+            if np.all(y > 0):
+                p[s] = y
+                break
+            x = p[s]
+            ratio = np.full(m, np.inf)
+            out = y <= 0
+            ratio[out] = x[out] / (x[out] - y[out])
+            drop = int(np.argmin(ratio))
+            x += ratio[drop] * (y - x)
+            x[drop] = 0.0
+            p[s] = np.maximum(x, 0.0)
+            corral = [int(c) for c in s[x > 0]]
+    return AggregationWeights(p=p, cu_iterations=iterations, pareto_gap=pareto_gap(dev.gram, p))
 
 
 def fedavg_weights(n_samples: list[int] | np.ndarray) -> AggregationWeights:

@@ -90,7 +90,6 @@ class ExperimentConfig:
     metric: str = "geodesic"
     seed: int = 0
     finetune_epochs: int = 5
-    finetune_steps: int | None = None
     global_test_fraction: float = 0.2
     train_fraction: float = 0.75
 
@@ -113,8 +112,6 @@ class ExperimentConfig:
             raise ValueError("local_epochs must be at least 1")
         if self.finetune_epochs < 0:
             raise ValueError("finetune_epochs must be nonnegative")
-        if self.finetune_steps is not None and self.finetune_steps < 0:
-            raise ValueError("finetune_steps must be None or nonnegative")
         for name in ("global_test_fraction", "train_fraction"):
             if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in (0, 1)")
@@ -131,9 +128,12 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
-        # older config files name the only prototype mode there is
+        # older config files name the only prototype mode there is and leave
+        # step-granular finetuning off
         if d.pop("prototype_mode", "tammes_fixed") != "tammes_fixed":
             raise ValueError("prototype_mode must be 'tammes_fixed', the only mode")
+        if d.pop("finetune_steps", None) is not None:
+            raise ValueError("finetune_steps must be null; finetuning runs whole epochs")
         ds = d.pop("dataset")
         if isinstance(ds, dict):
             kind = ds.pop("kind", "synthetic")
@@ -237,17 +237,16 @@ def evaluate_pfl(
     lr: float,
     batch_size: int,
     finetune_epochs: int = 5,
-    finetune_steps: int | None = None,
     seed: int = 0,
     metric: str = "geodesic",
 ) -> list[float | None]:
     """Per-client accuracy after finetuning a copy of the global model.
 
     Each client receives its own copy, finetunes on the local train split
-    against its prototype set in ``protos`` (one per shard; epoch-granular by
-    default, ``finetune_steps`` caps SGD steps instead when set) and is
-    scored on the local test split.  Clients without a test split are
-    skipped and reported as None.  The global parameters are never mutated.
+    against its prototype set in ``protos`` (one per shard) for
+    ``finetune_epochs`` epochs and is scored on the local test split.
+    Clients without a test split are skipped and reported as None.  The
+    global parameters are never mutated.
     """
     out: list[float | None] = []
     for shard, proto_k in zip(shards, protos, strict=True):
@@ -255,15 +254,11 @@ def evaluate_pfl(
             log.debug("client %d has no local test split; skipped in P-FL", shard.client_id)
             out.append(None)
             continue
-        # with step-granular finetuning, one epoch per allowed step is always
-        # enough for max_steps to bind
-        epochs = finetune_epochs if finetune_steps is None else finetune_steps
         tuned = learner.local_train(
             global_params, shard, proto_k, ext, tcfg,
-            epochs=epochs, batch_size=batch_size, lr=lr,
+            epochs=finetune_epochs, batch_size=batch_size, lr=lr,
             seed=derive_seed(seed, "pfl", shard.client_id),
             metric=metric,
-            max_steps=finetune_steps,
         )
         pred = learner.predict_batch(tuned, ext, proto_k, shard.test.features, metric)
         out.append(float(np.mean(pred == shard.test.labels)))
@@ -375,11 +370,14 @@ def _run(
         locals_: list[ParamVector] = []
         losses: list[float] = []
         for k, shard in enumerate(shards):
-            theta_k = learner.local_train(
-                theta, shard, client_protos[k], ext, tcfg,
-                epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
-            )
+            try:
+                theta_k = learner.local_train(
+                    theta, shard, client_protos[k], ext, tcfg,
+                    epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                    seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
+                )
+            except ValueError as err:  # local training diverged
+                raise ValueError(f"round {t}: {err}") from err
             locals_.append(theta_k)
             losses.append(
                 learner.mean_triplet_loss(
@@ -408,11 +406,14 @@ def _run(
             round_hook(t, theta_before, locals_, weights, theta)
 
         gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
-        pfl = evaluate_pfl(
-            theta, shards, client_protos, ext, tcfg, cfg.lr, cfg.batch_size,
-            finetune_epochs=cfg.finetune_epochs, finetune_steps=cfg.finetune_steps,
-            seed=derive_seed(cfg.seed, "pfl", t), metric=cfg.metric,
-        )
+        try:
+            pfl = evaluate_pfl(
+                theta, shards, client_protos, ext, tcfg, cfg.lr, cfg.batch_size,
+                finetune_epochs=cfg.finetune_epochs,
+                seed=derive_seed(cfg.seed, "pfl", t), metric=cfg.metric,
+            )
+        except ValueError as err:  # finetuning diverged
+            raise ValueError(f"round {t}: {err}") from err
         scored = [a for a in pfl if a is not None]
         record = RoundRecord(
             round=t,

@@ -297,19 +297,17 @@ def local_train(
     lr: float,
     seed: int = 0,
     metric: str = "geodesic",
-    max_steps: int | None = None,
 ) -> ParamVector:
     """Mini-batch SGD on the local training split.
 
     One RNG (from ``seed``) drives both the per-epoch shuffle and the
-    negative sampling, so a run is reproducible bit-for-bit.  ``max_steps``
-    optionally caps the number of SGD steps across all epochs (used for
-    step-granular finetuning).
+    negative sampling, so a run is reproducible bit-for-bit.
 
     Each step is one ``triplet_grad`` call writing into a single gradient
     buffer allocated here and reused for every step; a non-finite gradient
     raises ValueError, and so do non-finite parameters after the last step
     (a finite gradient times a huge lr can still overflow the update).
+    Every such error names the client.
     """
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
@@ -318,28 +316,21 @@ def local_train(
     if n == 0:
         raise ValueError(f"client {shard.client_id}: empty training split")
     grad = ParamVector(np.zeros_like(theta.values), theta.layout)
-    steps = 0
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            if max_steps is not None and steps >= max_steps:
-                return _finite_params(theta, shard)
-            idx = order[start : start + batch_size]
-            triplet_grad(
-                theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
-                rng=rng, metric=metric, out=grad,
-            )
-            grad.values *= lr
-            theta.values -= grad.values
-            steps += 1
-    return _finite_params(theta, shard)
-
-
-def _finite_params(theta: ParamVector, shard: ClientShard) -> ParamVector:
-    if not np.isfinite(theta.values).all():
-        raise ValueError(
-            f"client {shard.client_id}: local training diverged (parameters not finite)"
-        )
+    try:
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start : start + batch_size]
+                triplet_grad(
+                    theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
+                    rng=rng, metric=metric, out=grad,
+                )
+                grad.values *= lr
+                theta.values -= grad.values
+        if not np.isfinite(theta.values).all():
+            raise ValueError("local training diverged (parameters not finite)")
+    except ValueError as err:
+        raise ValueError(f"client {shard.client_id}: {err}") from err
     return theta
 
 

@@ -1,6 +1,6 @@
 """Exercises for the less-traveled configuration surfaces: multiple
-negatives per anchor, the flat-metric option, step-granular finetuning,
-file-backed datasets, and solver budget exhaustion."""
+negatives per anchor, the flat-metric option, zero-epoch finetuning and
+old finetuning keys, file-backed datasets, and solver budget exhaustion."""
 
 import importlib.util
 import json
@@ -115,48 +115,27 @@ class TestEuclideanMetric:
 
 
 class TestStepGranularFinetune:
+    """Finetuning runs whole epochs: zero epochs is zero steps, and config
+    files from when steps could cap it still load."""
+
     def test_zero_steps_scores_global_model(self):
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=1)
         shard = split_local(ds, 0, seed=0)
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
-        stepwise = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
-                                lr=0.3, batch_size=16, finetune_epochs=5,
-                                finetune_steps=0, seed=0)
-        epochless = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
-                                 lr=0.3, batch_size=16, finetune_epochs=0, seed=0)
-        assert stepwise == epochless
-
-    def test_steps_and_epochs_differ(self):
-        ds = make_synthetic(3, 6, per_class=60, spread=0.2, seed=2)
-        shard = split_local(ds, 0, seed=0)
-        protos, _ = build_prototypes(3, 3, 0.9, seed=0)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=2)
-        tcfg = TripletConfig(margin=3.0, seed=0)
-        theta = learner.init_params(ext)
-        one_step = learner.local_train(theta, shard, protos, ext, tcfg, epochs=1,
-                                       batch_size=16, lr=0.3, seed=1, max_steps=1)
-        one_epoch = learner.local_train(theta, shard, protos, ext, tcfg, epochs=1,
-                                        batch_size=16, lr=0.3, seed=1)
-        assert not np.array_equal(one_step.values, one_epoch.values)
+        untuned = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
+                               lr=0.3, batch_size=16, finetune_epochs=0, seed=0)
+        pred = learner.predict_batch(theta, ext, protos, shard.test.features)
+        assert untuned == [float(np.mean(pred == shard.test.labels))]
 
     def test_config_carries_finetune_steps(self):
-        cfg = ExperimentConfig(
-            dataset=SyntheticSpec(3, 6, 40, spread=0.15, hierarchy_depth=1),
-            partition=PartitionSpec(alpha=0.5, num_clients=2),
-            extractor=ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3),
-            triplet=TripletConfig(),
-            rounds=2,
-            finetune_steps=5,
-            seed=3,
-            local_epochs=1,
-            batch_size=32,
-        )
-        back = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-        assert back.finetune_steps == 5
-        res = run_experiment(cfg)
-        assert len(res.records) == 2
+        d = small_config().to_dict()
+        assert "finetune_steps" not in d
+        assert ExperimentConfig.from_dict({**d, "finetune_steps": None}) == small_config()
+        for value in (5, 0, -3):
+            with pytest.raises(ValueError, match="finetune_steps"):
+                ExperimentConfig.from_dict({**d, "finetune_steps": value})
 
 
 class TestFileBackedDataset:
@@ -241,7 +220,6 @@ class TestExperimentConfigValidation:
             ("lr", -1.0),
             ("local_epochs", 0),
             ("finetune_epochs", -1),
-            ("finetune_steps", -3),
             ("global_test_fraction", 0.0),
             ("global_test_fraction", 1.0),
             ("train_fraction", 0.0),
@@ -258,7 +236,7 @@ class TestExperimentConfigValidation:
     def test_boundary_values_accepted(self):
         # lr = 0 freezes the model and zero finetuning scores the global model:
         # both are meaningful runs
-        cfg = small_config(lr=0.0, finetune_epochs=0, finetune_steps=0)
+        cfg = small_config(lr=0.0, finetune_epochs=0)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])

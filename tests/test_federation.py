@@ -144,6 +144,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(bad)
 
+    def test_diverging_run_names_round_and_client(self):
+        cfg = tiny_config(rounds=1, lr=float(np.finfo(np.float64).max))
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+            run_experiment(cfg)
+        assert "round 0" in str(err.value) and "client" in str(err.value)
+
 
 class TestClientIsolation:
     def test_round_result_independent_of_completion_order(self):

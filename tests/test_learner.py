@@ -271,14 +271,6 @@ class TestLocalTrain:
         local_train(theta, shard, self.ps, self.cfg, self.tcfg, 2, 16, lr=0.3, seed=2)
         assert np.array_equal(theta.values, snapshot)
 
-    def test_max_steps_caps_updates(self):
-        shard = make_blob_shard(seed=6)
-        theta = init_params(self.cfg)
-        one_step = local_train(
-            theta, shard, self.ps, self.cfg, self.tcfg, 5, 16, lr=0.3, seed=3, max_steps=1
-        )
-        assert not np.array_equal(one_step.values, theta.values)
-
 
 class TestPredict:
     def test_anchor_on_prototype_recovers_class(self, protos3):
@@ -380,23 +372,19 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
 
 
 def reference_local_train(theta_in, shard, protos, cfg, tcfg, epochs, batch_size, lr,
-                          seed, metric="geodesic", max_steps=None):
+                          seed, metric="geodesic"):
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
     n = shard.train.size
-    steps = 0
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            if max_steps is not None and steps >= max_steps:
-                return theta
             idx = order[start : start + batch_size]
             _, grad = reference_triplet_grad(
                 theta, cfg, shard.train.features[idx], shard.train.labels[idx], protos,
                 tcfg, rng, metric,
             )
             theta.values -= lr * grad.values
-            steps += 1
     return theta
 
 
@@ -405,8 +393,8 @@ class TestBitExactAgainstReference:
 
     @pytest.mark.parametrize("num_classes", [2, 5, 100])
     @pytest.mark.parametrize("negatives", [1, 4])
-    @pytest.mark.parametrize("max_steps", [None, 3])
-    def test_local_train_bitwise_equal(self, num_classes, negatives, max_steps):
+    @pytest.mark.parametrize("epochs", [2, 3])
+    def test_local_train_bitwise_equal(self, num_classes, negatives, epochs):
         dim = 3 if num_classes < 100 else 8
         protos = random_protos(num_classes, dim, seed=num_classes)
         rng = np.random.default_rng(num_classes + negatives)
@@ -417,11 +405,9 @@ class TestBitExactAgainstReference:
         cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=dim, init_seed=1)
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=negatives, seed=0)
         theta = init_params(cfg)
-        # step-granular finetuning passes one epoch per allowed step
-        epochs = 2 if max_steps is None else max_steps
         args = (theta, shard, protos, cfg, tcfg, epochs, 8, 0.3)
-        got = local_train(*args, seed=11, max_steps=max_steps)
-        want = reference_local_train(*args, seed=11, max_steps=max_steps)
+        got = local_train(*args, seed=11)
+        want = reference_local_train(*args, seed=11)
         assert not np.array_equal(got.values, theta.values)
         assert got.values.tobytes() == want.values.tobytes()
 
@@ -580,8 +566,7 @@ class TestDivergenceFailsFast:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 3, 8, 1e200)
 
-    @pytest.mark.parametrize("max_steps", [1, None])
-    def test_overflowing_update_raises_naming_client(self, max_steps):
+    def test_overflowing_update_raises_naming_client(self):
         # the one step's gradient is finite (its largest entry is about 1.4),
         # but lr times it overflows to inf
         ps = antipodal_protos()
@@ -591,4 +576,4 @@ class TestDivergenceFailsFast:
         shard = ClientShard(client_id=7, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="client 7"):
             local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 1, 16,
-                        np.finfo(np.float64).max, max_steps=max_steps)
+                        np.finfo(np.float64).max)

@@ -36,8 +36,6 @@ def public_code() -> dict:
     property defined in a hyperfl module."""
     found = {}
     for info in pkgutil.iter_modules(hyperfl.__path__):
-        if info.name.startswith("_"):  # __main__ runs the CLI on import
-            continue
         mod = importlib.import_module(f"hyperfl.{info.name}")
         for attr, obj in vars(mod).items():
             if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
@@ -94,3 +92,10 @@ def test_every_public_name_runs_from_the_cli(tmp_path):
     assert codes == [0] * len(commands)
     uncalled = sorted(name for name, code in public_code().items() if code not in called)
     assert uncalled == sorted(ALLOWED_UNCALLED)
+
+
+def test_main_module_imports_without_running():
+    # `python -m hyperfl` runs the CLI; a plain import (pydoc, module walkers)
+    # must not
+    module = importlib.import_module("hyperfl.__main__")
+    assert module.main is cli.main
