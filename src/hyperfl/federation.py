@@ -136,6 +136,7 @@ class ExperimentConfig:
             raise ValueError("finetune_steps must be null; finetuning runs whole epochs")
         ds = d.pop("dataset")
         if isinstance(ds, dict):
+            ds = dict(ds)
             kind = ds.pop("kind", "synthetic")
             dataset = ds["path"] if kind == "file" else SyntheticSpec(**ds)
         else:

@@ -110,11 +110,9 @@ def _forward_cached(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray):
     tensors = theta.tensors()
     n_layers = len(cfg.dims) - 1
     acts = [x]
-    h = x
     for i in range(n_layers):
-        a = h @ tensors[f"w{i}"].T + tensors[f"b{i}"]
-        h = _act(a, cfg.activation) if i < n_layers - 1 else a
-        acts.append(h)
+        a = acts[-1] @ tensors[f"w{i}"].T + tensors[f"b{i}"]
+        acts.append(_act(a, cfg.activation) if i < n_layers - 1 else a)
     return acts[-1], acts, tensors
 
 
@@ -127,19 +125,13 @@ def forward_batch(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray) -> np
     return z
 
 
-def _backward(
-    cfg: ExtractorConfig, acts, tensors, d_out: np.ndarray, grads: dict[str, np.ndarray]
-) -> None:
+def _backward(cfg: ExtractorConfig, acts, tensors, delta: np.ndarray, grads) -> None:
     """Write each layer's gradient into the matching view of ``grads``."""
-    n_layers = len(cfg.dims) - 1
-    delta = d_out
-    for i in reversed(range(n_layers)):
-        grads[f"w{i}"][...] = delta.T @ acts[i]
-        grads[f"b{i}"][...] = delta.sum(axis=0)
+    for i in reversed(range(len(acts) - 1)):
+        np.matmul(delta.T, acts[i], out=grads[f"w{i}"])
+        np.add.reduce(delta, axis=0, out=grads[f"b{i}"])
         if i > 0:
-            delta = (delta @ tensors[f"w{i}"]) * _act_prime_from_output(
-                acts[i], cfg.activation
-            )
+            delta = (delta @ tensors[f"w{i}"]) * _act_prime_from_output(acts[i], cfg.activation)
 
 
 def _distances(points: np.ndarray, protos: PrototypeSet, metric: str) -> np.ndarray:
@@ -166,7 +158,7 @@ def _distances_at(p: np.ndarray, w: np.ndarray, cols: np.ndarray, metric: str) -
     else:
         raise ValueError(f"unknown metric {metric!r}")
     pw = (p @ w.T)[np.arange(p.shape[0]), cols]
-    return from_inner(np.sum(p * p, axis=-1), np.sum(w * w, axis=-1)[cols], pw)
+    return from_inner(np.add.reduce(p * p, axis=-1), np.add.reduce(w * w, axis=-1)[cols], pw)
 
 
 def _distance_grad(points: np.ndarray, targets: np.ndarray, metric: str) -> np.ndarray:
@@ -204,9 +196,9 @@ def triplet_grad(
     ``sample_negative`` draw for the whole batch, and all rounds are drawn
     before any distance is taken.  Only the 1 + R distances per sample that
     the hinge reads are computed.  Samples whose hinge is inactive contribute
-    nothing to the gradient; one distance-gradient call covers every active
-    (round, sample) pair and one more the positive prototypes (a step with
-    no active hinge makes neither).
+    nothing to the gradient; one distance-gradient call covers every
+    positive and the negative of every active (round, sample) pair.  A step
+    with no active hinge skips it, the pullback and the backward pass.
 
     The gradient is written into ``out`` and returned.  ``out`` must share
     theta's layout; a caller that steps repeatedly passes the same buffer
@@ -238,30 +230,37 @@ def triplet_grad(
     cols[0] = y
     for r in range(1, cols.shape[0]):
         cols[r] = sample_negative(y, c, rng)
-    negs = cols[1:]
     d = _distances_at(p, protos.weights, cols, metric)
     gap = d[0] - d[1:] + tcfg.margin
-
-    n = p.shape[1]
-    d_p_acc = np.zeros(p.size)
-    rnd, s = np.nonzero(gap > 0.0)
-    if s.size:
-        grad_pos = _distance_grad(p, protos.weights[y], metric)
-        grad_neg = _distance_grad(p[s], protos.weights[negs[rnd, s]], metric)
-        # unbuffered, over (round, sample) pairs in round-major order: an
-        # entry hit by several rounds takes their terms one at a time, in
-        # draw order (scattered flat, where numpy's add.at is fastest)
-        flat = (s[:, None] * n + np.arange(n)).ravel()
-        np.add.at(d_p_acc, flat, (grad_pos[s] - grad_neg).ravel())
     # summed one round at a time: a reduction over the rounds may pair them up
     loss_acc = np.zeros(b)
     for hinge in np.maximum(gap, 0.0):
         loss_acc += hinge
     scale = 1.0 / (b * tcfg.negatives_per_sample)
-    loss = float(np.sum(loss_acc) * scale)
-    d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc.reshape(b, n) * scale)
-    _backward(cfg, acts, tensors, d_z, out.tensors())
-    if not np.isfinite(out.values).all():
+    loss = float(np.add.reduce(loss_acc) * scale)
+    rnd, s = np.nonzero(gap > 0.0)
+    if s.size:
+        # rows :b take each sample's positive, rows b: each active negative; the
+        # kernel is row-wise, so each row has the bits a call of its own gives
+        pts, cls = np.concatenate((p, p[s])), np.concatenate((y, cols[1 + rnd, s]))
+        g = _distance_grad(pts, protos.weights[cls], metric)
+        d_p_acc = np.zeros(p.size)
+        # unbuffered, over (round, sample) pairs in round-major order: an entry
+        # hit by several rounds takes their terms one at a time, in draw order
+        # (scattered flat, where numpy's add.at is fastest)
+        flat = (s[:, None] * p.shape[1] + np.arange(p.shape[1])).ravel()
+        np.add.at(d_p_acc, flat, (g[s] - g[b:]).ravel())
+        d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc.reshape(p.shape) * scale)
+        _backward(cfg, acts, tensors, d_z, out.tensors())
+        finite = np.isfinite(out.values).all()
+    else:
+        # zeros pulled back stay zero unless they meet 0 * inf: in an input or
+        # weight the backward pass multiplies them by, or a non-finite ||z||
+        seen = [np.add.reduce(z * z, axis=-1), *acts[:-1]]
+        seen += [tensors[f"w{i}"] for i in range(1, len(acts) - 1)]
+        finite = all(np.isfinite(a).all() for a in seen)
+        out.values.fill(0.0)
+    if not finite:
         raise ValueError("gradient is not finite; training diverged")
     return loss, out
 

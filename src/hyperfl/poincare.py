@@ -32,10 +32,10 @@ def project_to_ball_arr(x: np.ndarray) -> np.ndarray:
     Rows already inside the limit are returned bit-identical.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
     limit = 1.0 - EPS_BALL
     over = norms > limit
-    if not np.any(over):
+    if not over.any():
         return x
     scale = np.where(over, limit / np.maximum(norms, limit), 1.0)
     return x * scale
@@ -56,7 +56,7 @@ def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def exp_map_origin_arr(z: np.ndarray) -> np.ndarray:
     """Row-wise exp map at the origin for a (B, n) array, ball-clamped."""
     z = np.asarray(z, dtype=np.float64)
-    r = np.linalg.norm(z, axis=-1, keepdims=True)
+    r = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
     scale = np.divide(np.tanh(r), r, out=np.ones_like(r), where=r > 0)
     return project_to_ball_arr(z * scale)
 
@@ -109,9 +109,9 @@ def dist_grad_wrt_point_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     flagging.
     """
     diff = p - w
-    u = np.sum(diff * diff, axis=-1, keepdims=True)
-    a = 1.0 - np.sum(p * p, axis=-1, keepdims=True)
-    b = 1.0 - np.sum(w * w, axis=-1, keepdims=True)
+    u = np.add.reduce(diff * diff, axis=-1, keepdims=True)
+    a = 1.0 - np.add.reduce(p * p, axis=-1, keepdims=True)
+    b = 1.0 - np.add.reduce(w * w, axis=-1, keepdims=True)
     ab = a * b
     big_a = 1.0 + 2.0 * u / ab
     # A^2 - 1 = (A-1)(A+1) = (2u/ab)(A+1): evaluate in factored form so the
@@ -137,7 +137,7 @@ def exp_map_origin_jvp_transpose_arr(z: np.ndarray, v: np.ndarray) -> np.ndarray
     g v + (g'(r)/r) (z . v) z.  Small r uses the series expansions
     g ~ 1 - r^2/3, g'/r ~ -2/3.
     """
-    r = np.linalg.norm(z, axis=-1, keepdims=True)
+    r = np.sqrt(np.add.reduce(z * z, axis=-1, keepdims=True))
     small = r < 1e-4
     r_safe = np.where(small, 1.0, r)
     t = np.tanh(r_safe)
@@ -147,5 +147,5 @@ def exp_map_origin_jvp_transpose_arr(z: np.ndarray, v: np.ndarray) -> np.ndarray
         -2.0 / 3.0 + 8.0 * r * r / 15.0,
         (r_safe * (1.0 - t * t) - t) / r_safe**3,
     )
-    zv = np.sum(z * v, axis=-1, keepdims=True)
+    zv = np.add.reduce(z * v, axis=-1, keepdims=True)
     return g * v + gp_over_r * zv * z

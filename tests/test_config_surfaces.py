@@ -2,6 +2,8 @@
 negatives per anchor, the flat-metric option, zero-epoch finetuning and
 old finetuning keys, file-backed datasets, and solver budget exhaustion."""
 
+import copy
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -159,6 +161,16 @@ class TestFileBackedDataset:
         # client pools plus the held-out slice account for every instance
         assert sum(s.train.size + (s.test.size if s.test else 0) for s in res.shards) \
             + res.global_test.size == ds.size
+
+    @pytest.mark.parametrize("dataset", ["data.txt", SyntheticSpec(num_classes=3, dim=4, per_class=10)])
+    def test_from_dict_leaves_caller_dict_alone(self, dataset):
+        cfg = dataclasses.replace(small_config(), dataset=dataset)
+        d = cfg.to_dict()
+        snapshot = copy.deepcopy(d)
+        # loading the same dict twice gives the same config both times
+        assert ExperimentConfig.from_dict(d) == cfg
+        assert ExperimentConfig.from_dict(d) == cfg
+        assert d == snapshot
 
 
 class TestSolverBudget:

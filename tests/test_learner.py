@@ -466,6 +466,114 @@ class TestNoActiveHinge:
         assert not grad.values.any()
 
 
+def steerable_net(target_z, k, activation):
+    """An (input, 2n, n) extractor and a batch whose tangent features are
+    ``target_z``: w0 = I and w1 = k [I, -I], so z = k act(x+) - k act(x-)
+    with x+- = act^-1(max(+-z, 0) / k), which needs |z| < k under tanh."""
+    n = target_z.shape[1]
+    parts = np.concatenate((np.maximum(target_z, 0.0), np.maximum(-target_z, 0.0)), axis=1) / k
+    x = np.arctanh(parts) if activation == "tanh" else parts
+    cfg = ExtractorConfig(input_dim=2 * n, hidden=(2 * n,), output_dim=n, activation=activation)
+    theta = ParamVector.from_tensors([
+        ("w0", np.eye(2 * n)), ("b0", np.zeros(2 * n)),
+        ("w1", k * np.hstack((np.eye(n), -np.eye(n)))), ("b1", np.zeros(n)),
+    ])
+    return theta, cfg, x
+
+
+class TestStepMatchesReference:
+    """triplet_grad has the bits of the per-sample reference on both of its
+    paths: steps with an active hinge, and steps without one (anchors on
+    their own prototypes), with rows on the ball clamp and rows small enough
+    for the series branch of the pullback."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        b=st.integers(1, 40),
+        c=st.integers(2, 60),
+        n=st.integers(1, 12),
+        rounds=st.integers(1, 5),
+        activation=st.sampled_from(["tanh", "relu", "identity"]),
+        metric=st.sampled_from(["geodesic", "euclidean"]),
+        on_prototypes=st.booleans(),
+        clamped=st.integers(0, 3),
+        tiny=st.integers(0, 3),
+        prefilled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_loss_and_gradient_bytes(self, b, c, n, rounds, activation, metric, on_prototypes,
+                                     clamped, tiny, prefilled, seed):
+        rng = np.random.default_rng(seed)
+        protos = random_protos(c, n, seed=seed)
+        y = rng.integers(0, c, b)
+        k = 8.0
+        no_hinge = False
+        if on_prototypes:
+            z = log0(protos.weights[y])
+            # half the closest distinct prototypes' distance: no hinge is active
+            d = learner._distances(protos.weights, protos, metric)
+            closest = d[~np.eye(c, dtype=bool)].min()
+            no_hinge = closest > 1e-4  # else two prototypes (nearly) coincide
+            margin = 0.5 * closest if no_hinge else 0.5
+        else:
+            z = np.clip(rng.standard_normal((b, n)), -k + 0.1, k - 0.1)
+            margin = float(rng.uniform(0.1, 3.0))
+            unit = rng.standard_normal((b, n))
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            # tangent norms in (6.5, 7.5) land on the clamp at 1 - 1e-5; norms
+            # below 1e-4 take the series branch of the pullback
+            for i in rng.integers(0, b, clamped):
+                z[i] = rng.uniform(6.5, 7.5) * unit[i]
+            for i in rng.integers(0, b, tiny):
+                z[i] = rng.uniform(1e-7, 9e-5) * unit[i]
+        theta, cfg, x = steerable_net(z, k, activation)
+        if not on_prototypes:
+            w = theta.tensors()
+            w["w0"] += 1e-3 * rng.standard_normal(w["w0"].shape)
+            w["w1"] += 1e-3 * k * rng.standard_normal(w["w1"].shape)
+        tcfg = TripletConfig(margin=margin, negatives_per_sample=rounds, seed=0)
+        out = ParamVector(np.zeros_like(theta.values), theta.layout) if prefilled else None
+        if prefilled:
+            out.values[:] = np.nan
+        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
+                                  rng=np.random.default_rng(seed), metric=metric, out=out)
+        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
+                                                    np.random.default_rng(seed), metric)
+        assert loss == ref_loss
+        assert grad.values.tobytes() == ref_grad.values.tobytes()
+        if no_hinge:
+            assert loss == 0.0 and not grad.values.any()
+
+
+class TestMixedSteps:
+    def test_local_train_bitwise_equal(self, monkeypatch):
+        # a model trained at margin 3 and stepped at margin 0.5: most steps
+        # have no active hinge, some do
+        ds = make_synthetic(num_classes=4, dim=6, per_class=40, spread=0.15, hierarchy_depth=1,
+                            seed=0)
+        shard = split_local(ds, 0, seed=0)
+        protos = random_protos(4, 3, seed=1)
+        cfg = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
+        trained = local_train(init_params(cfg), shard, protos, cfg, TripletConfig(margin=3.0),
+                              10, 16, 0.3, seed=0)
+        losses = []
+        step = learner.triplet_grad
+
+        def recorded(*args, **kwargs):
+            loss, grad = step(*args, **kwargs)
+            losses.append(loss)
+            return loss, grad
+
+        monkeypatch.setattr(learner, "triplet_grad", recorded)
+        tcfg = TripletConfig(margin=0.5, negatives_per_sample=2, seed=0)
+        args = (trained, shard, protos, cfg, tcfg, 4, 8, 0.3)
+        got = local_train(*args, seed=5)
+        want = reference_local_train(*args, seed=5)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert not np.array_equal(got.values, trained.values)
+        assert 0.0 in losses and any(loss > 0.0 for loss in losses)
+
+
 class TestGatheredDistances:
     """Each gathered pair distance has the bits of the matching entry of the
     (B, C) matrix, at the ball boundary and for near-coincident points too."""
@@ -556,6 +664,60 @@ class TestDivergenceFailsFast:
         x, y = np.array([[1.0, -0.5], [0.3, 2.0]]), np.array([0, 1])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             triplet_grad(theta, cfg, x, y, ps, TripletConfig(seed=0), out=out)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["z_overflows", "norm_overflows", "inf_input", "hidden_overflow_zeroed",
+         "inf_hidden_weight"],
+    )
+    def test_raises_without_active_hinge(self, case):
+        # the zero gradient of a step with no active hinge is NaN in the
+        # backward pass wherever 0 * inf meets it; in all but the first case
+        # the tangent features z stay finite
+        ps = antipodal_protos()
+        target = log0(ps.weights[:1])[0]  # z of an anchor on prototype 0
+        if case == "z_overflows":
+            cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
+            theta = init_params(cfg)
+            theta.values *= 1e200
+            x = np.array([[1.0, -0.5]])
+        elif case == "norm_overflows":
+            # ||z|| overflows, so p = 0: a stand-in for PrototypeSet (whose
+            # rows share one norm) puts the positive nearer the origin
+            ps = SimpleNamespace(weights=np.array([[0.1, 0.0], [-0.99, 0.0]]), num_classes=2,
+                                 dim=2)
+            theta, cfg = constant_feature(np.array([1e200, 1e200]))
+            x = np.zeros((1, 1))
+        elif case == "inf_input":
+            # every weight on the infinite input is nonzero: h = tanh(inf) = 1
+            cfg = ExtractorConfig(input_dim=2, hidden=(2,), output_dim=2)
+            theta = ParamVector.from_tensors([
+                ("w0", np.array([[1.0, 0.0], [1.0, 1.0]])), ("b0", np.zeros(2)),
+                ("w1", np.outer(target, [1.0, 0.0])), ("b1", np.zeros(2)),
+            ])
+            x = np.array([[np.inf, 0.0]])
+        else:
+            # relu: an overflowing hidden layer that the next one zeroes;
+            # tanh: an infinite hidden weight, as an overflowing update leaves
+            relu = case == "hidden_overflow_zeroed"
+            cfg = ExtractorConfig(input_dim=2, hidden=(2, 2), output_dim=2,
+                                  activation="relu" if relu else "tanh")
+            theta = ParamVector.from_tensors([
+                ("w0", 1e10 * np.eye(2) if relu else np.eye(2)), ("b0", np.zeros(2)),
+                ("w1", -np.ones((2, 2)) if relu else np.eye(2)), ("b1", np.zeros(2)),
+                ("w2", np.zeros((2, 2))), ("b2", target),
+            ])
+            if not relu:
+                theta.tensors()["w1"][...] = np.diag([np.inf, np.inf])
+            x = np.array([[1e300, 1e300]]) if relu else np.array([[0.5, -0.5]])
+        with np.errstate(all="ignore"):
+            z = forward_batch(theta, cfg, x)
+            p = poincare.exp_map_origin_arr(z)
+            d = poincare.distance_to_set_arr(p, ps.weights)[0]
+            assert np.isfinite(z).all() == (case != "z_overflows")
+            assert not d[0] - d[1] + 3.0 > 0.0  # no active hinge (NaN compares False)
+            with pytest.raises(ValueError, match="not finite"):
+                triplet_grad(theta, cfg, x, np.array([0]), ps, TripletConfig(seed=0))
 
     def test_huge_learning_rate_raises_in_local_train(self):
         ps = antipodal_protos()

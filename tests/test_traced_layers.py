@@ -5,7 +5,9 @@ hyperfl modules, plus ParamVector.__post_init__, and reports the per-layer
 metrics that BENCHMARK.json names, such as ``learner.triplet_grad.calls``.  A
 run that misses one of them is marked incorrect.  Checking the names here
 makes a refactor that drops or renames a traced function fail in pytest
-instead.  This module only reads BENCHMARK.json and bench/tracer.py.
+instead.  So does one that breaks the run's tiny-config check, which counts
+one ``learner.triplet_grad`` call per client SGD step.  This module only
+reads BENCHMARK.json, bench/tracer.py and bench/workloads.py.
 """
 
 import importlib
@@ -16,18 +18,21 @@ from pathlib import Path
 
 import pytest
 
+from hyperfl import learner
+from hyperfl.federation import ExperimentConfig, run_experiment
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
 
 
-def _tracer_modules() -> tuple[str, ...]:
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.MODULES
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-MODULES = _tracer_modules()
+MODULES = _bench_module("tracer").MODULES
 # suffixes of the figures taken per traced function (ParamVector counts
 # constructions); other three-part names, like prototypes.tammes.iterations,
 # are figures derived from a function's result
@@ -74,3 +79,22 @@ def test_module_totals_name_a_module(name):
     module = name.split(".")[0]
     assert module in MODULES
     importlib.import_module(f"hyperfl.{module}")
+
+
+def test_one_triplet_grad_call_per_sgd_step(monkeypatch):
+    # the tiny-config check of the traced run, without the tracer: training
+    # and P-FL finetuning make one triplet_grad call per minibatch
+    workloads = _bench_module("workloads")
+    calls = 0
+    step = learner.triplet_grad
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(learner, "triplet_grad", counted)
+    res = run_experiment(ExperimentConfig.from_dict(workloads.TINY))
+    shards = [(s.n_train, s.test is not None and s.test.size > 0) for s in res.shards]
+    assert len(shards) == workloads.TINY["partition"]["num_clients"]
+    assert calls == workloads.expected_sgd_steps(workloads.TINY, shards) > 0
