@@ -1,13 +1,16 @@
 """Command-line entry points.
 
     hyperfl run       --config cfg.json [--seed N] [--out DIR] [--variant NAME]
-    hyperfl eval      --checkpoint FILE --data FILE --protos FILE [--hidden ...]
+    hyperfl eval      --checkpoint FILE --data FILE --protos FILE
     hyperfl protos    --classes C --dim N --slope S --out FILE [--seed N]
     hyperfl partition --data FILE --clients K --alpha A --out DIR [--seed N]
 
 The config file is JSON mirroring ExperimentConfig field for field (see
-README for a full example).  On failure a machine-readable error record is
-printed to stderr and the exit code is nonzero.
+README for a full example).  ``eval`` takes the extractor architecture and
+the metric from the checkpoint header, and refuses a prototype file whose
+sha256 differs from the one the header records.  On failure a
+machine-readable error record is printed to stderr and the exit code is
+nonzero.
 """
 
 from __future__ import annotations
@@ -47,27 +50,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params = load_params(args.checkpoint)
-    ds = data_mod.load_dataset(args.data)
+    params, model = load_params(args.checkpoint)
     protos = prototypes.load_prototypes(args.protos)
-    hidden = tuple(args.hidden) if args.hidden else ()
-    ext = learner.ExtractorConfig(
-        input_dim=ds.dim,
-        hidden=hidden,
-        output_dim=protos.dim,
-        activation=args.activation,
-    )
+    ds = data_mod.load_dataset(args.data)
+    if protos.sha256() != model["prototypes_sha256"]:
+        raise ValueError(f"{args.protos}: sha256 differs from 'model.prototypes_sha256' "
+                         f"in {args.checkpoint}")
+    arch = {name: model[name] for name in ("input_dim", "hidden", "output_dim", "activation")}
+    try:
+        ext = learner.ExtractorConfig(**arch)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{args.checkpoint}: header field 'model': {err}") from None
+    if model["metric"] not in federation.METRICS:
+        raise ValueError(f"{args.checkpoint}: header field 'model.metric' must be one of "
+                         f"{federation.METRICS}")
     if learner.layout_for(ext) != params.layout:
-        # architecture is recoverable from the checkpoint layout; rebuild it
-        dims = [shape[1] for name, shape in params.layout if name.startswith("w")]
-        dims.append(params.layout[-2][1][0])
-        ext = learner.ExtractorConfig(
-            input_dim=dims[0],
-            hidden=tuple(dims[1:-1]),
-            output_dim=dims[-1],
-            activation=args.activation,
-        )
-    acc = federation.evaluate_gfl(params, ext, protos, ds, metric=args.metric)
+        raise ValueError(f"{args.checkpoint}: header field 'layout' does not match 'model'")
+    if ds.dim != ext.input_dim:
+        raise ValueError(f"{args.data}: dimension {ds.dim} != 'model.input_dim' {ext.input_dim}")
+    acc = federation.evaluate_gfl(params, ext, protos, ds, metric=model["metric"])
     print(json.dumps({"accuracy": acc, "instances": ds.size}))
     return 0
 
@@ -121,9 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--protos", required=True, help="prototype file the model was trained with")
-    ev.add_argument("--hidden", type=int, nargs="*", default=None)
-    ev.add_argument("--activation", default="tanh")
-    ev.add_argument("--metric", choices=("geodesic", "euclidean"), default="geodesic")
     ev.set_defaults(func=_cmd_eval)
 
     pr = sub.add_parser("protos", help="build and save a prototype file")

@@ -87,6 +87,8 @@ class PartitionSpec:
             raise ValueError("need at least one client")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("partition seed must be nonnegative")
 
 
 def _class_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -61,7 +61,7 @@ log = logging.getLogger(__name__)
 VARIANTS = ("geodesic_metric_only", "fixed_only", "shared_only", "averaged")
 
 _AGGREGATORS = ("consistent", "averaged")
-_METRICS = ("geodesic", "euclidean")
+METRICS = ("geodesic", "euclidean")
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class ExperimentConfig:
             raise ValueError("need at least one round")
         if self.aggregator not in _AGGREGATORS:
             raise ValueError(f"aggregator must be one of {_AGGREGATORS}")
-        if self.metric not in _METRICS:
-            raise ValueError(f"metric must be one of {_METRICS}")
+        if self.metric not in METRICS:
+            raise ValueError(f"metric must be one of {METRICS}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0 < self.slope <= 1 - 1e-5:
@@ -196,6 +196,7 @@ class ExperimentResult:
     global_params: ParamVector
     client_params: list[ParamVector]
     prototypes: PrototypeSet
+    client_prototypes: list[PrototypeSet]  # the final round's set of each client
     shards: list[ClientShard]
     global_test: LabeledDataset
     manifest: dict
@@ -316,9 +317,10 @@ def _run(
     out_dir: str | Path | None,
     round_hook=None,
 ) -> ExperimentResult:
-    # Sub-config seeds (partition, triplet, extractor init) are mixed with the
-    # master seed, so they act as deterministic offsets: one master seed fixes
-    # the whole run, changing it reseeds everything.
+    # Sub-config seeds (partition, extractor init) are mixed with the master
+    # seed, so they act as deterministic offsets: one master seed fixes the
+    # whole run, changing it reseeds everything.  The triplet seed is not
+    # read: local_train hands triplet_grad its own generator.
     ds = _build_dataset(cfg)
     ext = ExtractorConfig(
         input_dim=cfg.extractor.input_dim,
@@ -345,11 +347,6 @@ def _run(
     ]
     manifest = partition_manifest(pools, pspec)
 
-    tcfg = TripletConfig(
-        margin=cfg.triplet.margin,
-        negatives_per_sample=cfg.triplet.negatives_per_sample,
-        seed=derive_seed(cfg.seed, "triplet", cfg.triplet.seed),
-    )
     server_protos, client_protos, tammes_report = _round_prototypes(
         cfg, variant, ds.num_classes, 0, pspec.num_clients
     )
@@ -373,7 +370,7 @@ def _run(
         for k, shard in enumerate(shards):
             try:
                 theta_k = learner.local_train(
-                    theta, shard, client_protos[k], ext, tcfg,
+                    theta, shard, client_protos[k], ext, cfg.triplet,
                     epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
                     seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
                 )
@@ -382,7 +379,7 @@ def _run(
             locals_.append(theta_k)
             losses.append(
                 learner.mean_triplet_loss(
-                    theta_k, ext, shard.train, client_protos[k], tcfg.margin, cfg.metric
+                    theta_k, ext, shard.train, client_protos[k], cfg.triplet.margin, cfg.metric
                 )
             )
         dev = agg.compute_deviations(theta, locals_)
@@ -409,7 +406,7 @@ def _run(
         gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
         try:
             pfl = evaluate_pfl(
-                theta, shards, client_protos, ext, tcfg, cfg.lr, cfg.batch_size,
+                theta, shards, client_protos, ext, cfg.triplet, cfg.lr, cfg.batch_size,
                 finetune_epochs=cfg.finetune_epochs,
                 seed=derive_seed(cfg.seed, "pfl", t), metric=cfg.metric,
             )
@@ -445,6 +442,7 @@ def _run(
         global_params=theta,
         client_params=locals_,
         prototypes=server_protos,
+        client_prototypes=client_protos,
         shards=shards,
         global_test=global_test,
         manifest=manifest,
@@ -493,16 +491,36 @@ def persist_result(result: ExperimentResult, out_dir: str | Path) -> None:
     with open(out / "aggregation.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.aggregation_log:
             fh.write(json.dumps(entry) + "\n")
+    report = result.tammes_report
     manifest = {
         "variant": result.variant,
         "config": result.config.to_dict(),
         "partition": result.manifest,
+        "tammes": None if report is None else {
+            "max_pairwise_cosine": report.max_pairwise_cosine,
+            "simplex_bound": -1.0 / (result.prototypes.num_classes - 1),
+            "iterations": report.iterations,
+            "converged": report.converged,
+        },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     save_prototypes(result.prototypes, out / "prototypes.bin")
-    save_params(result.global_params, out / "global.params")
-    for k, params in enumerate(result.client_params):
-        save_params(params, out / f"client_{k:03d}.params")
+    ext = result.config.extractor
+    model = {
+        "input_dim": ext.input_dim,
+        "hidden": list(ext.hidden),
+        "output_dim": ext.output_dim,
+        "activation": ext.activation,
+        "metric": result.config.metric,
+    }
+    save_params(
+        result.global_params, out / "global.params",
+        {**model, "prototypes_sha256": result.prototypes.sha256()},
+    )
+    clients = zip(result.client_params, result.client_prototypes, strict=True)
+    for k, (params, protos) in enumerate(clients):
+        save_params(params, out / f"client_{k:03d}.params",
+                    {**model, "prototypes_sha256": protos.sha256()})
     final = result.records[-1]
     summary = {
         "rounds": len(result.records),

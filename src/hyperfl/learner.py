@@ -47,6 +47,8 @@ class ExtractorConfig:
             raise ValueError("hidden widths must be positive")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be nonnegative")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
@@ -65,6 +67,8 @@ class TripletConfig:
             raise ValueError("margin must be positive")
         if self.negatives_per_sample < 1:
             raise ValueError("need at least one negative per sample")
+        if self.seed < 0:
+            raise ValueError("triplet seed must be nonnegative")
 
 
 def layout_for(cfg: ExtractorConfig):

@@ -14,6 +14,7 @@ client; prediction is geodesic-nearest-prototype against it.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +56,11 @@ class PrototypeSet:
         header = struct.pack("<qqdq", self.num_classes, self.dim, self.slope, self.seed)
         body = self.weights.astype("<f8").tobytes(order="C")
         return _PROTO_MAGIC + header + body
+
+    def sha256(self) -> str:
+        """Hex digest of the prototype file this set saves to; checkpoints
+        record it to name the set they are scored against."""
+        return hashlib.sha256(self.to_bytes()).hexdigest()
 
 
 @dataclass
@@ -254,6 +260,9 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
     if len(raw) < offset + header_size:
         raise ValueError(f"{path}: truncated prototype header")
     c, n, slope, seed = struct.unpack_from("<qqdq", raw, offset)
+    for name, value in (("C", c), ("n", n)):
+        if value < 0:
+            raise ValueError(f"{path}: header field '{name}' is negative ({value})")
     body = raw[offset + header_size :]
     expected = c * n * 8
     if len(body) != expected:

@@ -258,14 +258,20 @@ class TestExperimentConfigValidation:
         cfg = small_config(lr=0.0, finetune_epochs=0)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_bad_alpha_rejected(self, alpha):
-        # nan <= 0 is False, so a sign check alone lets NaN through
-        with pytest.raises(ValueError, match="alpha"):
-            PartitionSpec(alpha=alpha)
+    @pytest.mark.parametrize(
+        "section, field, value",
+        # nan <= 0 is False, so a sign check alone lets NaN through; a
+        # negative seed would otherwise fail mid-run in numpy, naming no field
+        [("partition", "alpha", a) for a in (float("nan"), float("inf"), 0.0, -1.0)]
+        + [("partition", "seed", -1), ("triplet", "seed", -1), ("extractor", "init_seed", -1)],
+        ids=["nan", "inf", "0.0", "-1.0", "partition.seed", "triplet.seed", "extractor.init_seed"],
+    )
+    def test_bad_alpha_rejected(self, section, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(getattr(small_config(), section), **{field: value})
         d = small_config().to_dict()
-        d["partition"]["alpha"] = alpha
-        with pytest.raises(ValueError, match="alpha"):
+        d[section][field] = value
+        with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_dict(d)
 
     def test_prototype_mode_only_in_old_files(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -7,12 +8,21 @@ import pytest
 from hyperfl import aggregation as agg
 from hyperfl import learner
 from hyperfl.cli import main as cli_main
-from hyperfl.data import LabeledDataset, PartitionSpec, make_synthetic, save_dataset, split_local
+from hyperfl.data import (
+    LabeledDataset,
+    PartitionSpec,
+    load_dataset,
+    make_synthetic,
+    save_dataset,
+    split_local,
+)
 from hyperfl.federation import (
+    VARIANTS,
     ExperimentConfig,
     ExperimentResult,
     RoundRecord,
     SyntheticSpec,
+    derive_seed,
     evaluate_gfl,
     evaluate_pfl,
     run_ablation,
@@ -20,7 +30,7 @@ from hyperfl.federation import (
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.params import ParamVector, load_params
-from hyperfl.prototypes import build_prototypes, load_prototypes
+from hyperfl.prototypes import build_prototypes, load_prototypes, save_prototypes
 from oracles import log0
 
 
@@ -336,10 +346,125 @@ class TestPersistence:
     def test_checkpoints_loadable(self, tmp_path):
         cfg = tiny_config(rounds=2)
         res = run_experiment(cfg, out_dir=tmp_path / "run")
-        params = load_params(tmp_path / "run" / "global.params")
+        params, _ = load_params(tmp_path / "run" / "global.params")
         assert np.array_equal(params.values, res.global_params.values)
         protos = load_prototypes(tmp_path / "run" / "prototypes.bin")
         assert protos.to_bytes() == res.prototypes.to_bytes()
+
+
+    @pytest.mark.parametrize("variant", [None, *VARIANTS])
+    def test_manifest_records_tammes_report(self, tmp_path, variant):
+        cfg = tiny_config(rounds=1)
+        if variant is None:
+            run_experiment(cfg, out_dir=tmp_path)
+        else:
+            run_ablation(cfg, variant, out_dir=tmp_path)
+        recorded = json.loads((tmp_path / "manifest.json").read_text())["tammes"]
+        if variant not in (None, "averaged"):  # random prototypes: no Tammes set
+            assert recorded is None
+            return
+        c, n = cfg.dataset.num_classes, cfg.extractor.output_dim
+        _, report = build_prototypes(c, n, cfg.slope, derive_seed(cfg.seed, "protos"))
+        assert recorded == {
+            "max_pairwise_cosine": report.max_pairwise_cosine,
+            "simplex_bound": -1 / (c - 1),
+            "iterations": report.iterations,
+            "converged": report.converged,
+        }
+
+    def test_checkpoint_headers_name_model_and_prototypes(self, tmp_path):
+        cfg = tiny_config(rounds=1)
+        res = run_ablation(cfg, "fixed_only", out_dir=tmp_path)
+        arch = {"input_dim": 6, "hidden": [12], "output_dim": 3, "activation": "tanh",
+                "metric": "geodesic"}
+        _, model = load_params(tmp_path / "global.params")
+        assert model == {**arch, "prototypes_sha256": res.prototypes.sha256()}
+        assert res.prototypes.sha256() == hashlib.sha256(
+            (tmp_path / "prototypes.bin").read_bytes()).hexdigest()
+        for k, protos in enumerate(res.client_prototypes):
+            _, model = load_params(tmp_path / f"client_{k:03d}.params")
+            assert model == {**arch, "prototypes_sha256": protos.sha256()}
+            assert protos.sha256() != res.prototypes.sha256()  # fixed_only: own sets
+
+
+@pytest.fixture(scope="module")
+def relu_run(tmp_path_factory):
+    """A relu, Euclidean run and its global test slice saved as a file.  At
+    this seed the tanh/geodesic defaults score its model differently."""
+    out = tmp_path_factory.mktemp("relu")
+    ext = ExtractorConfig(input_dim=6, hidden=(12,), output_dim=3, activation="relu")
+    cfg = dataclasses.replace(tiny_config(seed=1, rounds=2), metric="euclidean", extractor=ext)
+    res = run_experiment(cfg, out_dir=out / "run")
+    save_dataset(res.global_test, out / "test.txt")
+    return res, out
+
+
+def eval_argv(checkpoint, data, protos) -> list[str]:
+    return ["eval", "--checkpoint", str(checkpoint), "--data", str(data), "--protos", str(protos)]
+
+
+class TestEvalReadsHeader:
+    def test_scores_with_the_trained_activation_and_metric(self, relu_run, capsys):
+        res, out = relu_run
+        ds = load_dataset(out / "test.txt")
+        ext = res.config.extractor
+        expected = evaluate_gfl(res.global_params, ext, res.prototypes, ds, "euclidean")
+        tanh = dataclasses.replace(ext, activation="tanh")
+        assert evaluate_gfl(res.global_params, tanh, res.prototypes, ds, "geodesic") != expected
+        rc = cli_main(eval_argv(out / "run" / "global.params", out / "test.txt",
+                                out / "run" / "prototypes.bin"))
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == expected
+
+    def test_refuses_another_runs_prototypes(self, relu_run, tmp_path, capsys):
+        _, out = relu_run
+        run_experiment(tiny_config(seed=2, rounds=1), out_dir=tmp_path / "other")
+        rc = cli_main(eval_argv(out / "run" / "global.params", out / "test.txt",
+                                tmp_path / "other" / "prototypes.bin"))
+        assert rc == 1
+        assert "prototypes_sha256" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_refuses_checkpoint_without_model_fields(self, relu_run, tmp_path, capsys):
+        # the header line of checkpoints written before headers named the model
+        _, out = relu_run
+        raw = (out / "run" / "global.params").read_bytes()
+        magic, header, body = raw.split(b"\n", 2)
+        layout_only = json.dumps({"layout": json.loads(header)["layout"]}).encode()
+        old = tmp_path / "old.params"
+        old.write_bytes(magic + b"\n" + layout_only + b"\n" + body)
+        rc = cli_main(eval_argv(old, out / "test.txt", out / "run" / "prototypes.bin"))
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert str(old) in message and "'model'" in message
+
+    def test_refuses_layout_that_does_not_match_the_model(self, relu_run, tmp_path, capsys):
+        _, out = relu_run
+        raw = (out / "run" / "global.params").read_bytes()
+        magic, header, body = raw.split(b"\n", 2)
+        header = json.loads(header)
+        header["model"]["hidden"] = [7]
+        wrong = tmp_path / "wrong.params"
+        wrong.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
+        rc = cli_main(eval_argv(wrong, out / "test.txt", out / "run" / "prototypes.bin"))
+        assert rc == 1
+        assert "'layout'" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_fixed_only_client_checkpoint_needs_its_own_set(self, tmp_path, capsys):
+        res = run_ablation(tiny_config(rounds=1), "fixed_only", out_dir=tmp_path / "run")
+        save_dataset(res.global_test, tmp_path / "test.txt")
+        client = tmp_path / "run" / "client_000.params"
+        rc = cli_main(eval_argv(client, tmp_path / "test.txt", tmp_path / "run" / "prototypes.bin"))
+        assert rc == 1
+        capsys.readouterr()
+        save_prototypes(res.client_prototypes[0], tmp_path / "client_000.bin")
+        assert cli_main(eval_argv(client, tmp_path / "test.txt", tmp_path / "client_000.bin")) == 0
+
+    def test_takes_exactly_three_required_flags(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")  # keep the usage on one line
+        with pytest.raises(SystemExit):
+            cli_main(["eval", "--help"])
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: hyperfl eval [-h] --checkpoint CHECKPOINT --data DATA --protos PROTOS"
 
 
 class TestCli:

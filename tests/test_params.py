@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from hyperfl.params import ParamVector, load_params, save_params
 
 LAYOUT = (("w0", (2, 3)), ("b0", (2,)))
+MODEL = {"input_dim": 3, "hidden": [], "output_dim": 2, "activation": "relu",
+         "metric": "euclidean", "prototypes_sha256": "0" * 64}
 
 
 def make_pv(values):
@@ -47,16 +51,17 @@ def test_nonfinite_rejected():
 def test_checkpoint_roundtrip(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "model.params"
-    save_params(pv, path)
-    back = load_params(path)
+    save_params(pv, path, MODEL)
+    back, model = load_params(path)
     assert back.layout == pv.layout
     assert np.array_equal(back.values, pv.values)
+    assert model == MODEL
 
 
 def test_checkpoint_truncated(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "model.params"
-    save_params(pv, path)
+    save_params(pv, path, MODEL)
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
     with pytest.raises(ValueError):
@@ -68,6 +73,41 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"garbage")
     with pytest.raises(ValueError):
         load_params(path)
+
+
+LAYOUT_JSON = [["w0", [2, 3]], ["b0", [2]]]
+
+
+def header_line(header) -> bytes:
+    return json.dumps(header).encode()
+
+
+@pytest.mark.parametrize(
+    "header, field",
+    [
+        (b"{layout", "not JSON"),
+        (header_line([LAYOUT_JSON, MODEL]), "JSON object"),  # a list, not an object
+        (header_line({"model": MODEL}), "'layout'"),
+        (header_line({"layout": [["w0", [-2, 3]], ["b0", [2]]], "model": MODEL}), "'layout'"),
+        (header_line({"layout": [["w0", [2, 3.5]], ["b0", [2]]], "model": MODEL}), "'layout'"),
+        # the header of a checkpoint written before headers named the model
+        (header_line({"layout": LAYOUT_JSON}), "'model'"),
+        (header_line({"layout": LAYOUT_JSON, "model": [MODEL]}), "'model'"),
+        *[
+            (header_line({"layout": LAYOUT_JSON,
+                          "model": {k: v for k, v in MODEL.items() if k != name}}),
+             f"'model.{name}'")
+            for name in MODEL
+        ],
+        (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "hidden": 4}}), "'model.hidden'"),
+    ],
+)
+def test_checkpoint_bad_header_names_file_and_field(tmp_path, header, field):
+    path = tmp_path / "model.params"
+    path.write_bytes(b"HFPARAM1\n" + header + b"\n" + np.zeros(8, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=field) as err:
+        load_params(path)
+    assert str(path) in str(err.value)
 
 
 def test_copy_is_independent():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,17 @@ class TestSerialization:
         path.write_bytes(header + np.full(ps.weights.size, np.nan, dtype="<f8").tobytes())
         with pytest.raises(ValueError):
             load_prototypes(path)
+
+    @pytest.mark.parametrize("c, n, field", [(-3, 2, "'C'"), (3, -2, "'n'"), (-3, -2, "'C'")])
+    def test_negative_shape_names_file_and_field(self, tmp_path, c, n, field):
+        # with both negative C * n is positive: a payload-size check alone
+        # lets the header through
+        path = tmp_path / "protos.bin"
+        header = struct.pack("<qqdq", c, n, 0.9, 0)
+        path.write_bytes(b"HFPROTO1" + header + bytes(8 * abs(c * n)))
+        with pytest.raises(ValueError, match=field) as err:
+            load_prototypes(path)
+        assert str(path) in str(err.value)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

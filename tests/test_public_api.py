@@ -2,9 +2,10 @@
 
 The test drives ``hyperfl.cli.main`` in-process through every command on a
 tiny config (``run`` plus each ``--variant``, a Euclidean-metric run,
-``protos``, ``partition`` and ``eval``) under ``sys.setprofile`` and collects
-the code objects that were called.  A public name that none of these reaches
-is code that only tests use: it belongs in ``tests/``, not ``src/``.
+``protos``, ``partition``, and ``eval`` of the full and the Euclidean run)
+under ``sys.setprofile`` and collects the code objects that were called.  A
+public name that none of these reaches is code that only tests use: it
+belongs in ``tests/``, not ``src/``.
 """
 
 import importlib
@@ -69,9 +70,10 @@ def cli_commands(tmp_path) -> list[list[str]]:
         ["protos", "--classes", "3", "--dim", "2", "--out", str(tmp_path / "protos.bin")],
         ["partition", "--data", str(dataset), "--clients", "2", "--alpha", "0.5",
          "--out", str(tmp_path / "parts")],
-        ["eval", "--checkpoint", str(tmp_path / "full" / "global.params"),
-         "--data", str(dataset), "--protos", str(tmp_path / "full" / "prototypes.bin"),
-         "--hidden", "6"],
+    ] + [
+        ["eval", "--checkpoint", str(tmp_path / run / "global.params"),
+         "--data", str(dataset), "--protos", str(tmp_path / run / "prototypes.bin")]
+        for run in ("full", "euclidean")
     ]
 
 
