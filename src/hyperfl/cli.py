@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from hyperfl import data as data_mod
-from hyperfl import federation, learner, prototypes
+from hyperfl import federation, learner, poincare, prototypes
 from hyperfl.params import load_params
 
 
@@ -61,9 +61,10 @@ def _cmd_eval(args) -> int:
         ext = learner.ExtractorConfig(**arch)
     except (TypeError, ValueError) as err:
         raise ValueError(f"{args.checkpoint}: header field 'model': {err}") from None
-    if model["metric"] not in federation.METRICS:
-        raise ValueError(f"{args.checkpoint}: header field 'model.metric' must be one of "
-                         f"{federation.METRICS}")
+    try:
+        poincare.metric_kernels(model["metric"])
+    except ValueError as err:
+        raise ValueError(f"{args.checkpoint}: header field 'model.metric': {err}") from None
     if learner.layout_for(ext) != params.layout:
         raise ValueError(f"{args.checkpoint}: header field 'layout' does not match 'model'")
     if ds.dim != ext.input_dim:

@@ -5,7 +5,8 @@ optionally with nested sub-clusters so the classes carry hierarchical
 structure.  Partitioning follows the Dirichlet recipe: for every class an
 allocation over the K clients is drawn from Dir(alpha) and the class's
 instances are dealt out by those proportions (largest-remainder rounding),
-so small alpha produces skewed shards and missing classes.
+so small alpha produces skewed shards and missing classes.  The local and
+held-out splits round each class's share of the kept count the same way.
 
 Dataset file format (UTF-8 text): one header line "N d C", then N lines of
 d feature values followed by an integer label.
@@ -15,12 +16,24 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+
+def require_ints(config, *fields: str) -> None:
+    """Raise a ValueError naming the field unless each named field of
+    ``config`` holds an integer, or a sequence of them.  bool is refused too:
+    a config file's ``true`` is no count."""
+    for name in fields:
+        value = getattr(config, name)
+        for v in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,7 @@ class PartitionSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "num_clients", "seed")
         if self.num_clients < 1:
             raise ValueError("need at least one client")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -136,9 +150,10 @@ def make_synthetic(
     return LabeledDataset(feats, labels, num_classes)
 
 
-def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to ``total`` matching ``weights`` proportions."""
-    ideal = weights * total
+def _largest_remainder(ideal: np.ndarray, total: int) -> np.ndarray:
+    """Integer counts summing to ``total``: the floors of the nonnegative
+    shares ``ideal`` (which sum to ``total``), plus one for the largest
+    remainders, ties to the lowest index."""
     counts = np.floor(ideal).astype(np.int64)
     shortfall = total - int(counts.sum())
     if shortfall > 0:
@@ -166,7 +181,7 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[Labeled
         gamma = rng.gamma(spec.alpha, 1.0, size=k)
         if gamma.sum() <= 0:  # underflow guard for very small alpha
             gamma = np.ones(k)
-        counts = _largest_remainder(gamma / gamma.sum(), idx.size)
+        counts = _largest_remainder(gamma / gamma.sum() * idx.size, idx.size)
         start = 0
         for client, cnt in enumerate(counts):
             assigned[client].extend(idx[start : start + cnt].tolist())
@@ -190,33 +205,26 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[Labeled
     return pools
 
 
-def _stratified_train_mask(labels: np.ndarray, num_classes: int, target_train: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    n = labels.size
-    frac = target_train / n
-    present = [np.flatnonzero(labels == c) for c in range(num_classes)]
+def _stratified_split(
+    ds: LabeledDataset, fraction: float, seed: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """Random split keeping round(fraction * N) instances, clamped to
+    [1, N - 1]; returns (kept, rest).
+
+    Each class keeps its largest-remainder share of the kept count.  The
+    clamp keeps the fraction of every class below one, so a class with a
+    positive remainder always has an instance left to keep.
+    """
+    n = ds.size
+    target = min(max(int(np.floor(fraction * n + 0.5)), 1), n - 1)
+    rng = np.random.default_rng(seed)
+    present = [np.flatnonzero(ds.labels == c) for c in range(ds.num_classes)]
     class_sizes = np.array([p.size for p in present], dtype=np.float64)
-    ideal = class_sizes * frac
-    take = np.floor(ideal).astype(np.int64)
-    shortfall = target_train - int(take.sum())
-    if shortfall > 0:
-        order = np.argsort(-(ideal - take), kind="stable")
-        for c in order:
-            if shortfall == 0:
-                break
-            if take[c] < class_sizes[c]:
-                take[c] += 1
-                shortfall -= 1
-        # distribute any leftover wherever capacity remains
-        for c in range(num_classes):
-            while shortfall > 0 and take[c] < class_sizes[c]:
-                take[c] += 1
-                shortfall -= 1
+    take = _largest_remainder(class_sizes * (target / n), target)
     mask = np.zeros(n, dtype=bool)
-    for c in range(num_classes):
-        chosen = rng.permutation(present[c])[: take[c]]
-        mask[chosen] = True
-    return mask
+    for c in range(ds.num_classes):
+        mask[rng.permutation(present[c])[: take[c]]] = True
+    return ds.subset(np.flatnonzero(mask)), ds.subset(np.flatnonzero(~mask))
 
 
 def split_local(
@@ -233,19 +241,11 @@ def split_local(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    n = pool.size
-    if n == 1:
+    if pool.size == 1:
         log.warning("client %d has a single instance; no local test split", client_id)
         return ClientShard(client_id=client_id, train=pool, test=None)
-    target = int(np.floor(train_fraction * n + 0.5))
-    target = min(max(target, 1), n - 1)
-    rng = np.random.default_rng(seed)
-    mask = _stratified_train_mask(pool.labels, pool.num_classes, target, rng)
-    return ClientShard(
-        client_id=client_id,
-        train=pool.subset(np.flatnonzero(mask)),
-        test=pool.subset(np.flatnonzero(~mask)),
-    )
+    train, test = _stratified_split(pool, train_fraction, seed)
+    return ClientShard(client_id=client_id, train=train, test=test)
 
 
 def stratified_holdout(
@@ -254,11 +254,7 @@ def stratified_holdout(
     """Split off an IID slice (e.g. a global test set): returns (rest, slice)."""
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError("holdout_fraction must be in (0, 1)")
-    n = ds.size
-    target_rest = min(max(int(np.floor((1.0 - holdout_fraction) * n + 0.5)), 1), n - 1)
-    rng = np.random.default_rng(seed)
-    mask = _stratified_train_mask(ds.labels, ds.num_classes, target_rest, rng)
-    return ds.subset(np.flatnonzero(mask)), ds.subset(np.flatnonzero(~mask))
+    return _stratified_split(ds, 1.0 - holdout_fraction, seed)
 
 
 def partition_manifest(pools: list[LabeledDataset], spec: PartitionSpec) -> dict:

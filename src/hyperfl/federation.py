@@ -28,13 +28,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from hyperfl import aggregation as agg
-from hyperfl import learner
+from hyperfl import learner, poincare
 from hyperfl.data import (
     ClientShard,
     LabeledDataset,
@@ -43,6 +43,7 @@ from hyperfl.data import (
     load_dataset,
     make_synthetic,
     partition_manifest,
+    require_ints,
     split_local,
     stratified_holdout,
 )
@@ -61,7 +62,6 @@ log = logging.getLogger(__name__)
 VARIANTS = ("geodesic_metric_only", "fixed_only", "shared_only", "averaged")
 
 _AGGREGATORS = ("consistent", "averaged")
-METRICS = ("geodesic", "euclidean")
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,9 @@ class SyntheticSpec:
     per_class: int
     spread: float = 0.1
     hierarchy_depth: int = 1
+
+    def __post_init__(self):
+        require_ints(self, "num_classes", "dim", "per_class", "hierarchy_depth")
 
 
 @dataclass(frozen=True)
@@ -94,12 +97,12 @@ class ExperimentConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self):
+        require_ints(self, "rounds", "local_epochs", "batch_size", "seed", "finetune_epochs")
         if self.rounds < 1:
             raise ValueError("need at least one round")
         if self.aggregator not in _AGGREGATORS:
             raise ValueError(f"aggregator must be one of {_AGGREGATORS}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}")
+        poincare.metric_kernels(self.metric)  # raises on an unknown metric
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not 0 < self.slope <= 1 - 1e-5:
@@ -144,17 +147,10 @@ class ExperimentConfig:
         return ExperimentConfig(
             dataset=dataset,
             partition=PartitionSpec(**d.pop("partition")),
-            extractor=ExtractorConfig(**_tupled(d.pop("extractor"), "hidden")),
+            extractor=ExtractorConfig(**d.pop("extractor")),
             triplet=TripletConfig(**d.pop("triplet")),
             **d,
         )
-
-
-def _tupled(d: dict, key: str) -> dict:
-    d = dict(d)
-    if key in d:
-        d[key] = tuple(d[key])
-    return d
 
 
 @dataclass
@@ -177,15 +173,9 @@ class RoundRecord:
     def to_json_dict(self) -> dict:
         # wall time is deliberately excluded: the persisted metric stream is
         # byte-reproducible across runs, timings are written separately
-        return {
-            "round": self.round,
-            "gfl_accuracy": self.gfl_accuracy,
-            "pfl_accuracy_mean": self.pfl_accuracy_mean,
-            "pfl_accuracies": self.pfl_accuracies,
-            "train_loss_mean": self.train_loss_mean,
-            "p": self.p,
-            "cu_iterations": self.cu_iterations,
-        }
+        d = asdict(self)
+        del d["wall_time_sec"]
+        return d
 
 
 @dataclass
@@ -270,15 +260,7 @@ def evaluate_pfl(
 def _build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     if isinstance(cfg.dataset, str):
         return load_dataset(cfg.dataset)
-    spec = cfg.dataset
-    return make_synthetic(
-        num_classes=spec.num_classes,
-        dim=spec.dim,
-        per_class=spec.per_class,
-        spread=spec.spread,
-        hierarchy_depth=spec.hierarchy_depth,
-        seed=derive_seed(cfg.seed, "data"),
-    )
+    return make_synthetic(**asdict(cfg.dataset), seed=derive_seed(cfg.seed, "data"))
 
 
 def _round_prototypes(
@@ -287,28 +269,19 @@ def _round_prototypes(
 ) -> tuple[PrototypeSet, list[PrototypeSet], TammesReport | None]:
     """Server prototype set and the per-client sets for one round."""
     n = cfg.extractor.output_dim
-    proto_seed = derive_seed(cfg.seed, "protos")
+
+    def random_set(*tags) -> PrototypeSet:
+        return random_prototypes(num_classes, n, cfg.slope, derive_seed(cfg.seed, "protos", *tags))
+
     if variant is None or variant == "averaged":
-        server, report = build_prototypes(num_classes, n, cfg.slope, proto_seed)
+        seed = derive_seed(cfg.seed, "protos")
+        server, report = build_prototypes(num_classes, n, cfg.slope, seed)
         return server, [server] * num_clients, report
-    if variant == "geodesic_metric_only":
-        server = random_prototypes(num_classes, n, cfg.slope, proto_seed)
-        return server, [server] * num_clients, None
-    if variant == "shared_only":
-        server = random_prototypes(
-            num_classes, n, cfg.slope, derive_seed(cfg.seed, "protos", round_idx)
-        )
-        return server, [server] * num_clients, None
     if variant == "fixed_only":
-        server = random_prototypes(
-            num_classes, n, cfg.slope, derive_seed(cfg.seed, "protos", "server")
-        )
-        clients = [
-            random_prototypes(num_classes, n, cfg.slope, derive_seed(cfg.seed, "protos", k))
-            for k in range(num_clients)
-        ]
-        return server, clients, None
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        return random_set("server"), [random_set(k) for k in range(num_clients)], None
+    # geodesic_metric_only draws one set for the run, shared_only one per round
+    server = random_set(round_idx) if variant == "shared_only" else random_set()
+    return server, [server] * num_clients, None
 
 
 def _run(
@@ -322,24 +295,14 @@ def _run(
     # whole run, changing it reseeds everything.  The triplet seed is not
     # read: local_train hands triplet_grad its own generator.
     ds = _build_dataset(cfg)
-    ext = ExtractorConfig(
-        input_dim=cfg.extractor.input_dim,
-        hidden=cfg.extractor.hidden,
-        output_dim=cfg.extractor.output_dim,
-        activation=cfg.extractor.activation,
-        init_seed=derive_seed(cfg.seed, "init", cfg.extractor.init_seed),
-    )
+    ext = replace(cfg.extractor, init_seed=derive_seed(cfg.seed, "init", cfg.extractor.init_seed))
     if ext.input_dim != ds.dim:
         raise ValueError(f"extractor input_dim {ext.input_dim} != dataset dim {ds.dim}")
 
     pool, global_test = stratified_holdout(
         ds, cfg.global_test_fraction, seed=derive_seed(cfg.seed, "holdout")
     )
-    pspec = PartitionSpec(
-        num_clients=cfg.partition.num_clients,
-        alpha=cfg.partition.alpha,
-        seed=derive_seed(cfg.seed, "partition", cfg.partition.seed),
-    )
+    pspec = replace(cfg.partition, seed=derive_seed(cfg.seed, "partition", cfg.partition.seed))
     pools = dirichlet_partition(pool, pspec)
     shards = [
         split_local(pools[k], k, cfg.train_fraction, seed=derive_seed(cfg.seed, "split", k))

@@ -10,6 +10,9 @@ sampled negative prototype.  Negatives are drawn uniformly over the *full*
 class set minus the true label, so classes absent from a client's shard
 still shape its representation.
 
+d is the run's metric, "geodesic" or the flat "euclidean"; every distance
+and distance gradient comes from ``poincare``, which resolves the name.
+
 All gradients are analytic (chain rule through the exp map and the distance
 formula); the optimizer is plain SGD.  The prototypes are frozen, so every
 trainable parameter lives in flat Euclidean space and no manifold-aware
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hyperfl import poincare
-from hyperfl.data import ClientShard, LabeledDataset
+from hyperfl.data import ClientShard, LabeledDataset, require_ints
 from hyperfl.params import ParamVector
 from hyperfl.prototypes import PrototypeSet
 
@@ -41,6 +44,7 @@ class ExtractorConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "input_dim", "hidden", "output_dim", "init_seed")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         if any(h < 1 for h in self.hidden):
@@ -63,6 +67,7 @@ class TripletConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_ints(self, "negatives_per_sample", "seed")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
         if self.negatives_per_sample < 1:
@@ -138,37 +143,18 @@ def _backward(cfg: ExtractorConfig, acts, tensors, delta: np.ndarray, grads) -> 
             delta = (delta @ tensors[f"w{i}"]) * _act_prime_from_output(acts[i], cfg.activation)
 
 
-def _distances(points: np.ndarray, protos: PrototypeSet, metric: str) -> np.ndarray:
-    if metric == "geodesic":
-        return poincare.distance_to_set_arr(points, protos.weights)
-    if metric == "euclidean":
-        return poincare.euclidean_distance_to_set_arr(points, protos.weights)
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _distances_at(p: np.ndarray, w: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
     """Distance from row i of ``p`` to ``w[cols[..., i]]``, for class indices
     ``cols`` of shape (..., B).
 
-    Each entry has the bits of the matching entry of ``_distances``: its
-    inner product is gathered from the full BLAS ``p @ w.T`` (a per-pair
-    product rounds differently), and only the gathered entries go through the
-    distance formula.
+    Each entry has the bits of the matching entry of
+    ``poincare.distance_to_set_arr``: its inner product is gathered from the
+    full BLAS ``p @ w.T`` (a per-pair product rounds differently), and only
+    the gathered entries go through the distance formula.
     """
-    if metric == "geodesic":
-        from_inner = poincare._geodesic_from_inner
-    elif metric == "euclidean":
-        from_inner = poincare._euclidean_from_inner
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    from_inner, _ = poincare.metric_kernels(metric)
     pw = (p @ w.T)[np.arange(p.shape[0]), cols]
     return from_inner(np.add.reduce(p * p, axis=-1), np.add.reduce(w * w, axis=-1)[cols], pw)
-
-
-def _distance_grad(points: np.ndarray, targets: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "geodesic":
-        return poincare.dist_grad_wrt_point_arr(points, targets)
-    return poincare.euclidean_grad_wrt_point_arr(points, targets)
 
 
 def sample_negative(y: int | np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,7 +233,7 @@ def triplet_grad(
         # rows :b take each sample's positive, rows b: each active negative; the
         # kernel is row-wise, so each row has the bits a call of its own gives
         pts, cls = np.concatenate((p, p[s])), np.concatenate((y, cols[1 + rnd, s]))
-        g = _distance_grad(pts, protos.weights[cls], metric)
+        g = poincare.dist_grad_wrt_point_arr(pts, protos.weights[cls], metric)
         d_p_acc = np.zeros(p.size)
         # unbuffered, over (round, sample) pairs in round-major order: an entry
         # hit by several rounds takes their terms one at a time, in draw order
@@ -281,7 +267,7 @@ def mean_triplet_loss(
     classes per sample (the expectation of the sampled objective)."""
     z = forward_batch(theta, cfg, ds.features)
     p = poincare.exp_map_origin_arr(z)
-    d_all = _distances(p, protos, metric)
+    d_all = poincare.distance_to_set_arr(p, protos.weights, metric)
     idx = np.arange(ds.size)
     d_pos = d_all[idx, ds.labels]
     gaps = np.maximum(d_pos[:, None] - d_all + margin, 0.0)
@@ -347,4 +333,4 @@ def predict_batch(
     """Nearest-prototype labels for a batch; ties go to the lowest class."""
     z = forward_batch(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
-    return np.argmin(_distances(p, protos, metric), axis=1)
+    return np.argmin(poincare.distance_to_set_arr(p, protos.weights, metric), axis=1)

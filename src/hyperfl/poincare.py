@@ -9,6 +9,10 @@ Conventions:
     distance(a, b)   = arcosh(1 + 2||a-b||^2 / ((1-||a||^2)(1-||b||^2)))
     exp0(z)          = tanh(||z||) z / ||z||
 
+Distances take a metric name.  ``metric_kernels`` is the one place that
+resolves it: "geodesic" is the ball distance above, "euclidean" the flat
+alternative ||a - b||, each with its gradient in the point.
+
 Every kernel works row-wise on float64 arrays and is pure (no shared mutable
 state).
 """
@@ -79,25 +83,8 @@ def _euclidean_from_inner(p2: np.ndarray, w2: np.ndarray, pw: np.ndarray) -> np.
     return np.sqrt(np.maximum(p2 + w2 - 2.0 * pw, 0.0))
 
 
-def distance_to_set_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Distances from each row of ``p`` (B, n) to each row of ``w`` (C, n).
-
-    Returns a (B, C) matrix.
-    """
-    p2 = np.sum(p * p, axis=-1)[:, None]
-    w2 = np.sum(w * w, axis=-1)[None, :]
-    return _geodesic_from_inner(p2, w2, p @ w.T)
-
-
-def euclidean_distance_to_set_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(B, C) Euclidean distances; the optional flat-metric variant."""
-    p2 = np.sum(p * p, axis=-1)[:, None]
-    w2 = np.sum(w * w, axis=-1)[None, :]
-    return _euclidean_from_inner(p2, w2, p @ w.T)
-
-
-def dist_grad_wrt_point_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient of distance(p, w) with respect to p, row-wise.
+def _geodesic_grad(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of the geodesic distance(p, w) with respect to p, row-wise.
 
     With u = ||p-w||^2, a = 1-||p||^2, b = 1-||w||^2 and
     A = 1 + 2u/(ab):
@@ -123,10 +110,42 @@ def dist_grad_wrt_point_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     return grad
 
 
-def euclidean_grad_wrt_point_arr(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _euclidean_grad(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit vector (p - w)/||p - w|| row-wise; zero where p = w."""
     diff = p - w
     r = np.linalg.norm(diff, axis=-1, keepdims=True)
     return np.divide(diff, r, out=np.zeros_like(diff), where=r > 0)
+
+
+# Metric name -> (distance from ||p||^2, ||w||^2 and p.w, elementwise; the
+# distance's gradient in p, row-wise).
+_METRICS = {
+    "geodesic": (_geodesic_from_inner, _geodesic_grad),
+    "euclidean": (_euclidean_from_inner, _euclidean_grad),
+}
+
+
+def metric_kernels(metric: str):
+    """The (from_inner, grad) kernels of ``metric``; a ValueError names an
+    unknown metric."""
+    try:
+        return _METRICS[metric]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown metric {metric!r}; expected one of {tuple(_METRICS)}") from None
+
+
+def distance_to_set_arr(p: np.ndarray, w: np.ndarray, metric: str = "geodesic") -> np.ndarray:
+    """(B, C) ``metric`` distances from each row of ``p`` (B, n) to each row
+    of ``w`` (C, n)."""
+    from_inner, _ = metric_kernels(metric)
+    p2 = np.sum(p * p, axis=-1)[:, None]
+    w2 = np.sum(w * w, axis=-1)[None, :]
+    return from_inner(p2, w2, p @ w.T)
+
+
+def dist_grad_wrt_point_arr(p: np.ndarray, w: np.ndarray, metric: str = "geodesic") -> np.ndarray:
+    """Gradient of the ``metric`` distance(p, w) with respect to p, row-wise."""
+    return metric_kernels(metric)[1](p, w)
 
 
 def exp_map_origin_jvp_transpose_arr(z: np.ndarray, v: np.ndarray) -> np.ndarray:

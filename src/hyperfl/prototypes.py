@@ -186,6 +186,8 @@ def optimize_prototypes(
     """
     if c < 2 or n < 2:
         raise ValueError("need at least 2 classes and 2 dimensions")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     w = random_unit_rows(c, n, rng)
     best_w = w.copy()

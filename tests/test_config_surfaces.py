@@ -241,16 +241,35 @@ class TestExperimentConfigValidation:
             ("global_test_fraction", 1.0),
             ("train_fraction", 0.0),
             ("train_fraction", 1.0),
+            # integer fields take no fractions and no bools (JSON true == 1)
+            ("rounds", 2.5),
+            ("rounds", True),
+            ("local_epochs", 1.5),
+            ("batch_size", 16.5),
+            ("finetune_epochs", 1.5),
+            ("seed", 0.5),
+            ("partition.num_clients", 2.5),
+            ("partition.seed", True),
+            ("triplet.negatives_per_sample", 1.5),
+            ("extractor.output_dim", 2.5),
+            ("extractor.hidden", (6.5,)),
+            ("extractor.hidden", (True,)),
+            ("dataset.per_class", 10.5),
+            ("dataset.hierarchy_depth", 1.5),
         ],
     )
     def test_bad_field_rejected(self, field, value):
+        section, _, name = field.rpartition(".")
         # a retired field is no constructor argument at all
         error = TypeError if field in RETIRED_FIELDS else ValueError
-        with pytest.raises(error, match=field):
-            small_config(**{field: value})
+        built = getattr(small_config(), section) if section else small_config()
+        with pytest.raises(error, match=name):
+            dataclasses.replace(built, **{name: value})
         # a config file goes through from_dict and fails the same way
-        with pytest.raises(ValueError, match=field):
-            ExperimentConfig.from_dict({**small_config().to_dict(), field: value})
+        d = small_config().to_dict()
+        (d[section] if section else d)[name] = value
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_dict(json.loads(json.dumps(d)))
 
     def test_boundary_values_accepted(self):
         # lr = 0 freezes the model and zero finetuning scores the global model:

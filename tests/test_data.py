@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperfl import data
 from hyperfl.data import (
     DatasetFormatError,
     LabeledDataset,
@@ -174,6 +177,67 @@ def test_stratified_holdout_counts():
     assert rest.size == 400
     assert held.size == 100
     assert np.array_equal(held.class_counts(), [20] * 5)
+
+
+class TestLargestRemainder:
+    """One rounding routine deals classes to clients and splits each class
+    between train and test: the counts sum to the target, no class gives
+    more than it holds, and each count is within 1 of its ideal share."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=12).filter(lambda s: sum(s) >= 2),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_class_shares(self, sizes, frac):
+        sizes = np.array(sizes)
+        n = int(sizes.sum())
+        target = min(max(int(round(frac * n)), 1), n - 1)
+        ideal = sizes * (target / n)
+        take = data._largest_remainder(ideal, target)
+        assert take.sum() == target
+        assert np.all((0 <= take) & (take <= sizes))
+        assert np.all(np.abs(take - ideal) < 1.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        weights=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=30).filter(lambda w: sum(w) > 0),
+        total=st.integers(0, 500),
+    )
+    def test_client_shares(self, weights, total):
+        weights = np.array(weights)
+        ideal = weights / weights.sum() * total
+        counts = data._largest_remainder(ideal, total)
+        assert counts.sum() == total
+        assert np.all(counts >= 0)
+        assert np.all(np.abs(counts - ideal) < 1.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        labels=st.lists(st.integers(0, 5), min_size=2, max_size=80),
+        frac=st.floats(0.01, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+        holdout=st.booleans(),
+    )
+    def test_both_splits(self, labels, frac, seed, holdout):
+        labels = np.array(labels)
+        ds = LabeledDataset(np.arange(labels.size, dtype=float)[:, None], labels, 6)
+        n = ds.size
+        if holdout:
+            kept, rest = stratified_holdout(ds, 1.0 - frac, seed=seed)
+            keep = 1.0 - (1.0 - frac)  # the kept fraction, rounded as the split rounds it
+        else:
+            shard = split_local(ds, 0, train_fraction=frac, seed=seed)
+            kept, rest, keep = shard.train, shard.test, frac
+        target = min(max(int(np.floor(keep * n + 0.5)), 1), n - 1)
+        sizes = ds.class_counts()
+        take = kept.class_counts()
+        assert take.sum() == target
+        assert np.array_equal(take + rest.class_counts(), sizes)
+        assert np.all(take <= sizes)
+        assert np.all(np.abs(take - sizes * (target / n)) < 1.0)
+        # every instance lands on exactly one side
+        assert sorted(np.concatenate((kept.features, rest.features))[:, 0]) == list(range(n))
 
 
 def test_partition_manifest_contents():

@@ -478,6 +478,16 @@ class TestCli:
         info = json.loads(capsys.readouterr().out)
         assert info["max_pairwise_cosine"] <= -1 / 3 + 1e-2
 
+    def test_protos_negative_seed_names_seed(self, tmp_path, capsys):
+        out = tmp_path / "p.bin"
+        rc = cli_main(["protos", "--classes", "4", "--dim", "3", "--seed", "-1",
+                       "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "seed" in err["message"]
+        assert not out.exists()
+
     def test_partition_command(self, tmp_path):
         ds = make_synthetic(3, 4, per_class=30, spread=0.2, seed=0)
         data_path = tmp_path / "ds.txt"

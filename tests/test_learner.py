@@ -338,11 +338,11 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
     b, c = x.shape[0], protos.num_classes
     z, acts, tensors = learner._forward_cached(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
-    d_all = learner._distances(p, protos, metric)
+    d_all = poincare.distance_to_set_arr(p, protos.weights, metric)
     d_pos = d_all[np.arange(b), y]
     loss_acc = np.zeros(b)
     d_p_acc = np.zeros_like(p)
-    grad_pos = learner._distance_grad(p, protos.weights[y], metric)
+    grad_pos = poincare.dist_grad_wrt_point_arr(p, protos.weights[y], metric)
     for _ in range(tcfg.negatives_per_sample):
         neg = []
         for label in y:
@@ -353,7 +353,9 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
         active = gap > 0.0
         loss_acc += np.maximum(gap, 0.0)
         if np.any(active):
-            grad_neg = learner._distance_grad(p[active], protos.weights[neg[active]], metric)
+            grad_neg = poincare.dist_grad_wrt_point_arr(
+                p[active], protos.weights[neg[active]], metric
+            )
             d_p_acc[active] += grad_pos[active] - grad_neg
     scale = 1.0 / (b * tcfg.negatives_per_sample)
     d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc * scale)
@@ -511,7 +513,7 @@ class TestStepMatchesReference:
         if on_prototypes:
             z = log0(protos.weights[y])
             # half the closest distinct prototypes' distance: no hinge is active
-            d = learner._distances(protos.weights, protos, metric)
+            d = poincare.distance_to_set_arr(protos.weights, protos.weights, metric)
             closest = d[~np.eye(c, dtype=bool)].min()
             no_hinge = closest > 1e-4  # else two prototypes (nearly) coincide
             margin = 0.5 * closest if no_hinge else 0.5
@@ -607,10 +609,8 @@ class TestGatheredDistances:
             target = w[rows[rng.integers(rows.shape[0]), i]]
             p[i] = target * (1.0 + float(rng.choice([0.0, 1e-16, -1e-12, 1e-9])))
         full_rows = np.arange(b)
-        for metric, full in [
-            ("geodesic", poincare.distance_to_set_arr(p, w)),
-            ("euclidean", poincare.euclidean_distance_to_set_arr(p, w)),
-        ]:
+        for metric in ("geodesic", "euclidean"):
+            full = poincare.distance_to_set_arr(p, w, metric)
             got = learner._distances_at(p, w, cols, metric)
             assert got.shape == cols.shape
             assert got.tobytes() == full[full_rows, cols].tobytes()

@@ -198,3 +198,27 @@ class TestDistanceGradient:
         b = np.array([0.4, 0.3])
         g = distance_grad(log0(b), b)
         assert np.array_equal(g, np.zeros(2))
+
+
+class TestMetricTable:
+    def test_euclidean_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(9)
+        p = np.stack([random_ball_point(rng, 4) for _ in range(6)])
+        w = np.stack([random_ball_point(rng, 4) for _ in range(6)])
+        h = 1e-6
+        fd = np.empty_like(p)
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            up, down = np.linalg.norm(p + e - w, axis=1), np.linalg.norm(p - e - w, axis=1)
+            fd[:, j] = (up - down) / (2 * h)
+        analytic = pb.dist_grad_wrt_point_arr(p, w, "euclidean")
+        assert np.max(np.abs(analytic - fd)) < 1e-7
+
+    @pytest.mark.parametrize("metric", ["cosine", "Geodesic", ""])
+    def test_unknown_metric_named_by_every_entry(self, metric):
+        # an unknown name is refused, never read as one of the known metrics
+        p, w = np.zeros((1, 2)), np.full((1, 2), 0.5)
+        for call in (pb.distance_to_set_arr, pb.dist_grad_wrt_point_arr):
+            with pytest.raises(ValueError, match=f"unknown metric {metric!r}"):
+                call(p, w, metric)

@@ -4,8 +4,8 @@ The test drives ``hyperfl.cli.main`` in-process through every command on a
 tiny config (``run`` plus each ``--variant``, a Euclidean-metric run,
 ``protos``, ``partition``, and ``eval`` of the full and the Euclidean run)
 under ``sys.setprofile`` and collects the code objects that were called.  A
-public name that none of these reaches is code that only tests use: it
-belongs in ``tests/``, not ``src/``.
+public name, or a private module-level function, that none of these reaches
+is code that only tests use: it belongs in ``tests/``, not ``src/``.
 """
 
 import importlib
@@ -13,6 +13,8 @@ import inspect
 import json
 import pkgutil
 import sys
+
+import pytest
 
 import hyperfl
 from hyperfl import cli, data, federation
@@ -32,24 +34,41 @@ TINY = {
 }
 
 
+def module_members():
+    """(module short name, attribute, object) of everything a hyperfl module
+    defines itself."""
+    for info in pkgutil.iter_modules(hyperfl.__path__):
+        mod = importlib.import_module(f"hyperfl.{info.name}")
+        for attr, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) == mod.__name__:
+                yield info.name, attr, obj
+
+
+def private_functions() -> dict:
+    """Qualified name -> code object of every private module-level function."""
+    return {
+        f"{module}.{attr}": obj.__code__
+        for module, attr, obj in module_members()
+        if attr.startswith("_") and not attr.startswith("__") and inspect.isfunction(obj)
+    }
+
+
 def public_code() -> dict:
     """Qualified name -> code object of every public function, method and
     property defined in a hyperfl module."""
     found = {}
-    for info in pkgutil.iter_modules(hyperfl.__path__):
-        mod = importlib.import_module(f"hyperfl.{info.name}")
-        for attr, obj in vars(mod).items():
-            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
-                continue
-            if inspect.isfunction(obj):
-                found[f"{info.name}.{attr}"] = obj.__code__
-            elif inspect.isclass(obj):
-                for meth, member in vars(obj).items():
-                    if isinstance(member, property):
-                        member = member.fget
-                    member = getattr(member, "__func__", member)  # static/classmethod
-                    if not meth.startswith("_") and inspect.isfunction(member):
-                        found[f"{info.name}.{attr}.{meth}"] = member.__code__
+    for module, attr, obj in module_members():
+        if attr.startswith("_"):
+            continue
+        if inspect.isfunction(obj):
+            found[f"{module}.{attr}"] = obj.__code__
+        elif inspect.isclass(obj):
+            for meth, member in vars(obj).items():
+                if isinstance(member, property):
+                    member = member.fget
+                member = getattr(member, "__func__", member)  # static/classmethod
+                if not meth.startswith("_") and inspect.isfunction(member):
+                    found[f"{module}.{attr}.{meth}"] = member.__code__
     return found
 
 
@@ -77,8 +96,10 @@ def cli_commands(tmp_path) -> list[list[str]]:
     ]
 
 
-def test_every_public_name_runs_from_the_cli(tmp_path):
-    commands = cli_commands(tmp_path)
+@pytest.fixture(scope="module")
+def called_code(tmp_path_factory) -> set:
+    """Code objects called while every CLI command runs."""
+    commands = cli_commands(tmp_path_factory.mktemp("cli"))
     called = set()
 
     def profile(frame, event, arg):
@@ -92,8 +113,19 @@ def test_every_public_name_runs_from_the_cli(tmp_path):
     finally:
         sys.setprofile(previous)
     assert codes == [0] * len(commands)
-    uncalled = sorted(name for name, code in public_code().items() if code not in called)
+    return called
+
+
+def test_every_public_name_runs_from_the_cli(called_code):
+    uncalled = sorted(name for name, code in public_code().items() if code not in called_code)
     assert uncalled == sorted(ALLOWED_UNCALLED)
+
+
+def test_every_private_function_runs_from_the_cli(called_code):
+    # a helper that a refactor leaves callable only from tests
+    functions = private_functions()
+    assert functions  # the walk sees private names at all
+    assert sorted(name for name, code in functions.items() if code not in called_code) == []
 
 
 def test_main_module_imports_without_running():
