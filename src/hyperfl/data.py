@@ -127,12 +127,9 @@ def make_synthetic(
     Each level of hierarchy splits a cluster into two sub-clusters whose
     centers are offset at half the scale of the level above; the leaf noise
     uses the deepest scale.  Every offset is proportional to ``spread``, so
-    spread = 0 collapses each class onto its center exactly.
+    spread = 0 collapses each class onto its center exactly.  The ranges
+    are checked where a config names them, in ``federation.SyntheticSpec``.
     """
-    if num_classes < 2 or per_class < 1:
-        raise ValueError("need num_classes >= 2 and per_class >= 1")
-    if spread < 0 or hierarchy_depth < 0:
-        raise ValueError("spread and hierarchy_depth must be nonnegative")
     rng = np.random.default_rng(seed)
     centers = _class_centers(num_classes, dim, rng)
     feats = np.empty((num_classes * per_class, dim))

@@ -10,8 +10,15 @@ prototypes once, then iterate rounds of
 
 Two evaluations run every round: global accuracy of the aggregated model on
 the held-out slice, and per-client accuracy of a locally finetuned copy on
-each client's local test split.  Every random choice is derived from the
-single master seed, so identical configurations reproduce bit-for-bit.
+each client's local test split.  The finetune of round t is client k's
+round-t+1 local update: it starts from the same aggregated model and uses
+the same seed, ``derive_seed(seed, "train", t + 1, k)``.  When it is also the
+same call (``finetune_epochs == local_epochs`` and the client keeps its
+prototype set, which holds for every variant but ``shared_only``), the tuned
+model is carried over as round t+1's local model instead of being trained
+again, so each client trains once per round after round 0.  Every random
+choice is derived from the single master seed, so identical configurations
+reproduce bit-for-bit.
 
 The four ablation variants each toggle exactly one mechanism:
 
@@ -76,6 +83,12 @@ class SyntheticSpec:
 
     def __post_init__(self):
         require_ints(self, "num_classes", "dim", "per_class", "hierarchy_depth")
+        for name, low in (("num_classes", 2), ("dim", 1), ("per_class", 1),
+                          ("hierarchy_depth", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not (math.isfinite(self.spread) and self.spread >= 0):
+            raise ValueError(f"spread must be finite and nonnegative, got {self.spread!r}")
 
 
 @dataclass(frozen=True)
@@ -228,33 +241,35 @@ def evaluate_pfl(
     tcfg: TripletConfig,
     lr: float,
     batch_size: int,
+    seeds: list[int],
     finetune_epochs: int = 5,
-    seed: int = 0,
     metric: str = "geodesic",
-) -> list[float | None]:
+) -> tuple[list[float | None], list[ParamVector | None]]:
     """Per-client accuracy after finetuning a copy of the global model.
 
     Each client receives its own copy, finetunes on the local train split
-    against its prototype set in ``protos`` (one per shard) for
-    ``finetune_epochs`` epochs and is scored on the local test split.
-    Clients without a test split are skipped and reported as None.  The
-    global parameters are never mutated.
+    against its prototype set in ``protos`` for ``finetune_epochs`` epochs
+    with its seed in ``seeds`` (one of each per shard) and is scored on the
+    local test split.  Returns the accuracies and the tuned models.  Clients
+    without a test split are skipped and get None in both lists.  The global
+    parameters are never mutated.
     """
-    out: list[float | None] = []
-    for shard, proto_k in zip(shards, protos, strict=True):
+    accs: list[float | None] = []
+    tuned: list[ParamVector | None] = []
+    for shard, proto_k, seed in zip(shards, protos, seeds, strict=True):
         if shard.test is None or shard.test.size == 0:
             log.debug("client %d has no local test split; skipped in P-FL", shard.client_id)
-            out.append(None)
+            accs.append(None)
+            tuned.append(None)
             continue
-        tuned = learner.local_train(
+        theta_k = learner.local_train(
             global_params, shard, proto_k, ext, tcfg,
-            epochs=finetune_epochs, batch_size=batch_size, lr=lr,
-            seed=derive_seed(seed, "pfl", shard.client_id),
-            metric=metric,
+            epochs=finetune_epochs, batch_size=batch_size, lr=lr, seed=seed, metric=metric,
         )
-        pred = learner.predict_batch(tuned, ext, proto_k, shard.test.features, metric)
-        out.append(float(np.mean(pred == shard.test.labels)))
-    return out
+        pred = learner.predict_batch(theta_k, ext, proto_k, shard.test.features, metric)
+        accs.append(float(np.mean(pred == shard.test.labels)))
+        tuned.append(theta_k)
+    return accs, tuned
 
 
 def _build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -315,12 +330,16 @@ def _run(
     )
     frozen = variant != "shared_only"
     proto_bytes = server_protos.to_bytes() if frozen else None
+    # a P-FL finetune is the client's next local update when both run the
+    # same epochs against the same prototype set
+    carry = frozen and cfg.finetune_epochs == cfg.local_epochs
 
     aggregator = "averaged" if variant == "averaged" else cfg.aggregator
     theta = learner.init_params(ext)
     counts = [shard.n_train for shard in shards]
     records: list[RoundRecord] = []
     agg_log: list[dict] = []
+    carried: list[ParamVector | None] = [None] * len(shards)
 
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
@@ -331,14 +350,16 @@ def _run(
         locals_: list[ParamVector] = []
         losses: list[float] = []
         for k, shard in enumerate(shards):
-            try:
-                theta_k = learner.local_train(
-                    theta, shard, client_protos[k], ext, cfg.triplet,
-                    epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                    seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
-                )
-            except ValueError as err:  # local training diverged
-                raise ValueError(f"round {t}: {err}") from err
+            theta_k = carried[k]
+            if theta_k is None:
+                try:
+                    theta_k = learner.local_train(
+                        theta, shard, client_protos[k], ext, cfg.triplet,
+                        epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                        seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
+                    )
+                except ValueError as err:  # local training diverged
+                    raise ValueError(f"round {t}: {err}") from err
             locals_.append(theta_k)
             losses.append(
                 learner.mean_triplet_loss(
@@ -366,15 +387,33 @@ def _run(
         if round_hook is not None:
             round_hook(t, theta_before, locals_, weights, theta)
 
+        gap = weights.pareto_gap
+        agg_log.append(
+            {
+                "round": t,
+                "p": [float(v) for v in weights.p],
+                "cu_iterations": weights.cu_iterations,
+                "pareto_gap": None if np.isnan(gap) else float(gap),
+                "gram_diagonal": [float(v) for v in np.diag(dev.gram)],
+            }
+        )
+        # free round t's models so that the tuned ones do not raise peak
+        # memory; the last round's locals are the client checkpoints
+        del dev
+        if t < cfg.rounds - 1:
+            del locals_, carried
+
         gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
         try:
-            pfl = evaluate_pfl(
+            pfl, carried = evaluate_pfl(
                 theta, shards, client_protos, ext, cfg.triplet, cfg.lr, cfg.batch_size,
-                finetune_epochs=cfg.finetune_epochs,
-                seed=derive_seed(cfg.seed, "pfl", t), metric=cfg.metric,
+                [derive_seed(cfg.seed, "train", t + 1, k) for k in range(len(shards))],
+                finetune_epochs=cfg.finetune_epochs, metric=cfg.metric,
             )
         except ValueError as err:  # finetuning diverged
             raise ValueError(f"round {t}: {err}") from err
+        if not carry:
+            carried = [None] * len(shards)
         scored = [a for a in pfl if a is not None]
         record = RoundRecord(
             round=t,
@@ -387,16 +426,6 @@ def _run(
             wall_time_sec=time.perf_counter() - t0,
         )
         records.append(record)
-        gap = weights.pareto_gap
-        agg_log.append(
-            {
-                "round": t,
-                "p": [float(v) for v in weights.p],
-                "cu_iterations": weights.cu_iterations,
-                "pareto_gap": None if np.isnan(gap) else float(gap),
-                "gram_diagonal": [float(v) for v in np.diag(dev.gram)],
-            }
-        )
 
     result = ExperimentResult(
         config=cfg,

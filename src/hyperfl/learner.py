@@ -21,6 +21,7 @@ update is needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,8 @@ class TripletConfig:
 
     def __post_init__(self):
         require_ints(self, "negatives_per_sample", "seed")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError(f"margin must be finite and positive, got {self.margin!r}")
         if self.negatives_per_sample < 1:
             raise ValueError("need at least one negative per sample")
         if self.seed < 0:

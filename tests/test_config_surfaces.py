@@ -23,6 +23,7 @@ from hyperfl.data import (
 from hyperfl.federation import (
     ExperimentConfig,
     SyntheticSpec,
+    derive_seed,
     evaluate_pfl,
     run_experiment,
 )
@@ -126,8 +127,9 @@ class TestStepGranularFinetune:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
-        untuned = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
-                               lr=0.3, batch_size=16, finetune_epochs=0, seed=0)
+        untuned, _ = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
+                                  lr=0.3, batch_size=16, seeds=[derive_seed(0, "pfl", 0)],
+                                  finetune_epochs=0)
         pred = learner.predict_batch(theta, ext, protos, shard.test.features)
         assert untuned == [float(np.mean(pred == shard.test.labels))]
 
@@ -256,6 +258,19 @@ class TestExperimentConfigValidation:
             ("extractor.hidden", (True,)),
             ("dataset.per_class", 10.5),
             ("dataset.hierarchy_depth", 1.5),
+            # NaN fails every comparison, so a sign check alone lets it through
+            ("triplet.margin", float("nan")),
+            ("triplet.margin", float("inf")),
+            ("triplet.margin", 0.0),
+            ("triplet.margin", -1.0),
+            # generator ranges fail at load, not at dataset build
+            ("dataset.num_classes", 1),
+            ("dataset.dim", 0),
+            ("dataset.per_class", 0),
+            ("dataset.spread", float("nan")),
+            ("dataset.spread", float("inf")),
+            ("dataset.spread", -0.1),
+            ("dataset.hierarchy_depth", -1),
         ],
     )
     def test_bad_field_rejected(self, field, value):

@@ -220,8 +220,8 @@ class TestEvaluate:
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         tcfg = TripletConfig(margin=3.0, seed=0)
         theta = learner.init_params(ext)
-        accs = evaluate_pfl(theta, shards, [protos], ext, tcfg, lr=0.3, batch_size=16,
-                            finetune_epochs=0, seed=0)
+        accs, _ = evaluate_pfl(theta, shards, [protos], ext, tcfg, lr=0.3, batch_size=16,
+                               seeds=[derive_seed(0, "pfl", 0)], finetune_epochs=0)
         direct = evaluate_gfl(theta, ext, protos, shards[0].test)
         assert accs[0] == pytest.approx(direct, abs=1e-12)
 
@@ -233,7 +233,7 @@ class TestEvaluate:
         theta = learner.init_params(ext)
         digest = hashlib.sha256(theta.values.tobytes()).hexdigest()
         evaluate_pfl(theta, shards, [protos], ext, TripletConfig(seed=0), lr=0.3,
-                     batch_size=16, finetune_epochs=2, seed=1)
+                     batch_size=16, seeds=[derive_seed(1, "pfl", 0)], finetune_epochs=2)
         assert hashlib.sha256(theta.values.tobytes()).hexdigest() == digest
 
     def test_pfl_skips_clients_without_test_split(self):
@@ -241,9 +241,11 @@ class TestEvaluate:
         shard = split_local(ds, 0, seed=0)  # single instance: no test split
         protos, _ = build_prototypes(2, 2, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
-        accs = evaluate_pfl(learner.init_params(ext), [shard], [protos], ext,
-                            TripletConfig(seed=0), lr=0.1, batch_size=4, seed=0)
+        accs, tuned = evaluate_pfl(learner.init_params(ext), [shard], [protos], ext,
+                                   TripletConfig(seed=0), lr=0.1, batch_size=4,
+                                   seeds=[derive_seed(0, "pfl", 0)])
         assert accs == [None]
+        assert tuned == [None]
 
     def test_pfl_finetune_helps_single_class_client(self):
         # a client holding one class: finetuning on it should not hurt local
@@ -261,9 +263,100 @@ class TestEvaluate:
             )
             before = evaluate_gfl(theta, ext, protos, shard.test)
             after = evaluate_pfl(theta, [shard], [protos], ext, tcfg, lr=0.3, batch_size=16,
-                                 finetune_epochs=5, seed=seed)[0]
+                                 seeds=[derive_seed(seed, "pfl", 0)], finetune_epochs=5)[0][0]
             wins += after >= before
         assert wins >= 9
+
+
+def carry_config(local_epochs=2, finetune_epochs=2, **kwargs):
+    return dataclasses.replace(
+        tiny_config(**kwargs), local_epochs=local_epochs, finetune_epochs=finetune_epochs
+    )
+
+
+def fresh_local_train(cfg, theta, shard, protos, epochs, t, k):
+    return learner.local_train(
+        theta, shard, protos, cfg.extractor, cfg.triplet, epochs=epochs,
+        batch_size=cfg.batch_size, lr=cfg.lr, seed=derive_seed(cfg.seed, "train", t, k),
+        metric=cfg.metric,
+    )
+
+
+def run_variant(cfg, variant, round_hook):
+    if variant is None:
+        return run_experiment(cfg, round_hook=round_hook)
+    return run_ablation(cfg, variant, round_hook=round_hook)
+
+
+class TestPflIsNextLocalUpdate:
+    """Round t's P-FL finetune is client k's round-t+1 local update: same
+    start, same seed; with equal epochs it is trained once and carried over."""
+
+    @pytest.mark.parametrize(
+        "variant,finetune_epochs,clients,alpha",
+        [(None, 2, 4, 0.5), (None, 1, 4, 0.5), ("fixed_only", 2, 4, 0.5),
+         (None, 2, 10, 0.05)],
+    )
+    def test_pfl_scores_a_fresh_next_round_update(self, variant, finetune_epochs, clients, alpha):
+        cfg = carry_config(finetune_epochs=finetune_epochs, rounds=3, clients=clients,
+                           alpha=alpha)
+        after = []
+        res = run_variant(cfg, variant, lambda t, before, locals_, w, theta: after.append(theta))
+        scored = 0
+        for t, rec in enumerate(res.records):
+            for k, (shard, protos) in enumerate(zip(res.shards, res.client_prototypes)):
+                if shard.test is None:
+                    assert rec.pfl_accuracies[k] is None
+                    continue
+                tuned = fresh_local_train(cfg, after[t], shard, protos, finetune_epochs, t + 1, k)
+                pred = learner.predict_batch(tuned, cfg.extractor, protos, shard.test.features)
+                assert rec.pfl_accuracies[k] == float(np.mean(pred == shard.test.labels))
+                scored += 1
+        assert scored > 0
+
+    @pytest.mark.parametrize(
+        "variant,clients,alpha",
+        [(None, 4, 0.5), ("fixed_only", 4, 0.5), ("averaged", 4, 0.5), (None, 10, 0.05)],
+    )
+    def test_carried_locals_equal_fresh_training(self, variant, clients, alpha):
+        cfg = carry_config(rounds=3, clients=clients, alpha=alpha)
+        seen = []
+        res = run_variant(
+            cfg, variant, lambda t, before, locals_, w, theta: seen.append((before, locals_))
+        )
+        for t, (before, locals_) in enumerate(seen):
+            for k, (shard, protos) in enumerate(zip(res.shards, res.client_prototypes)):
+                want = fresh_local_train(cfg, before, shard, protos, cfg.local_epochs, t, k)
+                assert locals_[k].values.tobytes() == want.values.tobytes()
+        assert all(a.values.tobytes() == b.values.tobytes()
+                   for a, b in zip(res.client_params, seen[-1][1], strict=True))
+
+    @pytest.mark.parametrize(
+        "variant,finetune_epochs,carried",
+        [(None, 2, True), ("fixed_only", 2, True), ("shared_only", 2, False),
+         (None, 1, False), (None, 3, False)],
+    )
+    def test_local_train_call_count(self, monkeypatch, variant, finetune_epochs, carried):
+        rounds, clients = 3, 10
+        cfg = carry_config(finetune_epochs=finetune_epochs, rounds=rounds, clients=clients,
+                           alpha=0.05)
+        calls = 0
+        train = learner.local_train
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "local_train", counted)
+        res = run_variant(cfg, variant, None)
+        tested = sum(shard.test is not None for shard in res.shards)
+        assert 0 < tested < clients  # both P-FL paths are taken
+        # every client trains and every tested client finetunes each round ...
+        expected = rounds * (clients + tested)
+        if carried:  # ... less the finetunes reused as the next round's update
+            expected -= (rounds - 1) * tested
+        assert calls == expected
 
 
 class TestAblations:
