@@ -1,7 +1,8 @@
 """Server-side aggregation of client parameter deviations.
 
 Given the round's broadcast parameters and the K locally trained results,
-the deviations Delta_k = theta_k - theta are combined as
+flat float64 vectors of one length, the deviations Delta_k = theta_k - theta
+are combined as
 
     theta_next = theta + sum_k p_k Delta_k.
 
@@ -25,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from hyperfl.params import ParamVector
 
 
 @dataclass
@@ -63,7 +62,7 @@ class AggregationWeights:
         self.p = np.maximum(self.p, 0.0)
 
 
-def compute_deviations(global_params: ParamVector, locals_: list[ParamVector]) -> DeviationSet:
+def compute_deviations(global_params: np.ndarray, locals_: list[np.ndarray]) -> DeviationSet:
     """Deltas of every client against the broadcast parameters, with Gram.
 
     Each row of the upper triangle is one ``np.vecdot`` of a delta against
@@ -73,11 +72,8 @@ def compute_deviations(global_params: ParamVector, locals_: list[ParamVector]) -
     """
     if not locals_:
         raise ValueError("need at least one client")
-    for loc in locals_:
-        if not loc.same_layout(global_params):
-            raise ValueError("client and global parameter layouts differ")
-    deltas = np.stack([loc.values for loc in locals_])
-    deltas -= global_params.values
+    deltas = np.stack(locals_)
+    deltas -= global_params
     k = len(locals_)
     gram = np.empty((k, k))
     for i in range(k):
@@ -171,9 +167,13 @@ def fedavg_weights(n_samples: list[int] | np.ndarray) -> AggregationWeights:
 
 
 def aggregate(
-    global_params: ParamVector, dev: DeviationSet, weights: AggregationWeights
-) -> ParamVector:
-    """theta + sum_k p_k Delta_k (with data weights this is plain averaging)."""
+    global_params: np.ndarray, dev: DeviationSet, weights: AggregationWeights
+) -> np.ndarray:
+    """theta + sum_k p_k Delta_k (plain averaging under data weights); a
+    non-finite result raises ValueError."""
     if len(weights.p) != dev.num_clients:
         raise ValueError("weight vector length must match the client count")
-    return ParamVector(global_params.values + weights.p @ dev.deltas, global_params.layout)
+    theta = global_params + weights.p @ dev.deltas
+    if not np.isfinite(theta).all():
+        raise ValueError("aggregated parameters are not finite")
+    return theta

@@ -69,7 +69,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"{args.checkpoint}: header field 'layout' does not match 'model'")
     if ds.dim != ext.input_dim:
         raise ValueError(f"{args.data}: dimension {ds.dim} != 'model.input_dim' {ext.input_dim}")
-    acc = federation.evaluate_gfl(params, ext, protos, ds, metric=model["metric"])
+    acc = federation.evaluate_gfl(params.values, ext, protos, ds, metric=model["metric"])
     print(json.dumps({"accuracy": acc, "instances": ds.size}))
     return 0
 

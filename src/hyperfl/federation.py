@@ -196,8 +196,8 @@ class ExperimentResult:
     config: ExperimentConfig
     variant: str | None
     records: list[RoundRecord]
-    global_params: ParamVector
-    client_params: list[ParamVector]
+    global_params: np.ndarray  # flat, in learner.layout_for(config.extractor) order
+    client_params: list[np.ndarray]
     prototypes: PrototypeSet
     client_prototypes: list[PrototypeSet]  # the final round's set of each client
     shards: list[ClientShard]
@@ -220,21 +220,19 @@ def derive_seed(master: int, *tags) -> int:
 
 
 def evaluate_gfl(
-    global_params: ParamVector,
+    global_params: np.ndarray,
     ext: ExtractorConfig,
     protos: PrototypeSet,
     test: LabeledDataset,
     metric: str = "geodesic",
 ) -> float:
     """Top-1 accuracy of the aggregated model on the held-out test slice."""
-    if test.size == 0:
-        raise ValueError("global test set is empty")
     pred = learner.predict_batch(global_params, ext, protos, test.features, metric)
     return float(np.mean(pred == test.labels))
 
 
 def evaluate_pfl(
-    global_params: ParamVector,
+    global_params: np.ndarray,
     shards: list[ClientShard],
     protos: list[PrototypeSet],
     ext: ExtractorConfig,
@@ -244,7 +242,7 @@ def evaluate_pfl(
     seeds: list[int],
     finetune_epochs: int = 5,
     metric: str = "geodesic",
-) -> tuple[list[float | None], list[ParamVector | None]]:
+) -> tuple[list[float | None], list[np.ndarray | None]]:
     """Per-client accuracy after finetuning a copy of the global model.
 
     Each client receives its own copy, finetunes on the local train split
@@ -255,9 +253,9 @@ def evaluate_pfl(
     parameters are never mutated.
     """
     accs: list[float | None] = []
-    tuned: list[ParamVector | None] = []
+    tuned: list[np.ndarray | None] = []
     for shard, proto_k, seed in zip(shards, protos, seeds, strict=True):
-        if shard.test is None or shard.test.size == 0:
+        if shard.test is None:
             log.debug("client %d has no local test split; skipped in P-FL", shard.client_id)
             accs.append(None)
             tuned.append(None)
@@ -339,7 +337,7 @@ def _run(
     counts = [shard.n_train for shard in shards]
     records: list[RoundRecord] = []
     agg_log: list[dict] = []
-    carried: list[ParamVector | None] = [None] * len(shards)
+    carried: list[np.ndarray | None] = [None] * len(shards)
 
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
@@ -347,7 +345,7 @@ def _run(
             server_protos, client_protos, _ = _round_prototypes(
                 cfg, variant, ds.num_classes, t, pspec.num_clients
             )
-        locals_: list[ParamVector] = []
+        locals_: list[np.ndarray] = []
         losses: list[float] = []
         for k, shard in enumerate(shards):
             theta_k = carried[k]
@@ -374,10 +372,10 @@ def _run(
         theta_next = agg.aggregate(theta, dev, weights)
 
         # conservation re-check against an independently ordered accumulation
-        acc = theta.values.copy()
+        acc = theta.copy()
         for k in range(len(locals_)):
             acc = acc + weights.p[k] * dev.deltas[k]
-        drift = float(np.max(np.abs(theta_next.values - acc)))
+        drift = float(np.max(np.abs(theta_next - acc)))
         if drift > 1e-12 * max(1.0, float(np.max(np.abs(acc)))):
             raise RuntimeError(f"round {t}: aggregation drifted from its definition ({drift})")
         theta_before, theta = theta, theta_next
@@ -452,7 +450,8 @@ def run_experiment(
     """Run the full method: frozen uniform prototypes + min-norm aggregation.
 
     ``round_hook(t, theta_before, client_params, weights, theta_after)`` is
-    invoked after each round when given; useful for auditing aggregation.
+    invoked after each round when given, with the flat parameter arrays;
+    useful for auditing aggregation.
     """
     return _run(cfg, None, out_dir, round_hook)
 
@@ -505,13 +504,14 @@ def persist_result(result: ExperimentResult, out_dir: str | Path) -> None:
         "activation": ext.activation,
         "metric": result.config.metric,
     }
+    layout = learner.layout_for(ext)
     save_params(
-        result.global_params, out / "global.params",
+        ParamVector(result.global_params, layout), out / "global.params",
         {**model, "prototypes_sha256": result.prototypes.sha256()},
     )
     clients = zip(result.client_params, result.client_prototypes, strict=True)
     for k, (params, protos) in enumerate(clients):
-        save_params(params, out / f"client_{k:03d}.params",
+        save_params(ParamVector(params, layout), out / f"client_{k:03d}.params",
                     {**model, "prototypes_sha256": protos.sha256()})
     final = result.records[-1]
     summary = {

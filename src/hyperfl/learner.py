@@ -16,7 +16,8 @@ and distance gradient comes from ``poincare``, which resolves the name.
 All gradients are analytic (chain rule through the exp map and the distance
 formula); the optimizer is plain SGD.  The prototypes are frozen, so every
 trainable parameter lives in flat Euclidean space and no manifold-aware
-update is needed.
+update is needed.  The parameters theta are one flat float64 array; only
+this module reads its per-layer layout, ``layout_for``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from hyperfl import poincare
 from hyperfl.data import ClientShard, LabeledDataset, require_ints
-from hyperfl.params import ParamVector
 from hyperfl.prototypes import PrototypeSet
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -78,25 +78,34 @@ class TripletConfig:
 
 
 def layout_for(cfg: ExtractorConfig):
-    dims = cfg.dims
+    """(name, shape) of the tensors packed into theta: w{i}, b{i} per layer."""
     layout = []
-    for i in range(len(dims) - 1):
-        layout.append((f"w{i}", (dims[i + 1], dims[i])))
-        layout.append((f"b{i}", (dims[i + 1],)))
+    for i, (fan_in, fan_out) in enumerate(zip(cfg.dims, cfg.dims[1:])):
+        layout += [(f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
     return tuple(layout)
 
 
-def init_params(cfg: ExtractorConfig) -> ParamVector:
+def _layers(theta: np.ndarray, cfg: ExtractorConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W, b) views into the flat ``theta``, in ``layout_for`` order."""
+    views, offset = [], 0
+    for _, shape in layout_for(cfg):
+        size = math.prod(shape)
+        views.append(theta[offset : offset + size].reshape(shape))
+        offset += size
+    if offset != theta.size:
+        raise ValueError(f"parameter vector has {theta.size} values, layout expects {offset}")
+    return list(zip(views[::2], views[1::2]))
+
+
+def init_params(cfg: ExtractorConfig) -> np.ndarray:
     """Glorot-uniform weights, zero biases, seeded by cfg.init_seed."""
     rng = np.random.default_rng(cfg.init_seed)
-    dims = cfg.dims
-    named = []
-    for i in range(len(dims) - 1):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    theta = np.zeros(sum(math.prod(shape) for _, shape in layout_for(cfg)))
+    for w, _ in _layers(theta, cfg):
+        fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        named.append((f"w{i}", rng.uniform(-limit, limit, size=(fan_out, fan_in))))
-        named.append((f"b{i}", np.zeros(fan_out)))
-    return ParamVector.from_tensors(named)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return theta
 
 
 def _act(a: np.ndarray, kind: str) -> np.ndarray:
@@ -116,17 +125,16 @@ def _act_prime_from_output(h: np.ndarray, kind: str) -> np.ndarray:
     return np.ones_like(h)
 
 
-def _forward_cached(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray):
-    tensors = theta.tensors()
-    n_layers = len(cfg.dims) - 1
+def _forward_cached(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
+    layers = _layers(theta, cfg)
     acts = [x]
-    for i in range(n_layers):
-        a = acts[-1] @ tensors[f"w{i}"].T + tensors[f"b{i}"]
-        acts.append(_act(a, cfg.activation) if i < n_layers - 1 else a)
-    return acts[-1], acts, tensors
+    for i, (w, b) in enumerate(layers):
+        a = acts[-1] @ w.T + b
+        acts.append(_act(a, cfg.activation) if i < len(layers) - 1 else a)
+    return acts[-1], acts, layers
 
 
-def forward_batch(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray) -> np.ndarray:
+def forward_batch(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray) -> np.ndarray:
     """Tangent-space features for a (B, input_dim) batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.input_dim:
@@ -135,13 +143,13 @@ def forward_batch(theta: ParamVector, cfg: ExtractorConfig, x: np.ndarray) -> np
     return z
 
 
-def _backward(cfg: ExtractorConfig, acts, tensors, delta: np.ndarray, grads) -> None:
-    """Write each layer's gradient into the matching view of ``grads``."""
-    for i in reversed(range(len(acts) - 1)):
-        np.matmul(delta.T, acts[i], out=grads[f"w{i}"])
-        np.add.reduce(delta, axis=0, out=grads[f"b{i}"])
+def _backward(cfg: ExtractorConfig, acts, layers, delta: np.ndarray, grads) -> None:
+    """Write each layer's gradient into its (W, b) views in ``grads``."""
+    for i in reversed(range(len(layers))):
+        np.matmul(delta.T, acts[i], out=grads[i][0])
+        np.add.reduce(delta, axis=0, out=grads[i][1])
         if i > 0:
-            delta = (delta @ tensors[f"w{i}"]) * _act_prime_from_output(acts[i], cfg.activation)
+            delta = (delta @ layers[i][0]) * _act_prime_from_output(acts[i], cfg.activation)
 
 
 def _distances_at(p: np.ndarray, w: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
@@ -170,7 +178,7 @@ def sample_negative(y: int | np.ndarray, num_classes: int, rng: np.random.Genera
 
 
 def triplet_grad(
-    theta: ParamVector,
+    theta: np.ndarray,
     cfg: ExtractorConfig,
     x: np.ndarray,
     y: np.ndarray,
@@ -178,8 +186,8 @@ def triplet_grad(
     tcfg: TripletConfig,
     rng: np.random.Generator | None = None,
     metric: str = "geodesic",
-    out: ParamVector | None = None,
-) -> tuple[float, ParamVector]:
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     """Batch-mean triplet loss and its analytic gradient in theta.
 
     Per sample the loss averages tcfg.negatives_per_sample independently
@@ -191,30 +199,28 @@ def triplet_grad(
     positive and the negative of every active (round, sample) pair.  A step
     with no active hinge skips it, the pullback and the backward pass.
 
-    The gradient is written into ``out`` and returned.  ``out`` must share
-    theta's layout; a caller that steps repeatedly passes the same buffer
-    every time, and when it is None a fresh vector is allocated.  The class
-    count and output dimension are checked once per call, and the finished
-    gradient once for finiteness, so a diverging step raises ValueError.
+    The gradient is written into ``out`` and returned.  ``out`` must have
+    theta's shape; a caller that steps repeatedly passes the same buffer
+    every time, and when it is None a fresh vector is allocated.  The output
+    dimension is checked once per call, and the finished gradient once for
+    finiteness, so a diverging step raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     c = protos.num_classes
-    if c < 2:
-        raise ValueError("need at least two classes to sample a negative")
     if cfg.output_dim != protos.dim:
         raise ValueError("extractor output dimension must match the prototypes")
     if out is None:
-        out = ParamVector(np.zeros_like(theta.values), theta.layout)
-    elif not out.same_layout(theta):
-        raise ValueError("gradient buffer layout differs from the parameters")
+        out = np.zeros_like(theta)
+    elif out.shape != theta.shape:
+        raise ValueError("gradient buffer shape differs from the parameters")
     if rng is None:
         rng = np.random.default_rng(tcfg.seed)
     b = x.shape[0]
 
-    z, acts, tensors = _forward_cached(theta, cfg, x)
+    z, acts, layers = _forward_cached(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
     # row 0: the true labels; row 1 + r: the negatives of round r
     cols = np.empty((1 + tcfg.negatives_per_sample, b), dtype=np.int64)
@@ -242,22 +248,22 @@ def triplet_grad(
         flat = (s[:, None] * p.shape[1] + np.arange(p.shape[1])).ravel()
         np.add.at(d_p_acc, flat, (g[s] - g[b:]).ravel())
         d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc.reshape(p.shape) * scale)
-        _backward(cfg, acts, tensors, d_z, out.tensors())
-        finite = np.isfinite(out.values).all()
+        _backward(cfg, acts, layers, d_z, _layers(out, cfg))
+        finite = np.isfinite(out).all()
     else:
         # zeros pulled back stay zero unless they meet 0 * inf: in an input or
         # weight the backward pass multiplies them by, or a non-finite ||z||
         seen = [np.add.reduce(z * z, axis=-1), *acts[:-1]]
-        seen += [tensors[f"w{i}"] for i in range(1, len(acts) - 1)]
+        seen += [w for w, _ in layers[1:]]
         finite = all(np.isfinite(a).all() for a in seen)
-        out.values.fill(0.0)
+        out.fill(0.0)
     if not finite:
         raise ValueError("gradient is not finite; training diverged")
     return loss, out
 
 
 def mean_triplet_loss(
-    theta: ParamVector,
+    theta: np.ndarray,
     cfg: ExtractorConfig,
     ds: LabeledDataset,
     protos: PrototypeSet,
@@ -277,7 +283,7 @@ def mean_triplet_loss(
 
 
 def local_train(
-    theta_in: ParamVector,
+    theta_in: np.ndarray,
     shard: ClientShard,
     protos: PrototypeSet,
     cfg: ExtractorConfig,
@@ -287,7 +293,7 @@ def local_train(
     lr: float,
     seed: int = 0,
     metric: str = "geodesic",
-) -> ParamVector:
+) -> np.ndarray:
     """Mini-batch SGD on the local training split.
 
     One RNG (from ``seed``) drives both the per-epoch shuffle and the
@@ -303,9 +309,7 @@ def local_train(
     theta = theta_in.copy()
     train = shard.train
     n = train.size
-    if n == 0:
-        raise ValueError(f"client {shard.client_id}: empty training split")
-    grad = ParamVector(np.zeros_like(theta.values), theta.layout)
+    grad = np.zeros_like(theta)
     try:
         for _ in range(epochs):
             order = rng.permutation(n)
@@ -315,9 +319,9 @@ def local_train(
                     theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
                     rng=rng, metric=metric, out=grad,
                 )
-                grad.values *= lr
-                theta.values -= grad.values
-        if not np.isfinite(theta.values).all():
+                grad *= lr
+                theta -= grad
+        if not np.isfinite(theta).all():
             raise ValueError("local training diverged (parameters not finite)")
     except ValueError as err:
         raise ValueError(f"client {shard.client_id}: {err}") from err
@@ -325,7 +329,7 @@ def local_train(
 
 
 def predict_batch(
-    theta: ParamVector,
+    theta: np.ndarray,
     cfg: ExtractorConfig,
     protos: PrototypeSet,
     x: np.ndarray,

@@ -1,9 +1,10 @@
-"""Flat parameter vectors with named-tensor layouts.
+"""Parameter checkpoints: a flat float64 vector and its named layout.
 
-A ParamVector is the unit of exchange between clients and server: the
-feature-extractor tensors flattened into one float64 vector plus an ordered
-(name, shape) layout.  Two vectors can be combined only when their layouts
-match exactly.
+Inside the program a model's parameters are one flat float64 array, whose
+layout only ``learner`` knows.  A ParamVector is the record written to and
+read from disk: those values plus the ordered (name, shape) layout they
+unflatten into, checked on construction to be finite and of the size the
+layout implies.
 
 Checkpoint format: magic, one UTF-8 JSON header line, then the raw values
 as little-endian float64.  The header object holds ``layout``, the ordered
@@ -41,28 +42,6 @@ class ParamVector:
             raise ValueError(f"layout expects {expected} values, got {self.values.size}")
         if not np.isfinite(self.values).all():
             raise ValueError("parameter values must be finite")
-
-    def same_layout(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Unflatten into named tensors (views reshaped from the flat vector)."""
-        out = {}
-        offset = 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            out[name] = self.values[offset : offset + size].reshape(shape)
-            offset += size
-        return out
-
-    @staticmethod
-    def from_tensors(named: list[tuple[str, np.ndarray]]) -> "ParamVector":
-        layout = tuple((name, tuple(arr.shape)) for name, arr in named)
-        flat = np.concatenate([np.asarray(arr, dtype=np.float64).ravel() for _, arr in named])
-        return ParamVector(flat, layout)
 
 
 # the header's "model" object: field -> JSON type

@@ -28,7 +28,8 @@ _PROTO_MAGIC = b"HFPROTO1"
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """C fixed class prototypes of dimension n, every row at norm ``slope``."""
+    """C >= 2 fixed class prototypes of dimension n, every row at norm
+    ``slope`` in (0, 1 - EPS_BALL], strictly inside the open ball."""
 
     weights: np.ndarray  # (C, n) ball coordinates
     slope: float
@@ -38,6 +39,8 @@ class PrototypeSet:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 2:
             raise ValueError("prototype matrix must be (C, n) with C >= 2")
+        if not 0.0 < self.slope <= 1.0 - EPS_BALL:  # NaN fails too
+            raise ValueError(f"slope must be in (0, {1.0 - EPS_BALL}], got {self.slope}")
         norms = np.linalg.norm(w, axis=1)
         if not np.all(np.abs(norms - self.slope) <= 1e-9):  # NaN fails too
             raise ValueError("every prototype row must have norm equal to slope")
@@ -222,15 +225,9 @@ def optimize_prototypes(
 
 
 def contract(w_unit: np.ndarray, s: float, seed: int = -1) -> PrototypeSet:
-    """Scale a unit-row configuration radially by slope s.
-
-    s must lie in (0, 1 - EPS_BALL]: s = 1 would pin the prototypes on the
-    open ball's boundary where the distance diverges.  Scaling leaves all
-    pairwise cosines unchanged.
-    """
+    """Scale a unit-row configuration radially by slope s, which PrototypeSet
+    checks.  Scaling leaves all pairwise cosines unchanged."""
     w_unit = _check_unit_rows(w_unit)
-    if not 0.0 < s <= 1.0 - EPS_BALL:
-        raise ValueError(f"slope must be in (0, {1.0 - EPS_BALL}], got {s}")
     return PrototypeSet(weights=s * w_unit, slope=s, seed=seed)
 
 

@@ -73,7 +73,7 @@ def fingerprint() -> str:
 def output_hashes(name: str, tmp: Path) -> dict[str, str]:
     """sha256 of every file one config writes, except the timed ones."""
     config, variant = CONFIGS[name]
-    cfg = ExperimentConfig.from_dict(json.loads(json.dumps(config)))
+    cfg = ExperimentConfig.from_dict(config)
     out = tmp / name
     if variant is None:
         run_experiment(cfg, out_dir=out)

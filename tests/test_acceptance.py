@@ -20,7 +20,6 @@ from hyperfl.federation import (
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
-from hyperfl.params import ParamVector
 from hyperfl.prototypes import build_prototypes, optimize_prototypes
 from oracles import log0
 
@@ -31,8 +30,7 @@ def report(num, ok, desc):
 
 
 def pv(values):
-    values = np.asarray(values, dtype=float).ravel()
-    return ParamVector(values, (("w", (values.size,)),))
+    return np.asarray(values, dtype=float).ravel()
 
 
 def desk_config(seed, alpha=0.5, aggregator="consistent"):
@@ -121,21 +119,21 @@ def test_criterion_3_gradient_oracle():
         theta = learner.init_params(
             ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3, init_seed=draw)
         )
-        theta.values += 0.3 * rng.standard_normal(theta.values.size)
+        theta += 0.3 * rng.standard_normal(theta.size)
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
         _, grad = learner.triplet_grad(theta, cfg, x, y, protos, tcfg)
         h = 1e-5
-        fd = np.zeros_like(theta.values)
-        for i in range(theta.values.size):
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
-            tp.values[i] += h
-            tm.values[i] -= h
+            tp[i] += h
+            tm[i] -= h
             lp, _ = learner.triplet_grad(tp, cfg, x, y, protos, tcfg)
             lm, _ = learner.triplet_grad(tm, cfg, x, y, protos, tcfg)
             fd[i] = (lp - lm) / (2 * h)
-        both_small = (np.abs(fd) < 1e-8) & (np.abs(grad.values) < 1e-8)
-        rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
+        both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         ok &= float(np.max(np.where(both_small, 0.0, rel))) < 1e-4
     elapsed = time.time() - t0
     ok &= elapsed < 10.0
@@ -198,8 +196,8 @@ def test_criterion_5_fedavg_reduction():
     drifts = []
 
     def hook(t, before, locals_, weights, after):
-        direct = sum(w * loc.values for w, loc in zip(weights.p, locals_))
-        drifts.append(float(np.max(np.abs(after.values - direct))))
+        direct = sum(w * loc for w, loc in zip(weights.p, locals_))
+        drifts.append(float(np.max(np.abs(after - direct))))
 
     run_ablation(cfg, "averaged", round_hook=hook)
     ok = len(drifts) == 5 and max(drifts) < 1e-12

@@ -28,7 +28,6 @@ from hyperfl.federation import (
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
-from hyperfl.params import ParamVector
 from hyperfl.prototypes import build_prototypes
 
 
@@ -39,21 +38,21 @@ class TestMultipleNegatives:
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=3, seed=13)
         rng = np.random.default_rng(1)
         theta = learner.init_params(cfg)
-        theta.values += 0.2 * rng.standard_normal(theta.values.size)
+        theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 4, 4)
         _, grad = learner.triplet_grad(theta, cfg, x, y, protos, tcfg)
         h = 1e-5
-        fd = np.zeros_like(theta.values)
-        for i in range(theta.values.size):
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
-            tp.values[i] += h
-            tm.values[i] -= h
+            tp[i] += h
+            tm[i] -= h
             lp, _ = learner.triplet_grad(tp, cfg, x, y, protos, tcfg)
             lm, _ = learner.triplet_grad(tm, cfg, x, y, protos, tcfg)
             fd[i] = (lp - lm) / (2 * h)
-        both_small = (np.abs(fd) < 1e-8) & (np.abs(grad.values) < 1e-8)
-        rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
+        both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
+        rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert float(np.max(np.where(both_small, 0.0, rel))) < 1e-4
 
     def test_loss_averages_over_draws(self):
@@ -72,7 +71,7 @@ class TestMultipleNegatives:
             theta, cfg, x, y, protos, TripletConfig(negatives_per_sample=5, seed=0)
         )
         assert l1 == pytest.approx(l5, abs=1e-12)
-        assert np.max(np.abs(g1.values - g5.values)) < 1e-12
+        assert np.max(np.abs(g1 - g5)) < 1e-12
 
 
 class TestEuclideanMetric:
@@ -85,7 +84,7 @@ class TestEuclideanMetric:
         norms = np.linalg.norm(w, axis=1)
         protos_in = PrototypeSet(weights=w * (0.9 / norms[:, None]), slope=0.9)
         cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
-        theta = ParamVector.from_tensors([("w0", np.eye(2)), ("b0", np.zeros(2))])
+        theta = np.concatenate((np.eye(2).ravel(), np.zeros(2)))  # w0 = I, b0 = 0
         x = np.array([0.2, 0.0])
         geo = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="geodesic")[0]
         euc = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="euclidean")[0]
@@ -179,11 +178,7 @@ class TestSolverBudget:
     def test_budget_exhaustion_reports_honest_gap(self):
         rng = np.random.default_rng(6)
         deltas = [rng.standard_normal(12) for _ in range(6)]
-        layout = (("w", (12,)),)
-        dev = agg.compute_deviations(
-            ParamVector(np.zeros(12), layout),
-            [ParamVector(d, layout) for d in deltas],
-        )
+        dev = agg.compute_deviations(np.zeros(12), deltas)
         w = agg.min_norm_weights(dev, [1] * 6, max_iters=1)
         assert w.cu_iterations == 1
         assert abs(float(np.sum(w.p)) - 1.0) < 1e-9

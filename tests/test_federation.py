@@ -29,7 +29,7 @@ from hyperfl.federation import (
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
-from hyperfl.params import ParamVector, load_params
+from hyperfl.params import load_params
 from hyperfl.prototypes import build_prototypes, load_prototypes, save_prototypes
 from oracles import log0
 
@@ -93,7 +93,7 @@ class TestRunExperiment:
 
         res = run_experiment(cfg, round_hook=hook)
         # theta + (theta_k - theta) cancels to the client model up to rounding
-        assert np.max(np.abs(res.global_params.values - captured["client"].values)) < 1e-14
+        assert np.max(np.abs(res.global_params - captured["client"])) < 1e-14
 
     def test_zero_lr_freezes_global_accuracy(self):
         cfg = tiny_config(rounds=3, lr=0.0)
@@ -106,7 +106,7 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert [r.to_json_dict() for r in a.records] == [r.to_json_dict() for r in b.records]
-        assert np.array_equal(a.global_params.values, b.global_params.values)
+        assert np.array_equal(a.global_params, b.global_params)
 
     def test_round_count_and_record_fields(self):
         cfg = tiny_config(rounds=4)
@@ -123,8 +123,8 @@ class TestRunExperiment:
 
         def hook(t, before, locals_, weights, after):
             dev = agg.compute_deviations(before, locals_)
-            expected = before.values + weights.p @ dev.deltas
-            checks.append(float(np.max(np.abs(after.values - expected))))
+            expected = before + weights.p @ dev.deltas
+            checks.append(float(np.max(np.abs(after - expected))))
 
         run_experiment(cfg, round_hook=hook)
         assert len(checks) == 3
@@ -189,7 +189,7 @@ class TestClientIsolation:
 
         a = train_round([0, 1, 2])
         b = train_round([2, 0, 1])
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+        assert np.max(np.abs(a - b)) < 1e-12
 
 
 class TestEvaluate:
@@ -199,7 +199,7 @@ class TestEvaluate:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=4, hidden=(), output_dim=3)
         bias = log0(protos.weights[0])
-        theta = ParamVector.from_tensors([("w0", np.zeros((3, 4))), ("b0", bias)])
+        theta = np.concatenate((np.zeros(3 * 4), bias))  # w0 = 0, b0 = bias
         test = LabeledDataset(np.random.default_rng(0).standard_normal((20, 4)),
                               np.zeros(20, dtype=int), 3)
         assert evaluate_gfl(theta, ext, protos, test) == 1.0
@@ -231,10 +231,10 @@ class TestEvaluate:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
-        digest = hashlib.sha256(theta.values.tobytes()).hexdigest()
+        digest = hashlib.sha256(theta.tobytes()).hexdigest()
         evaluate_pfl(theta, shards, [protos], ext, TripletConfig(seed=0), lr=0.3,
                      batch_size=16, seeds=[derive_seed(1, "pfl", 0)], finetune_epochs=2)
-        assert hashlib.sha256(theta.values.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
 
     def test_pfl_skips_clients_without_test_split(self):
         ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
@@ -327,8 +327,8 @@ class TestPflIsNextLocalUpdate:
         for t, (before, locals_) in enumerate(seen):
             for k, (shard, protos) in enumerate(zip(res.shards, res.client_prototypes)):
                 want = fresh_local_train(cfg, before, shard, protos, cfg.local_epochs, t, k)
-                assert locals_[k].values.tobytes() == want.values.tobytes()
-        assert all(a.values.tobytes() == b.values.tobytes()
+                assert locals_[k].tobytes() == want.tobytes()
+        assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(res.client_params, seen[-1][1], strict=True))
 
     @pytest.mark.parametrize(
@@ -363,7 +363,7 @@ class TestAblations:
     def test_averaged_with_single_client_matches_full(self):
         full = run_experiment(tiny_config(rounds=2, clients=1))
         avg = run_ablation(tiny_config(rounds=2, clients=1), "averaged")
-        assert np.array_equal(full.global_params.values, avg.global_params.values)
+        assert np.array_equal(full.global_params, avg.global_params)
         assert [r.gfl_accuracy for r in full.records] == [r.gfl_accuracy for r in avg.records]
 
     def test_unknown_variant_rejected(self):
@@ -440,7 +440,7 @@ class TestPersistence:
         cfg = tiny_config(rounds=2)
         res = run_experiment(cfg, out_dir=tmp_path / "run")
         params, _ = load_params(tmp_path / "run" / "global.params")
-        assert np.array_equal(params.values, res.global_params.values)
+        assert np.array_equal(params.values, res.global_params)
         protos = load_prototypes(tmp_path / "run" / "prototypes.bin")
         assert protos.to_bytes() == res.prototypes.to_bytes()
 

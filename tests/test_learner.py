@@ -19,7 +19,6 @@ from hyperfl.learner import (
     sample_negative,
     triplet_grad,
 )
-from hyperfl.params import ParamVector
 from hyperfl.prototypes import PrototypeSet, build_prototypes
 from oracles import log0
 
@@ -39,22 +38,26 @@ def protos3():
     return ps
 
 
+def flat(*tensors):
+    """Parameters packed in ``layout_for`` order: w0, b0, w1, b1, ..."""
+    return np.concatenate([np.asarray(t, dtype=np.float64).ravel() for t in tensors])
+
+
 def constant_feature(z):
     """A linear extractor (one input) whose tangent feature is always ``z``."""
-    theta = ParamVector.from_tensors([("w0", np.zeros((z.size, 1))), ("b0", z)])
-    return theta, linear_cfg(1, z.size)
+    return flat(np.zeros((z.size, 1)), z), linear_cfg(1, z.size)
 
 
 class TestExtract:
     def test_zero_parameters_give_zero_feature(self):
         cfg = ExtractorConfig(input_dim=4, hidden=(6,), output_dim=3)
-        theta = ParamVector(np.zeros(sum(np.prod(s) for _, s in layout_for(cfg))), layout_for(cfg))
+        theta = np.zeros(sum(np.prod(s) for _, s in layout_for(cfg)))
         out = forward_batch(theta, cfg, np.array([[1.0, -2.0, 0.5, 3.0]]))
         assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_identity_layer_passes_basis_vector(self):
         cfg = linear_cfg(3, 3)
-        theta = ParamVector.from_tensors([("w0", np.eye(3)), ("b0", np.zeros(3))])
+        theta = flat(np.eye(3), np.zeros(3))
         out = forward_batch(theta, cfg, np.array([[1.0, 0.0, 0.0]]))
         assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
@@ -64,6 +67,18 @@ class TestExtract:
         a = forward_batch(init_params(cfg), cfg, x)
         b = forward_batch(init_params(cfg), cfg, x)
         assert np.array_equal(a, b)
+
+    def test_layer_views_follow_layout(self):
+        # init_params writes weights and biases through the layer views: the
+        # bias slices at layout_for offsets are zero, the weight slices not
+        cfg = ExtractorConfig(input_dim=4, hidden=(6, 5), output_dim=3, init_seed=7)
+        theta = init_params(cfg)
+        offset = 0
+        for name, shape in layout_for(cfg):
+            part = theta[offset : offset + int(np.prod(shape))]
+            offset += part.size
+            assert part.any() == name.startswith("w"), name
+        assert offset == theta.size
 
     def test_dimension_checked(self):
         cfg = linear_cfg(3, 2)
@@ -95,14 +110,12 @@ class TestTripletGrad:
         cfg = linear_cfg(2, 2)
         z0 = log0(ps.weights[0])
         z1 = log0(ps.weights[1])
-        theta = ParamVector.from_tensors(
-            [("w0", np.stack([z0, z1], axis=1)), ("b0", np.zeros(2))]
-        )
+        theta = flat(np.stack([z0, z1], axis=1), np.zeros(2))
         x = np.eye(2)
         y = np.array([0, 1])
         loss, grad = triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0, seed=0))
         assert loss == 0.0
-        assert np.array_equal(grad.values, np.zeros_like(grad.values))
+        assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_single_layer_matches_finite_differences(self):
         ps = antipodal_protos()
@@ -110,21 +123,21 @@ class TestTripletGrad:
         tcfg = TripletConfig(margin=3.0, seed=7)
         rng = np.random.default_rng(0)
         theta = init_params(cfg)
-        theta.values += 0.2 * rng.standard_normal(theta.values.size)
+        theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((1, 2))
         y = np.array([0])
         _, grad = triplet_grad(theta, cfg, x, y, ps, tcfg)
         h = 1e-5
-        fd = np.zeros_like(theta.values)
-        for i in range(theta.values.size):
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
-            tp.values[i] += h
-            tm.values[i] -= h
+            tp[i] += h
+            tm[i] -= h
             lp, _ = triplet_grad(tp, cfg, x, y, ps, tcfg)
             lm, _ = triplet_grad(tm, cfg, x, y, ps, tcfg)
             fd[i] = (lp - lm) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-8)
-        assert np.max(np.abs(grad.values - fd) / denom) < 1e-4
+        assert np.max(np.abs(grad - fd) / denom) < 1e-4
 
     def test_repeated_sample_batch_equals_single(self):
         # C = 2 makes the sampled negative deterministic, so batch mean over
@@ -137,7 +150,7 @@ class TestTripletGrad:
         y = np.array([1])
         _, g1 = triplet_grad(theta, cfg, x, y, ps, tcfg)
         _, gb = triplet_grad(theta, cfg, np.repeat(x, 8, axis=0), np.repeat(y, 8), ps, tcfg)
-        assert np.max(np.abs(g1.values - gb.values)) < 1e-12
+        assert np.max(np.abs(g1 - gb)) < 1e-12
 
     def test_gradient_oracle_small_mlp(self, protos3):
         # 20 random draws on a [4 -> 8 -> 3] extractor, C = 3, m = 3
@@ -148,21 +161,21 @@ class TestTripletGrad:
             theta = init_params(
                 ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3, init_seed=draw)
             )
-            theta.values += 0.3 * rng.standard_normal(theta.values.size)
+            theta += 0.3 * rng.standard_normal(theta.size)
             x = rng.standard_normal((5, 4))
             y = rng.integers(0, 3, 5)
             _, grad = triplet_grad(theta, cfg, x, y, protos3, tcfg)
             h = 1e-5
-            fd = np.zeros_like(theta.values)
-            for i in range(theta.values.size):
+            fd = np.zeros_like(theta)
+            for i in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
-                tp.values[i] += h
-                tm.values[i] -= h
+                tp[i] += h
+                tm[i] -= h
                 lp, _ = triplet_grad(tp, cfg, x, y, protos3, tcfg)
                 lm, _ = triplet_grad(tm, cfg, x, y, protos3, tcfg)
                 fd[i] = (lp - lm) / (2 * h)
-            both_small = (np.abs(fd) < 1e-8) & (np.abs(grad.values) < 1e-8)
-            rel = np.abs(grad.values - fd) / np.maximum(np.abs(fd), 1e-8)
+            both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
+            rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.where(both_small, 0.0, rel)) < 1e-4
 
     def test_euclidean_metric_gradient(self):
@@ -174,15 +187,15 @@ class TestTripletGrad:
         y = np.array([0])
         _, grad = triplet_grad(theta, cfg, x, y, ps, tcfg, metric="euclidean")
         h = 1e-5
-        fd = np.zeros_like(theta.values)
-        for i in range(theta.values.size):
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
-            tp.values[i] += h
-            tm.values[i] -= h
+            tp[i] += h
+            tm[i] -= h
             lp, _ = triplet_grad(tp, cfg, x, y, ps, tcfg, metric="euclidean")
             lm, _ = triplet_grad(tm, cfg, x, y, ps, tcfg, metric="euclidean")
             fd[i] = (lp - lm) / (2 * h)
-        assert np.max(np.abs(grad.values - fd)) < 1e-4
+        assert np.max(np.abs(grad - fd)) < 1e-4
 
 
 class TestSampleNegative:
@@ -241,13 +254,13 @@ class TestLocalTrain:
         shard = make_blob_shard()
         theta = init_params(self.cfg)
         out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 3, 16, lr=0.0, seed=1)
-        assert np.array_equal(out.values, theta.values)
+        assert np.array_equal(out, theta)
 
     def test_zero_epochs_is_identity(self):
         shard = make_blob_shard()
         theta = init_params(self.cfg)
         out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 0, 16, lr=0.3, seed=1)
-        assert np.array_equal(out.values, theta.values)
+        assert np.array_equal(out, theta)
 
     def test_loss_decreases_on_separable_blobs(self):
         shard = make_blob_shard(seed=3)
@@ -262,14 +275,14 @@ class TestLocalTrain:
         theta = init_params(self.cfg)
         a = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
         b = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_input_params_not_mutated(self):
         shard = make_blob_shard(seed=5)
         theta = init_params(self.cfg)
-        snapshot = theta.values.copy()
+        snapshot = theta.copy()
         local_train(theta, shard, self.ps, self.cfg, self.tcfg, 2, 16, lr=0.3, seed=2)
-        assert np.array_equal(theta.values, snapshot)
+        assert np.array_equal(theta, snapshot)
 
 
 class TestPredict:
@@ -277,20 +290,20 @@ class TestPredict:
         cfg = linear_cfg(3, 3)
         for c in range(3):
             z = log0(protos3.weights[c])
-            theta = ParamVector.from_tensors([("w0", np.diag(z)), ("b0", np.zeros(3))])
+            theta = flat(np.diag(z), np.zeros(3))
             assert predict_batch(theta, cfg, protos3, np.ones((1, 3)))[0] == c
 
     def test_tie_breaks_to_lowest_class(self):
         # zero features are equidistant from antipodal prototypes
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
-        theta = ParamVector.from_tensors([("w0", np.zeros((2, 2))), ("b0", np.zeros(2))])
+        theta = flat(np.zeros((2, 2)), np.zeros(2))
         assert predict_batch(theta, cfg, ps, np.array([[1.0, 2.0]]))[0] == 0
 
     def test_representation_stays_in_ball(self):
         cfg = ExtractorConfig(input_dim=3, hidden=(4,), output_dim=2, init_seed=0)
         theta = init_params(cfg)
-        theta.values += 1e6  # absurd weights still give a valid ball point
+        theta += 1e6  # absurd weights still give a valid ball point
         z = forward_batch(theta, cfg, np.ones((1, 3)))
         p = poincare.exp_map_origin_arr(z)
         assert np.linalg.norm(p) <= 1.0 - poincare.EPS_BALL + 1e-15
@@ -324,7 +337,7 @@ def test_single_instance_shard_still_trains():
     ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
     shard = ClientShard(client_id=0, train=ds, test=None)
     out = local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 1, 4, 0.1, seed=0)
-    assert out.values.shape == init_params(cfg).values.shape
+    assert out.shape == init_params(cfg).shape
 
 
 def random_protos(num_classes, dim, seed, slope=0.9):
@@ -336,7 +349,7 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
     """Per-sample reference for triplet_grad: one scalar RNG draw per
     sample, and a fresh concatenated gradient per call."""
     b, c = x.shape[0], protos.num_classes
-    z, acts, tensors = learner._forward_cached(theta, cfg, x)
+    z, acts, layers = learner._forward_cached(theta, cfg, x)
     p = poincare.exp_map_origin_arr(z)
     d_all = poincare.distance_to_set_arr(p, protos.weights, metric)
     d_pos = d_all[np.arange(b), y]
@@ -359,18 +372,15 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
             d_p_acc[active] += grad_pos[active] - grad_neg
     scale = 1.0 / (b * tcfg.negatives_per_sample)
     d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc * scale)
-    n_layers = len(cfg.dims) - 1
-    grads = {}
+    grads = []
     delta = d_z
-    for i in reversed(range(n_layers)):
-        grads[f"w{i}"] = delta.T @ acts[i]
-        grads[f"b{i}"] = delta.sum(axis=0)
+    for i in reversed(range(len(layers))):
+        grads[:0] = [delta.T @ acts[i], delta.sum(axis=0)]
         if i > 0:
-            delta = (delta @ tensors[f"w{i}"]) * learner._act_prime_from_output(
+            delta = (delta @ layers[i][0]) * learner._act_prime_from_output(
                 acts[i], cfg.activation
             )
-    named = [(name, grads[name]) for name, _ in theta.layout]
-    return float(np.sum(loss_acc) * scale), ParamVector.from_tensors(named)
+    return float(np.sum(loss_acc) * scale), flat(*grads)
 
 
 def reference_local_train(theta_in, shard, protos, cfg, tcfg, epochs, batch_size, lr,
@@ -386,7 +396,7 @@ def reference_local_train(theta_in, shard, protos, cfg, tcfg, epochs, batch_size
                 theta, cfg, shard.train.features[idx], shard.train.labels[idx], protos,
                 tcfg, rng, metric,
             )
-            theta.values -= lr * grad.values
+            theta -= lr * grad
     return theta
 
 
@@ -410,8 +420,8 @@ class TestBitExactAgainstReference:
         args = (theta, shard, protos, cfg, tcfg, epochs, 8, 0.3)
         got = local_train(*args, seed=11)
         want = reference_local_train(*args, seed=11)
-        assert not np.array_equal(got.values, theta.values)
-        assert got.values.tobytes() == want.values.tobytes()
+        assert not np.array_equal(got, theta)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
     def test_triplet_grad_bitwise_equal(self, protos3, metric):
@@ -425,7 +435,7 @@ class TestBitExactAgainstReference:
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos3, tcfg,
                                                     np.random.default_rng(1), metric)
         assert loss == ref_loss
-        assert grad.values.tobytes() == ref_grad.values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
     @pytest.mark.parametrize("seed", range(8))
@@ -438,13 +448,13 @@ class TestBitExactAgainstReference:
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((1, 6)), rng.integers(0, 100, 1)
         theta = init_params(cfg)
-        theta.values += rng.standard_normal(theta.values.size)
+        theta += rng.standard_normal(theta.size)
         loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
                                   rng=np.random.default_rng(seed))
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
                                                     np.random.default_rng(seed), "geodesic")
         assert loss == ref_loss
-        assert grad.values.tobytes() == ref_grad.values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestNoActiveHinge:
@@ -455,7 +465,7 @@ class TestNoActiveHinge:
         protos = random_protos(6, 4, seed=3)
         cfg = linear_cfg(6, 4)
         z = log0(protos.weights)
-        theta = ParamVector.from_tensors([("w0", z.T), ("b0", np.zeros(4))])
+        theta = flat(z.T, np.zeros(4))
         y = np.array([0, 3, 5, 1, 1, 2, 4])
         x = np.eye(6)[y]
         tcfg = TripletConfig(margin=0.1, negatives_per_sample=negatives, seed=0)
@@ -464,8 +474,8 @@ class TestNoActiveHinge:
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
                                                     np.random.default_rng(2), "geodesic")
         assert loss == ref_loss == 0.0
-        assert grad.values.tobytes() == ref_grad.values.tobytes()
-        assert not grad.values.any()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert not grad.any()
 
 
 def steerable_net(target_z, k, activation):
@@ -476,10 +486,8 @@ def steerable_net(target_z, k, activation):
     parts = np.concatenate((np.maximum(target_z, 0.0), np.maximum(-target_z, 0.0)), axis=1) / k
     x = np.arctanh(parts) if activation == "tanh" else parts
     cfg = ExtractorConfig(input_dim=2 * n, hidden=(2 * n,), output_dim=n, activation=activation)
-    theta = ParamVector.from_tensors([
-        ("w0", np.eye(2 * n)), ("b0", np.zeros(2 * n)),
-        ("w1", k * np.hstack((np.eye(n), -np.eye(n)))), ("b1", np.zeros(n)),
-    ])
+    theta = flat(np.eye(2 * n), np.zeros(2 * n), k * np.hstack((np.eye(n), -np.eye(n))),
+                 np.zeros(n))
     return theta, cfg, x
 
 
@@ -530,21 +538,19 @@ class TestStepMatchesReference:
                 z[i] = rng.uniform(1e-7, 9e-5) * unit[i]
         theta, cfg, x = steerable_net(z, k, activation)
         if not on_prototypes:
-            w = theta.tensors()
-            w["w0"] += 1e-3 * rng.standard_normal(w["w0"].shape)
-            w["w1"] += 1e-3 * k * rng.standard_normal(w["w1"].shape)
+            (w0, _), (w1, _) = learner._layers(theta, cfg)
+            w0 += 1e-3 * rng.standard_normal(w0.shape)
+            w1 += 1e-3 * k * rng.standard_normal(w1.shape)
         tcfg = TripletConfig(margin=margin, negatives_per_sample=rounds, seed=0)
-        out = ParamVector(np.zeros_like(theta.values), theta.layout) if prefilled else None
-        if prefilled:
-            out.values[:] = np.nan
+        out = np.full_like(theta, np.nan) if prefilled else None
         loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
                                   rng=np.random.default_rng(seed), metric=metric, out=out)
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
                                                     np.random.default_rng(seed), metric)
         assert loss == ref_loss
-        assert grad.values.tobytes() == ref_grad.values.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
         if no_hinge:
-            assert loss == 0.0 and not grad.values.any()
+            assert loss == 0.0 and not grad.any()
 
 
 class TestMixedSteps:
@@ -571,8 +577,8 @@ class TestMixedSteps:
         args = (trained, shard, protos, cfg, tcfg, 4, 8, 0.3)
         got = local_train(*args, seed=5)
         want = reference_local_train(*args, seed=5)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert not np.array_equal(got.values, trained.values)
+        assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(got, trained)
         assert 0.0 in losses and any(loss > 0.0 for loss in losses)
 
 
@@ -631,26 +637,18 @@ class TestGradientBuffer:
 
     def test_prefilled_buffer_matches_fresh_gradient(self):
         theta = init_params(self.cfg)
-        out = ParamVector(np.zeros_like(theta.values), theta.layout)
-        out.values[:] = np.nan
+        out = np.full_like(theta, np.nan)
         loss, grad = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg, out=out)
         fresh_loss, fresh = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg)
         assert grad is out
         assert loss == fresh_loss
-        assert out.values.tobytes() == fresh.values.tobytes()
+        assert out.tobytes() == fresh.tobytes()
 
-    def test_buffer_layout_mismatch_rejected(self):
+    def test_buffer_shape_mismatch_rejected(self):
         theta = init_params(self.cfg)
         other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3))
-        with pytest.raises(ValueError, match="layout"):
+        with pytest.raises(ValueError, match="shape"):
             triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg, out=other)
-
-    def test_single_class_rejected(self):
-        # PrototypeSet itself refuses C < 2, so a stand-in carries the count
-        ps = SimpleNamespace(weights=np.array([[0.9, 0.0, 0.0]]), num_classes=1, dim=3)
-        with pytest.raises(ValueError, match="two classes"):
-            triplet_grad(init_params(self.cfg), self.cfg, self.x, np.zeros(10, dtype=int),
-                         ps, self.tcfg)
 
 
 class TestDivergenceFailsFast:
@@ -659,8 +657,8 @@ class TestDivergenceFailsFast:
         ps = antipodal_protos()
         cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
         theta = init_params(cfg)
-        theta.values *= 1e150  # finite, but the backward pass overflows
-        out = ParamVector(np.zeros_like(theta.values), theta.layout) if reuse_buffer else None
+        theta *= 1e150  # finite, but the backward pass overflows
+        out = np.zeros_like(theta) if reuse_buffer else None
         x, y = np.array([[1.0, -0.5], [0.3, 2.0]]), np.array([0, 1])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             triplet_grad(theta, cfg, x, y, ps, TripletConfig(seed=0), out=out)
@@ -679,7 +677,7 @@ class TestDivergenceFailsFast:
         if case == "z_overflows":
             cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
             theta = init_params(cfg)
-            theta.values *= 1e200
+            theta *= 1e200
             x = np.array([[1.0, -0.5]])
         elif case == "norm_overflows":
             # ||z|| overflows, so p = 0: a stand-in for PrototypeSet (whose
@@ -691,10 +689,8 @@ class TestDivergenceFailsFast:
         elif case == "inf_input":
             # every weight on the infinite input is nonzero: h = tanh(inf) = 1
             cfg = ExtractorConfig(input_dim=2, hidden=(2,), output_dim=2)
-            theta = ParamVector.from_tensors([
-                ("w0", np.array([[1.0, 0.0], [1.0, 1.0]])), ("b0", np.zeros(2)),
-                ("w1", np.outer(target, [1.0, 0.0])), ("b1", np.zeros(2)),
-            ])
+            theta = flat(np.array([[1.0, 0.0], [1.0, 1.0]]), np.zeros(2),
+                         np.outer(target, [1.0, 0.0]), np.zeros(2))
             x = np.array([[np.inf, 0.0]])
         else:
             # relu: an overflowing hidden layer that the next one zeroes;
@@ -702,13 +698,9 @@ class TestDivergenceFailsFast:
             relu = case == "hidden_overflow_zeroed"
             cfg = ExtractorConfig(input_dim=2, hidden=(2, 2), output_dim=2,
                                   activation="relu" if relu else "tanh")
-            theta = ParamVector.from_tensors([
-                ("w0", 1e10 * np.eye(2) if relu else np.eye(2)), ("b0", np.zeros(2)),
-                ("w1", -np.ones((2, 2)) if relu else np.eye(2)), ("b1", np.zeros(2)),
-                ("w2", np.zeros((2, 2))), ("b2", target),
-            ])
-            if not relu:
-                theta.tensors()["w1"][...] = np.diag([np.inf, np.inf])
+            theta = flat(1e10 * np.eye(2) if relu else np.eye(2), np.zeros(2),
+                         -np.ones((2, 2)) if relu else np.diag([np.inf, np.inf]), np.zeros(2),
+                         np.zeros((2, 2)), target)
             x = np.array([[1e300, 1e300]]) if relu else np.array([[0.5, -0.5]])
         with np.errstate(all="ignore"):
             z = forward_batch(theta, cfg, x)

@@ -139,6 +139,18 @@ class TestPrototypeSet:
         with pytest.raises(ValueError):
             PrototypeSet(weights=np.array([[0.9, 0.0], [0.5, 0.0]]), slope=0.9)
 
+    def test_rejects_single_class(self):
+        # a negative needs a class other than the true one
+        with pytest.raises(ValueError, match="C >= 2"):
+            PrototypeSet(weights=np.array([[0.9, 0.0, 0.0]]), slope=0.9)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.5, 1.0, 1.5, np.nan])
+    def test_rejects_slope_out_of_range(self, slope):
+        # rows at norm |slope| (NaN rows for NaN), so only the range can fail
+        w = abs(slope) * np.array([[1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match="slope"):
+            PrototypeSet(weights=w, slope=slope)
+
     def test_rejects_nan_rows(self):
         with pytest.raises(ValueError):
             PrototypeSet(weights=np.full((3, 2), np.nan), slope=0.9)
@@ -196,6 +208,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=field) as err:
             load_prototypes(path)
         assert str(path) in str(err.value)
+
+    def test_slope_out_of_range_names_slope(self, tmp_path):
+        # rows at norm 1.5 match the header slope; every distance to them
+        # would come out 0, so each sample would be predicted as class 0
+        path = tmp_path / "protos.bin"
+        w = 1.5 * np.array([[1.0, 0.0], [-1.0, 0.0]])
+        path.write_bytes(b"HFPROTO1" + struct.pack("<qqdq", 2, 2, 1.5, 0)
+                         + w.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="slope"):
+            load_prototypes(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
