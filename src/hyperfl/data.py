@@ -98,7 +98,7 @@ class PartitionSpec:
     def __post_init__(self):
         require_ints(self, "num_clients", "seed")
         if self.num_clients < 1:
-            raise ValueError("need at least one client")
+            raise ValueError("num_clients must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
         if self.seed < 0:

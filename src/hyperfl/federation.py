@@ -6,7 +6,8 @@ each client pool 75/25 into local train/test, construct the frozen class
 prototypes once, then iterate rounds of
 
     broadcast -> local triplet training on every client -> deviation
-    aggregation (min-norm weights or data-weighted averaging) -> evaluation.
+    aggregation (min-norm weights; the ``averaged`` variant alone uses
+    data-weighted averaging) -> evaluation.
 
 Two evaluations run every round: global accuracy of the aggregated model on
 the held-out slice, and per-client accuracy of a locally finetuned copy on
@@ -68,8 +69,6 @@ log = logging.getLogger(__name__)
 
 VARIANTS = ("geodesic_metric_only", "fixed_only", "shared_only", "averaged")
 
-_AGGREGATORS = ("consistent", "averaged")
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -102,7 +101,6 @@ class ExperimentConfig:
     lr: float = 0.3
     local_epochs: int = 5
     batch_size: int = 128
-    aggregator: str = "consistent"
     metric: str = "geodesic"
     seed: int = 0
     finetune_epochs: int = 5
@@ -112,9 +110,7 @@ class ExperimentConfig:
     def __post_init__(self):
         require_ints(self, "rounds", "local_epochs", "batch_size", "seed", "finetune_epochs")
         if self.rounds < 1:
-            raise ValueError("need at least one round")
-        if self.aggregator not in _AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {_AGGREGATORS}")
+            raise ValueError("rounds must be at least 1")
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
@@ -144,12 +140,15 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
-        # older config files name the only prototype mode there is and leave
-        # step-granular finetuning off
+        # older config files name the one prototype mode and aggregator, leave
+        # step-granular finetuning off and carry a triplet seed no run read
         if d.pop("prototype_mode", "tammes_fixed") != "tammes_fixed":
             raise ValueError("prototype_mode must be 'tammes_fixed', the only mode")
         if d.pop("finetune_steps", None) is not None:
             raise ValueError("finetune_steps must be null; finetuning runs whole epochs")
+        if d.pop("aggregator", "consistent") != "consistent":
+            raise ValueError("aggregator must be 'consistent'; averaging is --variant averaged")
+        triplet = {k: v for k, v in d.pop("triplet").items() if k != "seed"}
         ds = d.pop("dataset")
         if isinstance(ds, dict):
             ds = dict(ds)
@@ -161,7 +160,7 @@ class ExperimentConfig:
             dataset=dataset,
             partition=PartitionSpec(**d.pop("partition")),
             extractor=ExtractorConfig(**d.pop("extractor")),
-            triplet=TripletConfig(**d.pop("triplet")),
+            triplet=TripletConfig(**triplet),
             **d,
         )
 
@@ -305,8 +304,7 @@ def _run(
 ) -> ExperimentResult:
     # Sub-config seeds (partition, extractor init) are mixed with the master
     # seed, so they act as deterministic offsets: one master seed fixes the
-    # whole run, changing it reseeds everything.  The triplet seed is not
-    # read: local_train hands triplet_grad its own generator.
+    # whole run, changing it reseeds everything.
     ds = _build_dataset(cfg)
     ext = replace(cfg.extractor, init_seed=derive_seed(cfg.seed, "init", cfg.extractor.init_seed))
     if ext.input_dim != ds.dim:
@@ -332,7 +330,6 @@ def _run(
     # same epochs against the same prototype set
     carry = frozen and cfg.finetune_epochs == cfg.local_epochs
 
-    aggregator = "averaged" if variant == "averaged" else cfg.aggregator
     theta = learner.init_params(ext)
     counts = [shard.n_train for shard in shards]
     records: list[RoundRecord] = []
@@ -365,10 +362,10 @@ def _run(
                 )
             )
         dev = agg.compute_deviations(theta, locals_)
-        if aggregator == "consistent":
-            weights = agg.min_norm_weights(dev, counts)
-        else:
+        if variant == "averaged":
             weights = agg.fedavg_weights(counts)
+        else:
+            weights = agg.min_norm_weights(dev, counts)
         theta_next = agg.aggregate(theta, dev, weights)
 
         # conservation re-check against an independently ordered accumulation

@@ -22,6 +22,7 @@ this module reads its per-layer layout, ``layout_for``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,18 +66,16 @@ class ExtractorConfig:
 class TripletConfig:
     margin: float = 3.0
     negatives_per_sample: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, "negatives_per_sample", "seed")
+        require_ints(self, "negatives_per_sample")
         if not (math.isfinite(self.margin) and self.margin > 0):
             raise ValueError(f"margin must be finite and positive, got {self.margin!r}")
         if self.negatives_per_sample < 1:
-            raise ValueError("need at least one negative per sample")
-        if self.seed < 0:
-            raise ValueError("triplet seed must be nonnegative")
+            raise ValueError("negatives_per_sample must be at least 1")
 
 
+@functools.cache
 def layout_for(cfg: ExtractorConfig):
     """(name, shape) of the tensors packed into theta: w{i}, b{i} per layer."""
     layout = []
@@ -184,9 +183,9 @@ def triplet_grad(
     y: np.ndarray,
     protos: PrototypeSet,
     tcfg: TripletConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
+    out: np.ndarray,
     metric: str = "geodesic",
-    out: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Batch-mean triplet loss and its analytic gradient in theta.
 
@@ -199,11 +198,11 @@ def triplet_grad(
     positive and the negative of every active (round, sample) pair.  A step
     with no active hinge skips it, the pullback and the backward pass.
 
-    The gradient is written into ``out`` and returned.  ``out`` must have
-    theta's shape; a caller that steps repeatedly passes the same buffer
-    every time, and when it is None a fresh vector is allocated.  The output
-    dimension is checked once per call, and the finished gradient once for
-    finiteness, so a diverging step raises ValueError.
+    Negatives are drawn from ``rng``.  The gradient is written into ``out``
+    and returned; ``out`` must have theta's shape, and a caller that steps
+    repeatedly passes the same buffer every time.  The output dimension is
+    checked once per call, and the finished gradient once for finiteness, so
+    a diverging step raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -212,12 +211,8 @@ def triplet_grad(
     c = protos.num_classes
     if cfg.output_dim != protos.dim:
         raise ValueError("extractor output dimension must match the prototypes")
-    if out is None:
-        out = np.zeros_like(theta)
-    elif out.shape != theta.shape:
+    if out.shape != theta.shape:
         raise ValueError("gradient buffer shape differs from the parameters")
-    if rng is None:
-        rng = np.random.default_rng(tcfg.seed)
     b = x.shape[0]
 
     z, acts, layers = _forward_cached(theta, cfg, x)
@@ -317,7 +312,7 @@ def local_train(
                 idx = order[start : start + batch_size]
                 triplet_grad(
                     theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
-                    rng=rng, metric=metric, out=grad,
+                    rng, grad, metric,
                 )
                 grad *= lr
                 theta -= grad

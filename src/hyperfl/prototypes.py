@@ -4,7 +4,8 @@ The construction has two stages:
 
 1. place C unit vectors on the sphere by minimizing the largest pairwise
    cosine similarity (the classic Tammes-style uniformity objective, in
-   matrix form: L = mean_i max_j (W W^T - 2 I)_ij, rows kept unit-norm), and
+   matrix form: L = mean_i max_j (W W^T - 2 I)_ij, rows kept unit-norm),
+   by projected subgradient descent on one fixed step-size schedule, and
 2. contract the unit configuration radially by a slope factor s so the
    prototypes sit strictly inside the ball.
 
@@ -77,41 +78,24 @@ class TammesReport:
     loss_trace: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class TammesConfig:
-    """Projected-gradient settings for the uniformity optimization.
-
-    The step size stays at ``lr`` for the first ``hold_frac`` of the budget
-    and then decays geometrically to ``lr_final``; the hard-max subgradient
-    oscillates at the step-size scale near the optimum, so the decay is what
-    sets the final accuracy.
-    """
-
-    lr: float = 0.1
-    max_iters: int = 2000
-    tol: float = 1e-7  # best-loss improvement below this counts as flat
-    patience: int = 50  # flat final steps that count as converged; never stops early
-    hold_frac: float = 0.5
-    lr_final: float = 1e-6
-
-
-def _check_unit_rows(w: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError("expected a (C, n) matrix")
-    norms = np.linalg.norm(w, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= tol):  # NaN fails too
-        raise ValueError("rows must be unit norm")
-    return w
+# The uniformity optimization's step size stays at _LR for the first
+# _HOLD_FRAC of its _MAX_ITERS iterations, then decays geometrically to
+# _LR_FINAL; the hard-max subgradient oscillates at the step-size scale near
+# the optimum, so the decay is what sets the final accuracy.
+_LR = 0.1
+_MAX_ITERS = 2000
+_TOL = 1e-7  # best-loss improvement below this counts as flat
+_PATIENCE = 50  # flat final steps that count as converged; never stops early
+_HOLD_FRAC = 0.5
+_LR_FINAL = 1e-6
 
 
 def tammes_loss(w: np.ndarray) -> float:
     """Mean over rows of the largest off-diagonal cosine similarity.
 
     The -2I shift pushes the self-similarity to -1 so the row max picks the
-    worst *pair* for each prototype.
+    worst *pair* for each prototype.  Rows are taken to be unit-norm, unchecked.
     """
-    w = _check_unit_rows(w)
     return float(np.mean(np.max(_shifted_gram(w), axis=1)))
 
 
@@ -173,19 +157,17 @@ def random_unit_rows(c: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return w / norms[:, None]
 
 
-def optimize_prototypes(
-    c: int, n: int, seed: int, cfg: TammesConfig = TammesConfig()
-) -> tuple[np.ndarray, TammesReport]:
+def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesReport]:
     """Minimize the uniformity loss over C unit vectors in R^n.
 
     Projected subgradient descent: ambient step, then row renormalization.
     The best iterate seen so far is tracked and returned; only improving
     steps enter the loss trace, so the recorded trace is non-increasing.
-    The loop always runs all cfg.max_iters iterations; cfg.patience only
-    sets the reported flag.  converged=True means the final cfg.patience
-    iterations brought no improvement of cfg.tol or more; a budget that
-    ends while the loss is still moving reports converged=False with the
-    best-so-far result.
+    The loop always runs all _MAX_ITERS iterations; _PATIENCE only sets the
+    reported flag.  converged=True means the final _PATIENCE iterations
+    brought no improvement of _TOL or more; a budget that ends while the
+    loss is still moving reports converged=False with the best-so-far
+    result.
     """
     if c < 2 or n < 2:
         raise ValueError("need at least 2 classes and 2 dimensions")
@@ -196,12 +178,12 @@ def optimize_prototypes(
     best_w = w.copy()
     best_loss = tammes_loss(w)
     trace = [best_loss]
-    hold = int(cfg.max_iters * cfg.hold_frac)
-    decay = (cfg.lr_final / cfg.lr) ** (1.0 / max(cfg.max_iters - hold, 1))
-    lr = cfg.lr
+    hold = int(_MAX_ITERS * _HOLD_FRAC)
+    decay = (_LR_FINAL / _LR) ** (1.0 / max(_MAX_ITERS - hold, 1))
+    lr = _LR
     last_progress = 0
     iterations = 0
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         if iterations > hold:
             lr *= decay
         w = _normalize_rows(w - lr * tammes_loss_grad(w))
@@ -211,9 +193,9 @@ def optimize_prototypes(
             best_loss = loss
             best_w = w.copy()
             trace.append(loss)
-        if improvement >= cfg.tol:
+        if improvement >= _TOL:
             last_progress = iterations
-    converged = iterations - last_progress >= cfg.patience
+    converged = iterations - last_progress >= _PATIENCE
     report = TammesReport(
         final_loss=best_loss,
         max_pairwise_cosine=max_pairwise_cosine(best_w),
@@ -227,15 +209,17 @@ def optimize_prototypes(
 def contract(w_unit: np.ndarray, s: float, seed: int = -1) -> PrototypeSet:
     """Scale a unit-row configuration radially by slope s, which PrototypeSet
     checks.  Scaling leaves all pairwise cosines unchanged."""
-    w_unit = _check_unit_rows(w_unit)
+    w_unit = np.asarray(w_unit, dtype=np.float64)
+    if w_unit.ndim != 2:
+        raise ValueError("expected a (C, n) matrix")
+    if not np.all(np.abs(np.linalg.norm(w_unit, axis=1) - 1.0) <= 1e-6):  # NaN fails too
+        raise ValueError("rows must be unit norm")
     return PrototypeSet(weights=s * w_unit, slope=s, seed=seed)
 
 
-def build_prototypes(
-    c: int, n: int, slope: float, seed: int, cfg: TammesConfig = TammesConfig()
-) -> tuple[PrototypeSet, TammesReport]:
+def build_prototypes(c: int, n: int, slope: float, seed: int) -> tuple[PrototypeSet, TammesReport]:
     """Optimize a uniform unit configuration and contract it by ``slope``."""
-    w_unit, report = optimize_prototypes(c, n, seed, cfg)
+    w_unit, report = optimize_prototypes(c, n, seed)
     return contract(w_unit, slope, seed=seed), report
 
 
@@ -267,4 +251,7 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
     w = np.frombuffer(body, dtype="<f8").reshape(c, n).astype(np.float64)
-    return PrototypeSet(weights=w, slope=slope, seed=int(seed))
+    try:
+        return PrototypeSet(weights=w, slope=slope, seed=int(seed))
+    except ValueError as err:  # slope, row norms, shape: name the file too
+        raise ValueError(f"{path}: {err}") from err

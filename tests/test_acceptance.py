@@ -21,7 +21,7 @@ from hyperfl.federation import (
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.prototypes import build_prototypes, optimize_prototypes
-from oracles import log0
+from oracles import fresh_triplet_grad, log0
 
 
 def report(num, ok, desc):
@@ -33,7 +33,7 @@ def pv(values):
     return np.asarray(values, dtype=float).ravel()
 
 
-def desk_config(seed, alpha=0.5, aggregator="consistent"):
+def desk_config(seed, alpha=0.5):
     """The calibrated desk-scale benchmark: C=5, d=16, 2000 client instances,
     K=10, n=4, T=30, E=5, m=3, s=0.9, lr=0.3, B=128."""
     return ExperimentConfig(
@@ -47,7 +47,6 @@ def desk_config(seed, alpha=0.5, aggregator="consistent"):
         lr=0.3,
         local_epochs=5,
         batch_size=128,
-        aggregator=aggregator,
         seed=seed,
         global_test_fraction=0.2,
     )
@@ -112,7 +111,7 @@ def test_criterion_3_gradient_oracle():
     t0 = time.time()
     protos, _ = build_prototypes(3, 3, 0.9, seed=5)
     cfg = ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3)
-    tcfg = TripletConfig(margin=3.0, seed=11)
+    tcfg = TripletConfig(margin=3.0)
     rng = np.random.default_rng(12)
     ok = True
     for draw in range(20):
@@ -122,15 +121,15 @@ def test_criterion_3_gradient_oracle():
         theta += 0.3 * rng.standard_normal(theta.size)
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
-        _, grad = learner.triplet_grad(theta, cfg, x, y, protos, tcfg)
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed=11)
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = learner.triplet_grad(tp, cfg, x, y, protos, tcfg)
-            lm, _ = learner.triplet_grad(tm, cfg, x, y, protos, tcfg)
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, protos, tcfg, seed=11)
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, protos, tcfg, seed=11)
             fd[i] = (lp - lm) / (2 * h)
         both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -188,7 +187,6 @@ def test_criterion_5_fedavg_reduction():
         extractor=ExtractorConfig(input_dim=8, hidden=(10,), output_dim=3),
         triplet=TripletConfig(margin=3.0),
         rounds=5,
-        aggregator="averaged",
         seed=7,
         local_epochs=2,
         batch_size=32,

@@ -25,31 +25,33 @@ from hyperfl.federation import (
     SyntheticSpec,
     derive_seed,
     evaluate_pfl,
+    run_ablation,
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.prototypes import build_prototypes
+from oracles import fresh_triplet_grad
 
 
 class TestMultipleNegatives:
     def test_gradient_matches_finite_differences(self):
         protos, _ = build_prototypes(4, 3, 0.9, seed=2)
         cfg = ExtractorConfig(input_dim=3, hidden=(6,), output_dim=3, init_seed=0)
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=3, seed=13)
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=3)
         rng = np.random.default_rng(1)
         theta = learner.init_params(cfg)
         theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 4, 4)
-        _, grad = learner.triplet_grad(theta, cfg, x, y, protos, tcfg)
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed=13)
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = learner.triplet_grad(tp, cfg, x, y, protos, tcfg)
-            lm, _ = learner.triplet_grad(tm, cfg, x, y, protos, tcfg)
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, protos, tcfg, seed=13)
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, protos, tcfg, seed=13)
             fd[i] = (lp - lm) / (2 * h)
         both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -66,9 +68,9 @@ class TestMultipleNegatives:
         theta = learner.init_params(cfg)
         x = np.array([[0.3, 0.7]])
         y = np.array([0])
-        l1, g1 = learner.triplet_grad(theta, cfg, x, y, protos, TripletConfig(seed=0))
-        l5, g5 = learner.triplet_grad(
-            theta, cfg, x, y, protos, TripletConfig(negatives_per_sample=5, seed=0)
+        l1, g1 = fresh_triplet_grad(theta, cfg, x, y, protos, TripletConfig(), seed=0)
+        l5, g5 = fresh_triplet_grad(
+            theta, cfg, x, y, protos, TripletConfig(negatives_per_sample=5), seed=0
         )
         assert l1 == pytest.approx(l5, abs=1e-12)
         assert np.max(np.abs(g1 - g5)) < 1e-12
@@ -100,12 +102,11 @@ class TestEuclideanMetric:
             triplet=TripletConfig(margin=1.0),
             rounds=3,
             metric="euclidean",
-            aggregator="averaged",
             seed=2,
             local_epochs=2,
             batch_size=32,
         )
-        res = run_experiment(cfg)
+        res = run_ablation(cfg, "averaged")
         assert res.records[-1].gfl_accuracy > 0.5
 
     def test_unknown_metric_rejected(self):
@@ -126,7 +127,7 @@ class TestStepGranularFinetune:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
-        untuned, _ = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(seed=0),
+        untuned, _ = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(),
                                   lr=0.3, batch_size=16, seeds=[derive_seed(0, "pfl", 0)],
                                   finetune_epochs=0)
         pred = learner.predict_batch(theta, ext, protos, shard.test.features)
@@ -217,7 +218,7 @@ def small_config(**overrides):
 
 
 # config keys that old files may still carry but that no longer configure anything
-RETIRED_FIELDS = {"finetune_steps"}
+RETIRED_FIELDS = {"finetune_steps", "aggregator"}
 
 
 class TestExperimentConfigValidation:
@@ -234,6 +235,12 @@ class TestExperimentConfigValidation:
             ("local_epochs", 0),
             ("finetune_epochs", -1),
             ("finetune_steps", -3),
+            ("aggregator", "averaged"),
+            ("aggregator", "sum"),
+            # counts below one name their field too
+            ("rounds", 0),
+            ("partition.num_clients", 0),
+            ("triplet.negatives_per_sample", 0),
             ("global_test_fraction", 0.0),
             ("global_test_fraction", 1.0),
             ("train_fraction", 0.0),
@@ -292,8 +299,8 @@ class TestExperimentConfigValidation:
         # nan <= 0 is False, so a sign check alone lets NaN through; a
         # negative seed would otherwise fail mid-run in numpy, naming no field
         [("partition", "alpha", a) for a in (float("nan"), float("inf"), 0.0, -1.0)]
-        + [("partition", "seed", -1), ("triplet", "seed", -1), ("extractor", "init_seed", -1)],
-        ids=["nan", "inf", "0.0", "-1.0", "partition.seed", "triplet.seed", "extractor.init_seed"],
+        + [("partition", "seed", -1), ("extractor", "init_seed", -1)],
+        ids=["nan", "inf", "0.0", "-1.0", "partition.seed", "extractor.init_seed"],
     )
     def test_bad_alpha_rejected(self, section, field, value):
         with pytest.raises(ValueError, match=field):
@@ -310,6 +317,17 @@ class TestExperimentConfigValidation:
         assert ExperimentConfig.from_dict({**d, "prototype_mode": "tammes_fixed"}) == small_config()
         with pytest.raises(ValueError, match="prototype_mode"):
             ExperimentConfig.from_dict({**d, "prototype_mode": "learned"})
+
+    def test_aggregator_and_triplet_seed_only_in_old_files(self):
+        # old config files name the one aggregator and carry a triplet seed
+        # that no run read; both load and drop out, whatever the seed
+        d = small_config().to_dict()
+        assert "aggregator" not in d and "seed" not in d["triplet"]
+        for seed in (0, 12345, -1):
+            old = {**d, "aggregator": "consistent", "triplet": {**d["triplet"], "seed": seed}}
+            assert ExperimentConfig.from_dict(old) == small_config()
+        with pytest.raises(ValueError, match="--variant averaged"):
+            ExperimentConfig.from_dict({**d, "aggregator": "averaged"})
 
     def test_benchmark_configs_valid(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"

@@ -34,7 +34,7 @@ from hyperfl.prototypes import build_prototypes, load_prototypes, save_prototype
 from oracles import log0
 
 
-def tiny_config(seed=0, rounds=3, clients=4, aggregator="consistent", lr=0.3, alpha=0.5):
+def tiny_config(seed=0, rounds=3, clients=4, lr=0.3, alpha=0.5):
     return ExperimentConfig(
         dataset=SyntheticSpec(num_classes=3, dim=6, per_class=60, spread=0.15, hierarchy_depth=1),
         partition=PartitionSpec(num_clients=clients, alpha=alpha),
@@ -45,7 +45,6 @@ def tiny_config(seed=0, rounds=3, clients=4, aggregator="consistent", lr=0.3, al
         lr=lr,
         local_epochs=2,
         batch_size=32,
-        aggregator=aggregator,
         seed=seed,
         finetune_epochs=1,
     )
@@ -71,27 +70,20 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             tiny_config(rounds=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                dataset=SyntheticSpec(3, 6, 60),
-                partition=PartitionSpec(num_clients=2, alpha=1.0),
-                extractor=ExtractorConfig(input_dim=6, hidden=(), output_dim=3),
-                triplet=TripletConfig(),
-                rounds=1,
-                aggregator="sum",
-            )
+        with pytest.raises(ValueError, match="aggregator"):
+            ExperimentConfig.from_dict({**tiny_config().to_dict(), "aggregator": "sum"})
 
 
 class TestRunExperiment:
     def test_single_client_averaged_returns_client_model(self):
-        cfg = tiny_config(rounds=1, clients=1, aggregator="averaged")
+        cfg = tiny_config(rounds=1, clients=1)
         captured = {}
 
         def hook(t, before, locals_, weights, after):
             captured["client"] = locals_[0]
             captured["after"] = after
 
-        res = run_experiment(cfg, round_hook=hook)
+        res = run_ablation(cfg, "averaged", round_hook=hook)
         # theta + (theta_k - theta) cancels to the client model up to rounding
         assert np.max(np.abs(res.global_params - captured["client"])) < 1e-14
 
@@ -173,7 +165,7 @@ class TestClientIsolation:
         shards = [split_local(pools[k], k, seed=k) for k in range(3)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=1)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=2)
-        tcfg = TripletConfig(margin=3.0, seed=3)
+        tcfg = TripletConfig(margin=3.0)
         theta = learner.init_params(ext)
 
         def train_round(order):
@@ -218,7 +210,7 @@ class TestEvaluate:
         shards = [split_local(ds, 0, seed=0)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
-        tcfg = TripletConfig(margin=3.0, seed=0)
+        tcfg = TripletConfig(margin=3.0)
         theta = learner.init_params(ext)
         accs, _ = evaluate_pfl(theta, shards, [protos], ext, tcfg, lr=0.3, batch_size=16,
                                seeds=[derive_seed(0, "pfl", 0)], finetune_epochs=0)
@@ -232,7 +224,7 @@ class TestEvaluate:
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
         theta = learner.init_params(ext)
         digest = hashlib.sha256(theta.tobytes()).hexdigest()
-        evaluate_pfl(theta, shards, [protos], ext, TripletConfig(seed=0), lr=0.3,
+        evaluate_pfl(theta, shards, [protos], ext, TripletConfig(), lr=0.3,
                      batch_size=16, seeds=[derive_seed(1, "pfl", 0)], finetune_epochs=2)
         assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
 
@@ -242,7 +234,7 @@ class TestEvaluate:
         protos, _ = build_prototypes(2, 2, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
         accs, tuned = evaluate_pfl(learner.init_params(ext), [shard], [protos], ext,
-                                   TripletConfig(seed=0), lr=0.1, batch_size=4,
+                                   TripletConfig(), lr=0.1, batch_size=4,
                                    seeds=[derive_seed(0, "pfl", 0)])
         assert accs == [None]
         assert tuned == [None]
@@ -252,7 +244,7 @@ class TestEvaluate:
         # accuracy, checked across 10 seeds
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=2)
-        tcfg = TripletConfig(margin=3.0, seed=0)
+        tcfg = TripletConfig(margin=3.0)
         wins = 0
         for seed in range(10):
             ds = make_synthetic(3, 6, per_class=40, spread=0.3, seed=seed)
@@ -391,7 +383,7 @@ class TestAblations:
                 triplet=TripletConfig(margin=3.0),
                 rounds=15,
                 slope=0.9, lr=0.3, local_epochs=5, batch_size=128,
-                aggregator="consistent", seed=seed,
+                seed=seed,
             )
 
         seeds = range(5)

@@ -20,7 +20,7 @@ from hyperfl.learner import (
     triplet_grad,
 )
 from hyperfl.prototypes import PrototypeSet, build_prototypes
-from oracles import log0
+from oracles import fresh_triplet_grad, log0
 
 
 def antipodal_protos(radius=0.9):
@@ -90,15 +90,15 @@ class TestTripletLoss:
     def test_anchor_on_positive_prototype(self, protos3):
         # every other prototype is further than the margin, whichever is drawn
         theta, cfg = constant_feature(log0(protos3.weights[0]))
-        loss, _ = triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), protos3,
-                               TripletConfig(margin=3.0))
+        loss, _ = fresh_triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), protos3,
+                                     TripletConfig(margin=3.0), seed=0)
         assert loss == 0.0
 
     def test_equidistant_anchor_pays_margin(self):
         ps = antipodal_protos()
         theta, cfg = constant_feature(np.zeros(2))
-        loss, _ = triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), ps,
-                               TripletConfig(margin=3.0))
+        loss, _ = fresh_triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), ps,
+                                     TripletConfig(margin=3.0), seed=0)
         assert loss == pytest.approx(3.0, abs=1e-12)
 
 
@@ -113,28 +113,28 @@ class TestTripletGrad:
         theta = flat(np.stack([z0, z1], axis=1), np.zeros(2))
         x = np.eye(2)
         y = np.array([0, 1])
-        loss, grad = triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0, seed=0))
+        loss, grad = fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0), seed=0)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_single_layer_matches_finite_differences(self):
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2, seed=1)
-        tcfg = TripletConfig(margin=3.0, seed=7)
+        tcfg = TripletConfig(margin=3.0)
         rng = np.random.default_rng(0)
         theta = init_params(cfg)
         theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((1, 2))
         y = np.array([0])
-        _, grad = triplet_grad(theta, cfg, x, y, ps, tcfg)
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=7)
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = triplet_grad(tp, cfg, x, y, ps, tcfg)
-            lm, _ = triplet_grad(tm, cfg, x, y, ps, tcfg)
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, ps, tcfg, seed=7)
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, ps, tcfg, seed=7)
             fd[i] = (lp - lm) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(grad - fd) / denom) < 1e-4
@@ -144,18 +144,19 @@ class TestTripletGrad:
         # identical rows must equal the single-sample gradient
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2, seed=2)
-        tcfg = TripletConfig(margin=3.0, seed=3)
+        tcfg = TripletConfig(margin=3.0)
         theta = init_params(cfg)
         x = np.array([[0.4, -1.2]])
         y = np.array([1])
-        _, g1 = triplet_grad(theta, cfg, x, y, ps, tcfg)
-        _, gb = triplet_grad(theta, cfg, np.repeat(x, 8, axis=0), np.repeat(y, 8), ps, tcfg)
+        _, g1 = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=3)
+        _, gb = fresh_triplet_grad(theta, cfg, np.repeat(x, 8, axis=0), np.repeat(y, 8), ps,
+                                   tcfg, seed=3)
         assert np.max(np.abs(g1 - gb)) < 1e-12
 
     def test_gradient_oracle_small_mlp(self, protos3):
         # 20 random draws on a [4 -> 8 -> 3] extractor, C = 3, m = 3
         cfg = ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3)
-        tcfg = TripletConfig(margin=3.0, seed=11)
+        tcfg = TripletConfig(margin=3.0)
         rng = np.random.default_rng(12)
         for draw in range(20):
             theta = init_params(
@@ -164,15 +165,15 @@ class TestTripletGrad:
             theta += 0.3 * rng.standard_normal(theta.size)
             x = rng.standard_normal((5, 4))
             y = rng.integers(0, 3, 5)
-            _, grad = triplet_grad(theta, cfg, x, y, protos3, tcfg)
+            _, grad = fresh_triplet_grad(theta, cfg, x, y, protos3, tcfg, seed=11)
             h = 1e-5
             fd = np.zeros_like(theta)
             for i in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                lp, _ = triplet_grad(tp, cfg, x, y, protos3, tcfg)
-                lm, _ = triplet_grad(tm, cfg, x, y, protos3, tcfg)
+                lp, _ = fresh_triplet_grad(tp, cfg, x, y, protos3, tcfg, seed=11)
+                lm, _ = fresh_triplet_grad(tm, cfg, x, y, protos3, tcfg, seed=11)
                 fd[i] = (lp - lm) / (2 * h)
             both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -181,19 +182,19 @@ class TestTripletGrad:
     def test_euclidean_metric_gradient(self):
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2, seed=4)
-        tcfg = TripletConfig(margin=1.0, seed=5)
+        tcfg = TripletConfig(margin=1.0)
         theta = init_params(cfg)
         x = np.array([[1.0, 0.5]])
         y = np.array([0])
-        _, grad = triplet_grad(theta, cfg, x, y, ps, tcfg, metric="euclidean")
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = triplet_grad(tp, cfg, x, y, ps, tcfg, metric="euclidean")
-            lm, _ = triplet_grad(tm, cfg, x, y, ps, tcfg, metric="euclidean")
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
             fd[i] = (lp - lm) / (2 * h)
         assert np.max(np.abs(grad - fd)) < 1e-4
 
@@ -248,7 +249,7 @@ class TestLocalTrain:
     def setup_method(self):
         self.ps = antipodal_protos()
         self.cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, init_seed=0)
-        self.tcfg = TripletConfig(margin=3.0, seed=0)
+        self.tcfg = TripletConfig(margin=3.0)
 
     def test_zero_lr_is_identity(self):
         shard = make_blob_shard()
@@ -327,7 +328,7 @@ def test_mean_triplet_loss_matches_single_negative_for_two_classes():
     y = rng.integers(0, 2, 30)
     ds = LabeledDataset(x, y, 2)
     # with C = 2 the expectation over negatives is the sampled loss itself
-    expected, _ = triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0, seed=0))
+    expected, _ = fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0), seed=0)
     assert mean_triplet_loss(theta, cfg, ds, ps, margin=3.0) == pytest.approx(expected, abs=1e-12)
 
 
@@ -336,7 +337,7 @@ def test_single_instance_shard_still_trains():
     cfg = linear_cfg(2, 2)
     ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
     shard = ClientShard(client_id=0, train=ds, test=None)
-    out = local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 1, 4, 0.1, seed=0)
+    out = local_train(init_params(cfg), shard, ps, cfg, TripletConfig(), 1, 4, 0.1, seed=0)
     assert out.shape == init_params(cfg).shape
 
 
@@ -415,7 +416,7 @@ class TestBitExactAgainstReference:
                             num_classes)
         shard = ClientShard(client_id=0, train=ds, test=None)
         cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=dim, init_seed=1)
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=negatives, seed=0)
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=negatives)
         theta = init_params(cfg)
         args = (theta, shard, protos, cfg, tcfg, epochs, 8, 0.3)
         got = local_train(*args, seed=11)
@@ -426,12 +427,12 @@ class TestBitExactAgainstReference:
     @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
     def test_triplet_grad_bitwise_equal(self, protos3, metric):
         cfg = ExtractorConfig(input_dim=4, hidden=(5, 6), output_dim=3, activation="relu")
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=2, seed=0)
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=2)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
         theta = init_params(cfg)
-        loss, grad = triplet_grad(theta, cfg, x, y, protos3, tcfg,
-                                  rng=np.random.default_rng(1), metric=metric)
+        loss, grad = triplet_grad(theta, cfg, x, y, protos3, tcfg, np.random.default_rng(1),
+                                  np.zeros_like(theta), metric)
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos3, tcfg,
                                                     np.random.default_rng(1), metric)
         assert loss == ref_loss
@@ -444,13 +445,13 @@ class TestBitExactAgainstReference:
         # would pair their hinges up instead of adding them in draw order
         protos = random_protos(100, 8, seed=seed)
         cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=8, init_seed=seed)
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=12, seed=0)
+        tcfg = TripletConfig(margin=3.0, negatives_per_sample=12)
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((1, 6)), rng.integers(0, 100, 1)
         theta = init_params(cfg)
         theta += rng.standard_normal(theta.size)
-        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
-                                  rng=np.random.default_rng(seed))
+        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
+                                  np.zeros_like(theta))
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
                                                     np.random.default_rng(seed), "geodesic")
         assert loss == ref_loss
@@ -468,9 +469,9 @@ class TestNoActiveHinge:
         theta = flat(z.T, np.zeros(4))
         y = np.array([0, 3, 5, 1, 1, 2, 4])
         x = np.eye(6)[y]
-        tcfg = TripletConfig(margin=0.1, negatives_per_sample=negatives, seed=0)
-        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
-                                  rng=np.random.default_rng(2))
+        tcfg = TripletConfig(margin=0.1, negatives_per_sample=negatives)
+        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(2),
+                                  np.zeros_like(theta))
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
                                                     np.random.default_rng(2), "geodesic")
         assert loss == ref_loss == 0.0
@@ -541,10 +542,10 @@ class TestStepMatchesReference:
             (w0, _), (w1, _) = learner._layers(theta, cfg)
             w0 += 1e-3 * rng.standard_normal(w0.shape)
             w1 += 1e-3 * k * rng.standard_normal(w1.shape)
-        tcfg = TripletConfig(margin=margin, negatives_per_sample=rounds, seed=0)
-        out = np.full_like(theta, np.nan) if prefilled else None
-        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg,
-                                  rng=np.random.default_rng(seed), metric=metric, out=out)
+        tcfg = TripletConfig(margin=margin, negatives_per_sample=rounds)
+        out = np.full_like(theta, np.nan) if prefilled else np.zeros_like(theta)
+        loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
+                                  out, metric)
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
                                                     np.random.default_rng(seed), metric)
         assert loss == ref_loss
@@ -573,7 +574,7 @@ class TestMixedSteps:
             return loss, grad
 
         monkeypatch.setattr(learner, "triplet_grad", recorded)
-        tcfg = TripletConfig(margin=0.5, negatives_per_sample=2, seed=0)
+        tcfg = TripletConfig(margin=0.5, negatives_per_sample=2)
         args = (trained, shard, protos, cfg, tcfg, 4, 8, 0.3)
         got = local_train(*args, seed=5)
         want = reference_local_train(*args, seed=5)
@@ -631,15 +632,17 @@ class TestGradientBuffer:
     def setup_method(self):
         self.ps, _ = build_prototypes(4, 3, 0.9, seed=2)
         self.cfg = ExtractorConfig(input_dim=5, hidden=(6,), output_dim=3, init_seed=2)
-        self.tcfg = TripletConfig(margin=3.0, negatives_per_sample=2, seed=4)
+        self.tcfg = TripletConfig(margin=3.0, negatives_per_sample=2)
         rng = np.random.default_rng(3)
         self.x, self.y = rng.standard_normal((10, 5)), rng.integers(0, 4, 10)
 
     def test_prefilled_buffer_matches_fresh_gradient(self):
         theta = init_params(self.cfg)
         out = np.full_like(theta, np.nan)
-        loss, grad = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg, out=out)
-        fresh_loss, fresh = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg)
+        loss, grad = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
+                                  np.random.default_rng(4), out)
+        fresh_loss, fresh = fresh_triplet_grad(theta, self.cfg, self.x, self.y, self.ps,
+                                               self.tcfg, seed=4)
         assert grad is out
         assert loss == fresh_loss
         assert out.tobytes() == fresh.tobytes()
@@ -648,20 +651,19 @@ class TestGradientBuffer:
         theta = init_params(self.cfg)
         other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3))
         with pytest.raises(ValueError, match="shape"):
-            triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg, out=other)
+            triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
+                         np.random.default_rng(4), other)
 
 
 class TestDivergenceFailsFast:
-    @pytest.mark.parametrize("reuse_buffer", [False, True])
-    def test_huge_weights_overflow_gradient(self, reuse_buffer):
+    def test_huge_weights_overflow_gradient(self):
         ps = antipodal_protos()
         cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
         theta = init_params(cfg)
         theta *= 1e150  # finite, but the backward pass overflows
-        out = np.zeros_like(theta) if reuse_buffer else None
         x, y = np.array([[1.0, -0.5], [0.3, 2.0]]), np.array([0, 1])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            triplet_grad(theta, cfg, x, y, ps, TripletConfig(seed=0), out=out)
+            fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(), seed=0)
 
     @pytest.mark.parametrize(
         "case",
@@ -709,7 +711,7 @@ class TestDivergenceFailsFast:
             assert np.isfinite(z).all() == (case != "z_overflows")
             assert not d[0] - d[1] + 3.0 > 0.0  # no active hinge (NaN compares False)
             with pytest.raises(ValueError, match="not finite"):
-                triplet_grad(theta, cfg, x, np.array([0]), ps, TripletConfig(seed=0))
+                fresh_triplet_grad(theta, cfg, x, np.array([0]), ps, TripletConfig(), seed=0)
 
     def test_huge_learning_rate_raises_in_local_train(self):
         ps = antipodal_protos()
@@ -718,7 +720,7 @@ class TestDivergenceFailsFast:
         ds = LabeledDataset(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), 2)
         shard = ClientShard(client_id=0, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 3, 8, 1e200)
+            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(), 3, 8, 1e200)
 
     def test_overflowing_update_raises_naming_client(self):
         # the one step's gradient is finite (its largest entry is about 1.4),
@@ -729,5 +731,5 @@ class TestDivergenceFailsFast:
         ds = LabeledDataset(100.0 * rng.standard_normal((12, 2)), rng.integers(0, 2, 12), 2)
         shard = ClientShard(client_id=7, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="client 7"):
-            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(seed=0), 1, 16,
+            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(), 1, 16,
                         np.finfo(np.float64).max)

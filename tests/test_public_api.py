@@ -34,14 +34,15 @@ TINY = {
 }
 
 
-def module_members():
+def module_members(unwrap=True):
     """(module short name, attribute, object) of everything a hyperfl module
-    defines itself."""
+    defines itself; a cached function stands for the function it wraps
+    unless ``unwrap`` is False."""
     for info in pkgutil.iter_modules(hyperfl.__path__):
         mod = importlib.import_module(f"hyperfl.{info.name}")
         for attr, obj in vars(mod).items():
             if getattr(obj, "__module__", None) == mod.__name__:
-                yield info.name, attr, obj
+                yield info.name, attr, inspect.unwrap(obj) if unwrap else obj
 
 
 def private_functions() -> dict:
@@ -100,6 +101,11 @@ def cli_commands(tmp_path) -> list[list[str]]:
 def called_code(tmp_path_factory) -> set:
     """Code objects called while every CLI command runs."""
     commands = cli_commands(tmp_path_factory.mktemp("cli"))
+    # a cached function runs its body only on a miss, and earlier tests may
+    # have filled the cache: start from empty caches
+    for _, _, obj in module_members(unwrap=False):
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
     called = set()
 
     def profile(frame, event, arg):
