@@ -7,10 +7,11 @@
 
 The config file is JSON mirroring ExperimentConfig field for field (see
 README for a full example).  ``eval`` takes the extractor architecture and
-the metric from the checkpoint header, and refuses a prototype file whose
-sha256 differs from the one the header records.  On failure a
-machine-readable error record is printed to stderr and the exit code is
-nonzero.
+the metric from the checkpoint (``params.load_params`` checks its header),
+and refuses a prototype file whose sha256 differs from the one the header
+records and a dataset whose dimension or class count does not fit.  On
+failure a machine-readable error record is printed to stderr and the exit
+code is nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from hyperfl import data as data_mod
-from hyperfl import federation, learner, poincare, prototypes
+from hyperfl import federation, prototypes
 from hyperfl.params import load_params
 
 
@@ -50,26 +51,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    params, model = load_params(args.checkpoint)
+    params = load_params(args.checkpoint)
     protos = prototypes.load_prototypes(args.protos)
     ds = data_mod.load_dataset(args.data)
-    if protos.sha256() != model["prototypes_sha256"]:
+    if protos.sha256() != params.prototypes_sha256:
         raise ValueError(f"{args.protos}: sha256 differs from 'model.prototypes_sha256' "
                          f"in {args.checkpoint}")
-    arch = {name: model[name] for name in ("input_dim", "hidden", "output_dim", "activation")}
-    try:
-        ext = learner.ExtractorConfig(**arch)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{args.checkpoint}: header field 'model': {err}") from None
-    try:
-        poincare.metric_kernels(model["metric"])
-    except ValueError as err:
-        raise ValueError(f"{args.checkpoint}: header field 'model.metric': {err}") from None
-    if learner.layout_for(ext) != params.layout:
-        raise ValueError(f"{args.checkpoint}: header field 'layout' does not match 'model'")
+    ext = params.extractor
     if ds.dim != ext.input_dim:
         raise ValueError(f"{args.data}: dimension {ds.dim} != 'model.input_dim' {ext.input_dim}")
-    acc = federation.evaluate_gfl(params.values, ext, protos, ds, metric=model["metric"])
+    if ds.num_classes != protos.num_classes:
+        raise ValueError(f"{args.data}: {ds.num_classes} classes, but {args.protos} "
+                         f"holds {protos.num_classes} prototypes")
+    acc = federation.evaluate_gfl(params.values, ext, protos, ds, metric=params.metric)
     print(json.dumps({"accuracy": acc, "instances": ds.size}))
     return 0
 

@@ -36,6 +36,16 @@ def require_ints(config, *fields: str) -> None:
                 raise ValueError(f"{name} must be an integer, got {v!r}")
 
 
+def require_reals(config, *fields: str) -> None:
+    """Raise a ValueError naming the field unless each named field of
+    ``config`` holds a real number.  A bool or a string such as "0.3" is
+    refused too, not read as a number."""
+    for name in fields:
+        v = getattr(config, name)
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     features: np.ndarray  # (N, d) float64
@@ -97,6 +107,7 @@ class PartitionSpec:
 
     def __post_init__(self):
         require_ints(self, "num_clients", "seed")
+        require_reals(self, "alpha")
         if self.num_clients < 1:
             raise ValueError("num_clients must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -165,7 +176,8 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[Labeled
     Per class a Dir(alpha) draw (normalized Gamma variates) fixes the client
     proportions; largest-remainder rounding converts them to counts.  Empty
     clients are repaired by stealing a single instance from the currently
-    largest shard so that every client can train (logged when triggered).
+    largest shard so that every client can train (logged when triggered);
+    when no shard has one to spare the partition fails at that client.
     """
     k = spec.num_clients
     rng = np.random.default_rng(spec.seed)
@@ -189,17 +201,11 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[Labeled
         sizes = [len(a) for a in assigned]
         donor = int(np.argmax(sizes))
         if sizes[donor] < 2:
-            log.warning("client %d left empty: no shard has an instance to spare", client)
-            continue
+            raise ValueError(f"client {client} has no data and no client has an instance to "
+                             f"spare ({ds.size} instances for {k} clients)")
         assigned[client].append(assigned[donor].pop())
         log.warning("client %d was empty; moved one instance from client %d", client, donor)
-    pools = []
-    for client in range(k):
-        idx = np.array(sorted(assigned[client]), dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError(f"client {client} has no data (dataset smaller than client count)")
-        pools.append(ds.subset(idx))
-    return pools
+    return [ds.subset(np.array(sorted(a), dtype=np.int64)) for a in assigned]
 
 
 def _stratified_split(

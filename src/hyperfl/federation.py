@@ -52,6 +52,7 @@ from hyperfl.data import (
     make_synthetic,
     partition_manifest,
     require_ints,
+    require_reals,
     split_local,
     stratified_holdout,
 )
@@ -82,6 +83,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         require_ints(self, "num_classes", "dim", "per_class", "hierarchy_depth")
+        require_reals(self, "spread")
         for name, low in (("num_classes", 2), ("dim", 1), ("per_class", 1),
                           ("hierarchy_depth", 0)):
             if getattr(self, name) < low:
@@ -109,6 +111,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         require_ints(self, "rounds", "local_epochs", "batch_size", "seed", "finetune_epochs")
+        require_reals(self, "slope", "lr", "global_test_fraction", "train_fraction")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
@@ -153,6 +156,8 @@ class ExperimentConfig:
         if isinstance(ds, dict):
             ds = dict(ds)
             kind = ds.pop("kind", "synthetic")
+            if kind not in ("synthetic", "file"):
+                raise ValueError(f"dataset.kind must be 'synthetic' or 'file', got {kind!r}")
             dataset = ds["path"] if kind == "file" else SyntheticSpec(**ds)
         else:
             dataset = ds
@@ -493,23 +498,13 @@ def persist_result(result: ExperimentResult, out_dir: str | Path) -> None:
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     save_prototypes(result.prototypes, out / "prototypes.bin")
-    ext = result.config.extractor
-    model = {
-        "input_dim": ext.input_dim,
-        "hidden": list(ext.hidden),
-        "output_dim": ext.output_dim,
-        "activation": ext.activation,
-        "metric": result.config.metric,
-    }
-    layout = learner.layout_for(ext)
-    save_params(
-        ParamVector(result.global_params, layout), out / "global.params",
-        {**model, "prototypes_sha256": result.prototypes.sha256()},
-    )
+    ext, metric = result.config.extractor, result.config.metric
+    save_params(ParamVector(result.global_params, ext, metric, result.prototypes.sha256()),
+                out / "global.params")
     clients = zip(result.client_params, result.client_prototypes, strict=True)
     for k, (params, protos) in enumerate(clients):
-        save_params(ParamVector(params, layout), out / f"client_{k:03d}.params",
-                    {**model, "prototypes_sha256": protos.sha256()})
+        save_params(ParamVector(params, ext, metric, protos.sha256()),
+                    out / f"client_{k:03d}.params")
     final = result.records[-1]
     summary = {
         "rounds": len(result.records),

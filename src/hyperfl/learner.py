@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from hyperfl import poincare
-from hyperfl.data import ClientShard, LabeledDataset, require_ints
+from hyperfl.data import ClientShard, LabeledDataset, require_ints, require_reals
 from hyperfl.prototypes import PrototypeSet
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -46,6 +46,8 @@ class ExtractorConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.hidden, (tuple, list)):
+            raise ValueError(f"hidden must be a list of widths, got {self.hidden!r}")
         require_ints(self, "input_dim", "hidden", "output_dim", "init_seed")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
@@ -69,6 +71,7 @@ class TripletConfig:
 
     def __post_init__(self):
         require_ints(self, "negatives_per_sample")
+        require_reals(self, "margin")
         if not (math.isfinite(self.margin) and self.margin > 0):
             raise ValueError(f"margin must be finite and positive, got {self.margin!r}")
         if self.negatives_per_sample < 1:

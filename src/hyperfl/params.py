@@ -1,18 +1,19 @@
-"""Parameter checkpoints: a flat float64 vector and its named layout.
+"""Parameter checkpoints: this module alone writes and reads their header.
 
 Inside the program a model's parameters are one flat float64 array, whose
-layout only ``learner`` knows.  A ParamVector is the record written to and
-read from disk: those values plus the ordered (name, shape) layout they
-unflatten into, checked on construction to be finite and of the size the
-layout implies.
+layout only ``learner`` knows.  A ParamVector is the whole checkpoint
+record: those values, the extractor they belong to, the distance ``metric``
+the model was trained under and the ``prototypes_sha256`` of the prototype
+file it is scored against.  It is checked on construction: a known metric,
+the size ``learner.layout_for(extractor)`` implies, finite values.
 
 Checkpoint format: magic, one UTF-8 JSON header line, then the raw values
 as little-endian float64.  The header object holds ``layout``, the ordered
 [name, shape] pairs, and ``model``: the extractor architecture
-(``input_dim``, ``hidden``, ``output_dim``, ``activation``), the distance
-``metric`` the model was trained under and the ``prototypes_sha256`` of the
-prototype file it is scored against.  A checkpoint so names everything
-needed to score it, and a header missing any of it is rejected.
+(``input_dim``, ``hidden``, ``output_dim``, ``activation``), ``metric`` and
+``prototypes_sha256``.  A checkpoint so names everything needed to score
+it; a header missing any of it, or whose layout is not the one its
+architecture implies, is rejected with an error naming the file and field.
 """
 
 from __future__ import annotations
@@ -24,20 +25,23 @@ from pathlib import Path
 
 import numpy as np
 
-Layout = tuple[tuple[str, tuple[int, ...]], ...]
+from hyperfl import learner, poincare
+from hyperfl.learner import ExtractorConfig
 
 _CKPT_MAGIC = b"HFPARAM1\n"
 
 
 @dataclass
 class ParamVector:
-    values: np.ndarray  # flat float64
-    layout: Layout
+    values: np.ndarray  # flat float64, in learner.layout_for(extractor) order
+    extractor: ExtractorConfig
+    metric: str
+    prototypes_sha256: str
 
     def __post_init__(self):
+        poincare.metric_kernels(self.metric)  # raises on an unknown metric
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        self.layout = tuple((str(name), tuple(int(d) for d in shape)) for name, shape in self.layout)
-        expected = sum(math.prod(shape) for _, shape in self.layout)
+        expected = _size(self.extractor)
         if self.values.size != expected:
             raise ValueError(f"layout expects {expected} values, got {self.values.size}")
         if not np.isfinite(self.values).all():
@@ -45,29 +49,31 @@ class ParamVector:
 
 
 # the header's "model" object: field -> JSON type
-_MODEL_FIELDS = {
-    "input_dim": int,
-    "hidden": list,
-    "output_dim": int,
-    "activation": str,
-    "metric": str,
-    "prototypes_sha256": str,
-}
+_MODEL_FIELDS = {"input_dim": int, "hidden": list, "output_dim": int, "activation": str,
+                 "metric": str, "prototypes_sha256": str}
 
 
-def save_params(params: ParamVector, path: str | Path, model: dict) -> None:
-    """Write a checkpoint; ``model`` carries every field of the header's
-    ``model`` object (see the module docstring)."""
-    header = {
-        "layout": [[n, list(s)] for n, s in params.layout],
-        "model": {name: model[name] for name in _MODEL_FIELDS},
-    }
+def _size(ext: ExtractorConfig) -> int:
+    return sum(math.prod(shape) for _, shape in learner.layout_for(ext))
+
+
+def _layout_json(ext: ExtractorConfig) -> list:
+    return [[name, list(shape)] for name, shape in learner.layout_for(ext)]
+
+
+def save_params(params: ParamVector, path: str | Path) -> None:
+    """Write ``params`` as a checkpoint (format in the module docstring)."""
+    ext = params.extractor
+    model = {"input_dim": ext.input_dim, "hidden": list(ext.hidden),
+             "output_dim": ext.output_dim, "activation": ext.activation,
+             "metric": params.metric, "prototypes_sha256": params.prototypes_sha256}
+    header = json.dumps({"layout": _layout_json(ext), "model": model}).encode()
     body = params.values.astype("<f8").tobytes()
-    Path(path).write_bytes(_CKPT_MAGIC + json.dumps(header).encode() + b"\n" + body)
+    Path(path).write_bytes(_CKPT_MAGIC + header + b"\n" + body)
 
 
-def load_params(path: str | Path) -> tuple[ParamVector, dict]:
-    """The values of a checkpoint and its header's ``model`` object."""
+def load_params(path: str | Path) -> ParamVector:
+    """The checkpoint record at ``path``, after every header check."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_CKPT_MAGIC):
         raise ValueError(f"{path}: not a parameter checkpoint")
@@ -84,12 +90,6 @@ def load_params(path: str | Path) -> tuple[ParamVector, dict]:
     for name in ("layout", "model"):
         if name not in header:
             raise ValueError(f"{path}: checkpoint header has no '{name}' field")
-    layout = header["layout"]
-    if not (isinstance(layout, list) and all(_is_layout_entry(e) for e in layout)):
-        raise ValueError(
-            f"{path}: header field 'layout' must list [name, shape] pairs "
-            "with nonnegative integer dimensions"
-        )
     model = header["model"]
     if not isinstance(model, dict):
         raise ValueError(f"{path}: header field 'model' must be a JSON object")
@@ -98,20 +98,19 @@ def load_params(path: str | Path) -> tuple[ParamVector, dict]:
             raise ValueError(
                 f"{path}: header field 'model.{name}' is missing or not a {kind.__name__}"
             )
-    layout = tuple((n, tuple(s)) for n, s in layout)
+    try:
+        ext = ExtractorConfig(model["input_dim"], model["hidden"], model["output_dim"],
+                              model["activation"])
+    except ValueError as err:
+        raise ValueError(f"{path}: header field 'model': {err}") from None
+    try:
+        poincare.metric_kernels(model["metric"])
+    except ValueError as err:
+        raise ValueError(f"{path}: header field 'model.metric': {err}") from None
+    if header["layout"] != _layout_json(ext):
+        raise ValueError(f"{path}: header field 'layout' does not match 'model'")
     body = rest[newline + 1 :]
-    expected = sum(math.prod(s) for _, s in layout) * 8
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, found {len(body)}")
+    if len(body) != 8 * _size(ext):
+        raise ValueError(f"{path}: expected {8 * _size(ext)} payload bytes, found {len(body)}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return ParamVector(values, layout), model
-
-
-def _is_layout_entry(entry) -> bool:
-    return (
-        isinstance(entry, list)
-        and len(entry) == 2
-        and isinstance(entry[0], str)
-        and isinstance(entry[1], list)
-        and all(isinstance(d, int) and d >= 0 for d in entry[1])
-    )
+    return ParamVector(values, ext, model["metric"], model["prototypes_sha256"])

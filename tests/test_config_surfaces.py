@@ -258,6 +258,18 @@ class TestExperimentConfigValidation:
             ("extractor.output_dim", 2.5),
             ("extractor.hidden", (6.5,)),
             ("extractor.hidden", (True,)),
+            ("extractor.hidden", 32),
+            # real-valued fields take no strings and no bools either
+            ("lr", "0.3"),
+            ("lr", True),
+            ("slope", "0.9"),
+            ("triplet.margin", True),
+            ("global_test_fraction", "0.2"),
+            ("dataset.spread", False),
+            ("triplet.margin", "3.0"),
+            ("partition.alpha", "0.5"),
+            ("partition.alpha", True),
+            ("dataset.spread", "0.1"),
             ("dataset.per_class", 10.5),
             ("dataset.hierarchy_depth", 1.5),
             # NaN fails every comparison, so a sign check alone lets it through

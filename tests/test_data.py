@@ -101,6 +101,14 @@ class TestDirichletPartition:
         pools = dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.05, seed=11))
         assert all(p.size >= 1 for p in pools)
 
+    def test_too_few_instances_fail_at_first_unrepairable_client(self, caplog):
+        # 3 instances over 5 clients: one error, naming the client and the
+        # cause, and no warning about the same client before it
+        ds = make_synthetic(3, 2, per_class=1, spread=0.1, seed=0)
+        with pytest.raises(ValueError, match=r"client \d+ has no data .*3 instances for 5 clients"):
+            dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.5, seed=0))
+        assert not any("left empty" in r.getMessage() for r in caplog.records)
+
     def test_dirichlet_mean_is_symmetric(self):
         # alpha = 0.5, K = 2: mean share of each class at client 0 is 1/2
         ds = make_synthetic(3, 3, per_class=60, spread=0.2, seed=8)

@@ -29,7 +29,7 @@ from hyperfl.federation import (
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
-from hyperfl.params import load_params
+from hyperfl.params import load_params, save_params
 from hyperfl.prototypes import build_prototypes, load_prototypes, save_prototypes
 from oracles import log0
 
@@ -72,6 +72,14 @@ class TestConfig:
             tiny_config(rounds=0)
         with pytest.raises(ValueError, match="aggregator"):
             ExperimentConfig.from_dict({**tiny_config().to_dict(), "aggregator": "sum"})
+
+    @pytest.mark.parametrize("kind", ["bogus", "File", None])
+    def test_unknown_dataset_kind_rejected(self, kind):
+        # a synthetic spec under another kind is not silently read as synthetic
+        d = tiny_config().to_dict()
+        d["dataset"]["kind"] = kind
+        with pytest.raises(ValueError, match="dataset.kind"):
+            ExperimentConfig.from_dict(d)
 
 
 class TestRunExperiment:
@@ -431,8 +439,9 @@ class TestPersistence:
     def test_checkpoints_loadable(self, tmp_path):
         cfg = tiny_config(rounds=2)
         res = run_experiment(cfg, out_dir=tmp_path / "run")
-        params, _ = load_params(tmp_path / "run" / "global.params")
+        params = load_params(tmp_path / "run" / "global.params")
         assert np.array_equal(params.values, res.global_params)
+        assert params.extractor == cfg.extractor
         protos = load_prototypes(tmp_path / "run" / "prototypes.bin")
         assert protos.to_bytes() == res.prototypes.to_bytes()
 
@@ -462,14 +471,34 @@ class TestPersistence:
         res = run_ablation(cfg, "fixed_only", out_dir=tmp_path)
         arch = {"input_dim": 6, "hidden": [12], "output_dim": 3, "activation": "tanh",
                 "metric": "geodesic"}
-        _, model = load_params(tmp_path / "global.params")
-        assert model == {**arch, "prototypes_sha256": res.prototypes.sha256()}
+
+        def header_model(path):
+            return json.loads(path.read_bytes().split(b"\n")[1])["model"]
+
+        def record(path):
+            params = load_params(path)
+            return params.extractor, params.metric, params.prototypes_sha256
+
+        global_ckpt = tmp_path / "global.params"
+        assert header_model(global_ckpt) == {**arch, "prototypes_sha256": res.prototypes.sha256()}
+        assert record(global_ckpt) == (cfg.extractor, "geodesic", res.prototypes.sha256())
         assert res.prototypes.sha256() == hashlib.sha256(
             (tmp_path / "prototypes.bin").read_bytes()).hexdigest()
         for k, protos in enumerate(res.client_prototypes):
-            _, model = load_params(tmp_path / f"client_{k:03d}.params")
-            assert model == {**arch, "prototypes_sha256": protos.sha256()}
+            client_ckpt = tmp_path / f"client_{k:03d}.params"
+            assert header_model(client_ckpt) == {**arch, "prototypes_sha256": protos.sha256()}
+            assert record(client_ckpt) == (cfg.extractor, "geodesic", protos.sha256())
             assert protos.sha256() != res.prototypes.sha256()  # fixed_only: own sets
+
+    def test_checkpoints_round_trip_byte_for_byte(self, tmp_path):
+        # pins the header's key order and formatting: a loaded record saves
+        # back to the very bytes it was read from
+        run_experiment(tiny_config(rounds=1), out_dir=tmp_path / "run")
+        checkpoints = sorted((tmp_path / "run").glob("*.params"))
+        assert len(checkpoints) == 5  # global + 4 clients
+        for path in checkpoints:
+            save_params(load_params(path), tmp_path / "again.params")
+            assert (tmp_path / "again.params").read_bytes() == path.read_bytes(), path.name
 
 
 @pytest.fixture(scope="module")
@@ -533,6 +562,17 @@ class TestEvalReadsHeader:
         rc = cli_main(eval_argv(wrong, out / "test.txt", out / "run" / "prototypes.bin"))
         assert rc == 1
         assert "'layout'" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_refuses_dataset_with_another_class_count(self, relu_run, tmp_path, capsys):
+        # same dimension, seven classes against the run's three prototypes
+        _, out = relu_run
+        ds = make_synthetic(7, 6, per_class=10, spread=0.15, seed=0)
+        save_dataset(ds, tmp_path / "seven.txt")
+        rc = cli_main(eval_argv(out / "run" / "global.params", tmp_path / "seven.txt",
+                                out / "run" / "prototypes.bin"))
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "seven.txt" in message and "prototypes.bin" in message
 
     def test_fixed_only_client_checkpoint_needs_its_own_set(self, tmp_path, capsys):
         res = run_ablation(tiny_config(rounds=1), "fixed_only", out_dir=tmp_path / "run")

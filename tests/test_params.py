@@ -3,20 +3,27 @@ import json
 import numpy as np
 import pytest
 
+from hyperfl.learner import ExtractorConfig
 from hyperfl.params import ParamVector, load_params, save_params
 
-LAYOUT = (("w0", (2, 3)), ("b0", (2,)))
+EXT = ExtractorConfig(input_dim=3, hidden=(), output_dim=2, activation="relu")
+LAYOUT_JSON = [["w0", [2, 3]], ["b0", [2]]]  # the layout EXT implies
 MODEL = {"input_dim": 3, "hidden": [], "output_dim": 2, "activation": "relu",
          "metric": "euclidean", "prototypes_sha256": "0" * 64}
 
 
 def make_pv(values):
-    return ParamVector(np.asarray(values, dtype=float), LAYOUT)
+    return ParamVector(np.asarray(values, dtype=float), EXT, "euclidean", "0" * 64)
 
 
 def test_layout_size_checked():
     with pytest.raises(ValueError):
-        ParamVector(np.zeros(5), LAYOUT)  # layout wants 8
+        make_pv(np.zeros(5))  # layout wants 8
+
+
+def test_unknown_metric_rejected():
+    with pytest.raises(ValueError, match="metric"):
+        ParamVector(np.zeros(8), EXT, "cosine", "0" * 64)
 
 
 def test_nonfinite_rejected():
@@ -27,17 +34,19 @@ def test_nonfinite_rejected():
 def test_checkpoint_roundtrip(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "model.params"
-    save_params(pv, path, MODEL)
-    back, model = load_params(path)
-    assert back.layout == pv.layout
+    save_params(pv, path)
+    back = load_params(path)
+    assert back.extractor == pv.extractor
+    assert (back.metric, back.prototypes_sha256) == (pv.metric, pv.prototypes_sha256)
     assert np.array_equal(back.values, pv.values)
-    assert model == MODEL
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    assert header == {"layout": LAYOUT_JSON, "model": MODEL}
 
 
 def test_checkpoint_truncated(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "model.params"
-    save_params(pv, path, MODEL)
+    save_params(pv, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-4])
     with pytest.raises(ValueError):
@@ -47,7 +56,7 @@ def test_checkpoint_truncated(tmp_path):
 def test_checkpoint_nonfinite_payload_rejected(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "model.params"
-    save_params(pv, path, MODEL)
+    save_params(pv, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8] + np.array([np.inf], dtype="<f8").tobytes())
     with pytest.raises(ValueError, match="finite"):
@@ -59,9 +68,6 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"garbage")
     with pytest.raises(ValueError):
         load_params(path)
-
-
-LAYOUT_JSON = [["w0", [2, 3]], ["b0", [2]]]
 
 
 def header_line(header) -> bytes:
@@ -86,6 +92,13 @@ def header_line(header) -> bytes:
             for name in MODEL
         ],
         (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "hidden": 4}}), "'model.hidden'"),
+        (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "input_dim": 0}}), "'model'"),
+        (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "activation": "gelu"}}),
+         "'model'"),
+        (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "metric": "cosine"}}),
+         "'model.metric'"),
+        # a layout that is well formed but not the one the architecture implies
+        (header_line({"layout": [["w0", [3, 2]], ["b0", [2]]], "model": MODEL}), "'layout'"),
     ],
 )
 def test_checkpoint_bad_header_names_file_and_field(tmp_path, header, field):
