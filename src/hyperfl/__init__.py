@@ -15,7 +15,7 @@ from hyperfl.prototypes import PrototypeSet, TammesReport, build_prototypes
 from hyperfl.params import ParamVector
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.data import LabeledDataset, ClientShard, PartitionSpec
-from hyperfl.federation import ExperimentConfig, RoundRecord, run_experiment, run_ablation
+from hyperfl.federation import ExperimentConfig, RoundRecord, run_experiment
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,5 @@ __all__ = [
     "ExperimentConfig",
     "RoundRecord",
     "run_experiment",
-    "run_ablation",
     "__version__",
 ]

@@ -32,10 +32,7 @@ def _cmd_run(args) -> int:
     cfg = federation.ExperimentConfig.from_dict(cfg_dict)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.variant is None:
-        result = federation.run_experiment(cfg, out_dir=args.out)
-    else:
-        result = federation.run_ablation(cfg, args.variant, out_dir=args.out)
+    result = federation.run_experiment(cfg, args.variant, out_dir=args.out)
     final = result.records[-1]
     print(
         json.dumps(
@@ -90,13 +87,13 @@ def _cmd_protos(args) -> int:
 
 def _cmd_partition(args) -> int:
     ds = data_mod.load_dataset(args.data)
-    spec = data_mod.PartitionSpec(num_clients=args.clients, alpha=args.alpha, seed=args.seed)
-    pools = data_mod.dirichlet_partition(ds, spec)
+    spec = data_mod.PartitionSpec(num_clients=args.clients, alpha=args.alpha)
+    pools = data_mod.dirichlet_partition(ds, spec, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k, pool in enumerate(pools):
         data_mod.save_dataset(pool, out / f"client_{k:03d}.txt")
-    manifest = data_mod.partition_manifest(pools, spec)
+    manifest = data_mod.partition_manifest(pools, spec, args.seed)
     (out / "partition.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     print(json.dumps({"clients": args.clients, "out": str(out)}))
     return 0

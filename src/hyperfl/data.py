@@ -101,19 +101,18 @@ class ClientShard:
 
 @dataclass(frozen=True)
 class PartitionSpec:
+    """Dirichlet alpha and client count; ``dirichlet_partition`` takes the seed."""
+
     alpha: float
     num_clients: int = 20
-    seed: int = 0
 
     def __post_init__(self):
-        require_ints(self, "num_clients", "seed")
+        require_ints(self, "num_clients")
         require_reals(self, "alpha")
         if self.num_clients < 1:
             raise ValueError("num_clients must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError("alpha must be finite and positive")
-        if self.seed < 0:
-            raise ValueError("partition seed must be nonnegative")
 
 
 def _class_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -170,17 +169,19 @@ def _largest_remainder(ideal: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec) -> list[LabeledDataset]:
+def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec, seed: int) -> list[LabeledDataset]:
     """Deal every instance to exactly one client, class by class.
 
     Per class a Dir(alpha) draw (normalized Gamma variates) fixes the client
-    proportions; largest-remainder rounding converts them to counts.  Empty
-    clients are repaired by stealing a single instance from the currently
-    largest shard so that every client can train (logged when triggered);
+    proportions (all draws from ``seed``); largest-remainder rounding turns
+    them into counts.  Empty clients are repaired by stealing one instance
+    from the currently largest shard so that every client can train (logged);
     when no shard has one to spare the partition fails at that client.
     """
+    if seed < 0:
+        raise ValueError(f"partition seed must be nonnegative, got {seed}")
     k = spec.num_clients
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     assigned: list[list[int]] = [[] for _ in range(k)]
     for c in range(ds.num_classes):
         idx = np.flatnonzero(ds.labels == c)
@@ -260,12 +261,12 @@ def stratified_holdout(
     return _stratified_split(ds, 1.0 - holdout_fraction, seed)
 
 
-def partition_manifest(pools: list[LabeledDataset], spec: PartitionSpec) -> dict:
-    """Per-client class counts plus the partition settings, for run records."""
+def partition_manifest(pools: list[LabeledDataset], spec: PartitionSpec, seed: int) -> dict:
+    """Per-client class counts plus the partition settings and seed, for run records."""
     return {
         "num_clients": spec.num_clients,
         "alpha": spec.alpha,
-        "seed": spec.seed,
+        "seed": seed,
         "client_class_counts": [pool.class_counts().tolist() for pool in pools],
         "client_sizes": [pool.size for pool in pools],
     }
@@ -297,10 +298,10 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         raise DatasetFormatError(f"{path}: non-integer header field: {exc}") from exc
     if n < 1 or d < 1 or c < 1:
         raise DatasetFormatError(f"{path}: header values must be positive")
-    if len(lines) - 1 < n:
+    if len(lines) - 1 != n:
+        problem = "truncated file" if len(lines) - 1 < n else "extra records"
         raise DatasetFormatError(
-            f"{path}: truncated file, header promises {n} records but only "
-            f"{len(lines) - 1} are present"
+            f"{path}: {problem}, header promises {n} records but {len(lines) - 1} are present"
         )
     feats = np.empty((n, d))
     labels = np.empty(n, dtype=np.int64)

@@ -17,9 +17,9 @@ the same seed, ``derive_seed(seed, "train", t + 1, k)``.  When it is also the
 same call (``finetune_epochs == local_epochs`` and the client keeps its
 prototype set, which holds for every variant but ``shared_only``), the tuned
 model is carried over as round t+1's local model instead of being trained
-again, so each client trains once per round after round 0.  Every random
-choice is derived from the single master seed, so identical configurations
-reproduce bit-for-bit.
+again, so each client trains once per round after round 0.  A run is named by
+its config, its variant and its master ``seed``: every random choice draws
+``derive_seed(seed, tag, ...)``, so one config and seed reproduce bit-for-bit.
 
 The four ablation variants each toggle exactly one mechanism:
 
@@ -36,7 +36,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +117,9 @@ class ExperimentConfig:
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.extractor.output_dim < 2:
+            raise ValueError("extractor.output_dim must be at least 2, got "
+                             f"{self.extractor.output_dim}")
         if not 0 < self.slope <= 1 - 1e-5:
             raise ValueError("slope must be in (0, 1 - 1e-5]")
         if self.batch_size < 1:
@@ -144,7 +147,8 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         d = dict(d)
         # older config files name the one prototype mode and aggregator, leave
-        # step-granular finetuning off and carry a triplet seed no run read
+        # step-granular finetuning off, carry a triplet seed no run read and
+        # zero partition and init seeds, which the master seed replaced
         if d.pop("prototype_mode", "tammes_fixed") != "tammes_fixed":
             raise ValueError("prototype_mode must be 'tammes_fixed', the only mode")
         if d.pop("finetune_steps", None) is not None:
@@ -152,6 +156,12 @@ class ExperimentConfig:
         if d.pop("aggregator", "consistent") != "consistent":
             raise ValueError("aggregator must be 'consistent'; averaging is --variant averaged")
         triplet = {k: v for k, v in d.pop("triplet").items() if k != "seed"}
+        for section, key in (("partition", "seed"), ("extractor", "init_seed")):
+            d[section] = dict(d[section])
+            value = d[section].pop(key, 0)
+            if type(value) is not int or value != 0:  # not False or 0.0 either
+                raise ValueError(f"{section}.{key} must be 0 or absent, got {value!r}: "
+                                 "the master seed draws every run")
         ds = d.pop("dataset")
         if isinstance(ds, dict):
             ds = dict(ds)
@@ -301,33 +311,37 @@ def _round_prototypes(
     return server, [server] * num_clients, None
 
 
-def _run(
-    cfg: ExperimentConfig,
-    variant: str | None,
-    out_dir: str | Path | None,
-    round_hook=None,
+def run_experiment(
+    cfg: ExperimentConfig, variant: str | None = None, *,
+    out_dir: str | Path | None = None, round_hook=None,
 ) -> ExperimentResult:
-    # Sub-config seeds (partition, extractor init) are mixed with the master
-    # seed, so they act as deterministic offsets: one master seed fixes the
-    # whole run, changing it reseeds everything.
+    """Run the full method (``variant=None``: frozen Tammes prototypes and
+    min-norm aggregation) or one ablation in ``VARIANTS``; write the outputs
+    to ``out_dir`` when given.  ``round_hook(t, theta_before, client_params,
+    weights, theta_after)`` is invoked after each round when given, with the
+    flat parameter arrays; useful for auditing aggregation.
+    """
+    if variant is not None and variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     ds = _build_dataset(cfg)
-    ext = replace(cfg.extractor, init_seed=derive_seed(cfg.seed, "init", cfg.extractor.init_seed))
+    ext = cfg.extractor
     if ext.input_dim != ds.dim:
         raise ValueError(f"extractor input_dim {ext.input_dim} != dataset dim {ds.dim}")
 
     pool, global_test = stratified_holdout(
         ds, cfg.global_test_fraction, seed=derive_seed(cfg.seed, "holdout")
     )
-    pspec = replace(cfg.partition, seed=derive_seed(cfg.seed, "partition", cfg.partition.seed))
-    pools = dirichlet_partition(pool, pspec)
+    # the trailing 0 of the partition and init tags keeps the bytes of earlier runs
+    partition_seed = derive_seed(cfg.seed, "partition", 0)
+    pools = dirichlet_partition(pool, cfg.partition, partition_seed)
     shards = [
-        split_local(pools[k], k, cfg.train_fraction, seed=derive_seed(cfg.seed, "split", k))
-        for k in range(pspec.num_clients)
+        split_local(pool_k, k, cfg.train_fraction, seed=derive_seed(cfg.seed, "split", k))
+        for k, pool_k in enumerate(pools)
     ]
-    manifest = partition_manifest(pools, pspec)
+    manifest = partition_manifest(pools, cfg.partition, partition_seed)
 
     server_protos, client_protos, tammes_report = _round_prototypes(
-        cfg, variant, ds.num_classes, 0, pspec.num_clients
+        cfg, variant, ds.num_classes, 0, len(shards)
     )
     frozen = variant != "shared_only"
     proto_bytes = server_protos.to_bytes() if frozen else None
@@ -335,7 +349,7 @@ def _run(
     # same epochs against the same prototype set
     carry = frozen and cfg.finetune_epochs == cfg.local_epochs
 
-    theta = learner.init_params(ext)
+    theta = learner.init_params(ext, derive_seed(cfg.seed, "init", 0))
     counts = [shard.n_train for shard in shards]
     records: list[RoundRecord] = []
     agg_log: list[dict] = []
@@ -345,7 +359,7 @@ def _run(
         t0 = time.perf_counter()
         if variant == "shared_only":
             server_protos, client_protos, _ = _round_prototypes(
-                cfg, variant, ds.num_classes, t, pspec.num_clients
+                cfg, variant, ds.num_classes, t, len(shards)
             )
         locals_: list[np.ndarray] = []
         losses: list[float] = []
@@ -444,27 +458,6 @@ def _run(
     if out_dir is not None:
         persist_result(result, out_dir)
     return result
-
-
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str | Path | None = None, round_hook=None
-) -> ExperimentResult:
-    """Run the full method: frozen uniform prototypes + min-norm aggregation.
-
-    ``round_hook(t, theta_before, client_params, weights, theta_after)`` is
-    invoked after each round when given, with the flat parameter arrays;
-    useful for auditing aggregation.
-    """
-    return _run(cfg, None, out_dir, round_hook)
-
-
-def run_ablation(
-    cfg: ExperimentConfig, variant: str, out_dir: str | Path | None = None, round_hook=None
-) -> ExperimentResult:
-    """Run one ablation variant; see the module docstring for the toggles."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return _run(cfg, variant, out_dir, round_hook)
 
 
 def persist_result(result: ExperimentResult, out_dir: str | Path) -> None:

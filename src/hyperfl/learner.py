@@ -43,20 +43,17 @@ class ExtractorConfig:
     hidden: tuple[int, ...]
     output_dim: int
     activation: str = "tanh"
-    init_seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.hidden, (tuple, list)):
             raise ValueError(f"hidden must be a list of widths, got {self.hidden!r}")
-        require_ints(self, "input_dim", "hidden", "output_dim", "init_seed")
+        require_ints(self, "input_dim", "hidden", "output_dim")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ValueError("input_dim and output_dim must be positive")
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-        if self.init_seed < 0:
-            raise ValueError("init_seed must be nonnegative")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
@@ -99,9 +96,9 @@ def _layers(theta: np.ndarray, cfg: ExtractorConfig) -> list[tuple[np.ndarray, n
     return list(zip(views[::2], views[1::2]))
 
 
-def init_params(cfg: ExtractorConfig) -> np.ndarray:
-    """Glorot-uniform weights, zero biases, seeded by cfg.init_seed."""
-    rng = np.random.default_rng(cfg.init_seed)
+def init_params(cfg: ExtractorConfig, seed: int) -> np.ndarray:
+    """Glorot-uniform weights drawn from ``seed``, zero biases."""
+    rng = np.random.default_rng(seed)
     theta = np.zeros(sum(math.prod(shape) for _, shape in layout_for(cfg)))
     for w, _ in _layers(theta, cfg):
         fan_out, fan_in = w.shape

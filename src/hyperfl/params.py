@@ -113,4 +113,7 @@ def load_params(path: str | Path) -> ParamVector:
     if len(body) != 8 * _size(ext):
         raise ValueError(f"{path}: expected {8 * _size(ext)} payload bytes, found {len(body)}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return ParamVector(values, ext, model["metric"], model["prototypes_sha256"])
+    try:
+        return ParamVector(values, ext, model["metric"], model["prototypes_sha256"])
+    except ValueError as err:  # a NaN or inf in the payload: name the file too
+        raise ValueError(f"{path}: {err}") from err

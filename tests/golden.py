@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hyperfl.federation import VARIANTS, ExperimentConfig, run_ablation, run_experiment
+from hyperfl.federation import VARIANTS, ExperimentConfig, run_experiment
 
 TABLE = Path(__file__).resolve().parent / "golden_outputs.json"
 SKIPPED_FILES = ("timing.jsonl", "summary.json")
@@ -75,10 +75,7 @@ def output_hashes(name: str, tmp: Path) -> dict[str, str]:
     config, variant = CONFIGS[name]
     cfg = ExperimentConfig.from_dict(config)
     out = tmp / name
-    if variant is None:
-        run_experiment(cfg, out_dir=out)
-    else:
-        run_ablation(cfg, variant, out_dir=out)
+    run_experiment(cfg, variant, out_dir=out)
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())

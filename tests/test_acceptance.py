@@ -16,7 +16,6 @@ from hyperfl.data import PartitionSpec, dirichlet_partition, make_synthetic
 from hyperfl.federation import (
     ExperimentConfig,
     SyntheticSpec,
-    run_ablation,
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
@@ -116,7 +115,7 @@ def test_criterion_3_gradient_oracle():
     ok = True
     for draw in range(20):
         theta = learner.init_params(
-            ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3, init_seed=draw)
+            ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3), draw
         )
         theta += 0.3 * rng.standard_normal(theta.size)
         x = rng.standard_normal((5, 4))
@@ -197,7 +196,7 @@ def test_criterion_5_fedavg_reduction():
         direct = sum(w * loc for w, loc in zip(weights.p, locals_))
         drifts.append(float(np.max(np.abs(after - direct))))
 
-    run_ablation(cfg, "averaged", round_hook=hook)
+    run_experiment(cfg, "averaged", round_hook=hook)
     ok = len(drifts) == 5 and max(drifts) < 1e-12
     assert report(5, ok, f"averaged aggregation equals the explicit data-weighted "
                          f"client average every round (max drift {max(drifts):.2e})")
@@ -208,7 +207,7 @@ def test_criterion_6_dirichlet_statistics():
     ok = True
 
     ds = make_synthetic(5, 4, per_class=100, spread=0.2, seed=0)
-    pools = dirichlet_partition(ds, PartitionSpec(num_clients=7, alpha=0.5, seed=1))
+    pools = dirichlet_partition(ds, PartitionSpec(num_clients=7, alpha=0.5), 1)
     per_class = sum(p.class_counts() for p in pools)
     ok &= bool(np.array_equal(per_class, ds.class_counts()))
     ok &= sum(p.size for p in pools) == ds.size
@@ -216,7 +215,7 @@ def test_criterion_6_dirichlet_statistics():
     ds2 = make_synthetic(3, 3, per_class=60, spread=0.2, seed=1)
     shares = []
     for seed in range(200):
-        pools = dirichlet_partition(ds2, PartitionSpec(num_clients=2, alpha=0.5, seed=seed))
+        pools = dirichlet_partition(ds2, PartitionSpec(num_clients=2, alpha=0.5), seed)
         shares.extend(pools[0].class_counts() / 60.0)
     ok &= abs(float(np.mean(shares)) - 0.5) < 0.05
 
@@ -225,7 +224,7 @@ def test_criterion_6_dirichlet_statistics():
     def mean_max_share(alpha):
         vals = []
         for seed in range(50):
-            pools = dirichlet_partition(ds3, PartitionSpec(num_clients=5, alpha=alpha, seed=seed))
+            pools = dirichlet_partition(ds3, PartitionSpec(num_clients=5, alpha=alpha), seed)
             counts = np.stack([p.class_counts() for p in pools])
             vals.append(np.mean(counts.max(axis=0) / 100.0))
         return float(np.mean(vals))
@@ -242,7 +241,7 @@ def test_criterion_7_end_to_end_desk_scale():
     full_finals, avg_finals = [], []
     for seed in range(5):
         full = run_experiment(desk_config(seed))
-        averaged = run_ablation(desk_config(seed), "averaged")
+        averaged = run_experiment(desk_config(seed), "averaged")
         gfl = full.records[-1].gfl_accuracy
         pfl = full.records[-1].pfl_accuracy_mean
         full_finals.append(gfl)

@@ -25,7 +25,6 @@ from hyperfl.federation import (
     SyntheticSpec,
     derive_seed,
     evaluate_pfl,
-    run_ablation,
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
@@ -36,10 +35,10 @@ from oracles import fresh_triplet_grad
 class TestMultipleNegatives:
     def test_gradient_matches_finite_differences(self):
         protos, _ = build_prototypes(4, 3, 0.9, seed=2)
-        cfg = ExtractorConfig(input_dim=3, hidden=(6,), output_dim=3, init_seed=0)
+        cfg = ExtractorConfig(input_dim=3, hidden=(6,), output_dim=3)
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=3)
         rng = np.random.default_rng(1)
-        theta = learner.init_params(cfg)
+        theta = learner.init_params(cfg, 0)
         theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 4, 4)
@@ -64,8 +63,8 @@ class TestMultipleNegatives:
         from hyperfl.prototypes import PrototypeSet
 
         protos = PrototypeSet(weights=w, slope=0.9)
-        cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=1)
-        theta = learner.init_params(cfg)
+        cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2)
+        theta = learner.init_params(cfg, 1)
         x = np.array([[0.3, 0.7]])
         y = np.array([0])
         l1, g1 = fresh_triplet_grad(theta, cfg, x, y, protos, TripletConfig(), seed=0)
@@ -85,7 +84,7 @@ class TestEuclideanMetric:
         w = np.array([[0.05, 0.0], [-0.9, 0.0]])
         norms = np.linalg.norm(w, axis=1)
         protos_in = PrototypeSet(weights=w * (0.9 / norms[:, None]), slope=0.9)
-        cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
+        cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2)
         theta = np.concatenate((np.eye(2).ravel(), np.zeros(2)))  # w0 = I, b0 = 0
         x = np.array([0.2, 0.0])
         geo = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="geodesic")[0]
@@ -106,14 +105,14 @@ class TestEuclideanMetric:
             local_epochs=2,
             batch_size=32,
         )
-        res = run_ablation(cfg, "averaged")
+        res = run_experiment(cfg, "averaged")
         assert res.records[-1].gfl_accuracy > 0.5
 
     def test_unknown_metric_rejected(self):
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         cfg = ExtractorConfig(input_dim=3, hidden=(), output_dim=3)
         with pytest.raises(ValueError):
-            learner.predict_batch(learner.init_params(cfg), cfg, protos, np.zeros((1, 3)),
+            learner.predict_batch(learner.init_params(cfg, 0), cfg, protos, np.zeros((1, 3)),
                                   metric="cosine")
 
 
@@ -125,8 +124,8 @@ class TestStepGranularFinetune:
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=1)
         shard = split_local(ds, 0, seed=0)
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
-        theta = learner.init_params(ext)
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
+        theta = learner.init_params(ext, 1)
         untuned, _ = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(),
                                   lr=0.3, batch_size=16, seeds=[derive_seed(0, "pfl", 0)],
                                   finetune_epochs=0)
@@ -218,7 +217,7 @@ def small_config(**overrides):
 
 
 # config keys that old files may still carry but that no longer configure anything
-RETIRED_FIELDS = {"finetune_steps", "aggregator"}
+RETIRED_FIELDS = {"finetune_steps", "aggregator", "partition.seed", "extractor.init_seed"}
 
 
 class TestExperimentConfigValidation:
@@ -259,6 +258,14 @@ class TestExperimentConfigValidation:
             ("extractor.hidden", (6.5,)),
             ("extractor.hidden", (True,)),
             ("extractor.hidden", 32),
+            # prototypes need two dimensions to lie apart
+            ("extractor.output_dim", 1),
+            # the retired sub-seeds load only as 0: the master seed draws every run
+            ("partition.seed", -1),
+            ("extractor.init_seed", True),
+            ("partition.seed", 3),
+            ("extractor.init_seed", -1),
+            ("extractor.init_seed", 3),
             # real-valued fields take no strings and no bools either
             ("lr", "0.3"),
             ("lr", True),
@@ -291,9 +298,13 @@ class TestExperimentConfigValidation:
         section, _, name = field.rpartition(".")
         # a retired field is no constructor argument at all
         error = TypeError if field in RETIRED_FIELDS else ValueError
-        built = getattr(small_config(), section) if section else small_config()
+        cfg = small_config()
         with pytest.raises(error, match=name):
-            dataclasses.replace(built, **{name: value})
+            if section:  # the section alone, then the config that holds it
+                built = dataclasses.replace(getattr(cfg, section), **{name: value})
+                dataclasses.replace(cfg, **{section: built})
+            else:
+                dataclasses.replace(cfg, **{name: value})
         # a config file goes through from_dict and fails the same way
         d = small_config().to_dict()
         (d[section] if section else d)[name] = value
@@ -308,11 +319,9 @@ class TestExperimentConfigValidation:
 
     @pytest.mark.parametrize(
         "section, field, value",
-        # nan <= 0 is False, so a sign check alone lets NaN through; a
-        # negative seed would otherwise fail mid-run in numpy, naming no field
-        [("partition", "alpha", a) for a in (float("nan"), float("inf"), 0.0, -1.0)]
-        + [("partition", "seed", -1), ("extractor", "init_seed", -1)],
-        ids=["nan", "inf", "0.0", "-1.0", "partition.seed", "extractor.init_seed"],
+        # nan <= 0 is False, so a sign check alone lets NaN through
+        [("partition", "alpha", a) for a in (float("nan"), float("inf"), 0.0, -1.0)],
+        ids=["nan", "inf", "0.0", "-1.0"],
     )
     def test_bad_alpha_rejected(self, section, field, value):
         with pytest.raises(ValueError, match=field):
@@ -340,6 +349,29 @@ class TestExperimentConfigValidation:
             assert ExperimentConfig.from_dict(old) == small_config()
         with pytest.raises(ValueError, match="--variant averaged"):
             ExperimentConfig.from_dict({**d, "aggregator": "averaged"})
+
+    def test_zero_sub_seeds_only_in_old_files(self):
+        # old config files carry a partition seed and an extractor init_seed;
+        # 0 loads and drops out, any other value names its field
+        d = small_config().to_dict()
+        assert "seed" not in d["partition"] and "init_seed" not in d["extractor"]
+        old = {**d, "partition": {**d["partition"], "seed": 0},
+               "extractor": {**d["extractor"], "init_seed": 0}}
+        assert ExperimentConfig.from_dict(old) == small_config()
+        for section, key in (("partition", "seed"), ("extractor", "init_seed")):
+            for value in (3, 0.0, False, "0"):
+                bad = {**d, section: {**d[section], key: value}}
+                with pytest.raises(ValueError, match=rf"{section}\.{key} .*master seed"):
+                    ExperimentConfig.from_dict(bad)
+
+    def test_readme_config_example_canonical(self):
+        # the README's example loads and writes back key for key: a retired
+        # or misspelled key in it fails here
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = readme.read_text(encoding="utf-8").split("```json\n")[1:]
+        assert len(blocks) == 1
+        example = json.loads(blocks[0].split("```")[0])
+        assert json.loads(json.dumps(ExperimentConfig.from_dict(example).to_dict())) == example
 
     def test_benchmark_configs_valid(self):
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"

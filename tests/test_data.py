@@ -55,14 +55,14 @@ def row_multiset(ds):
 class TestDirichletPartition:
     def test_partition_conserves_instances(self):
         ds = make_synthetic(5, 4, per_class=40, spread=0.2, seed=0)
-        pools = dirichlet_partition(ds, PartitionSpec(num_clients=7, alpha=0.5, seed=1))
+        pools = dirichlet_partition(ds, PartitionSpec(num_clients=7, alpha=0.5), 1)
         assert sum(p.size for p in pools) == ds.size
         merged = sorted(sum((row_multiset(p) for p in pools), []))
         assert merged == row_multiset(ds)
 
     def test_per_class_counts_conserved(self):
         ds = make_synthetic(4, 3, per_class=33, spread=0.2, seed=2)
-        pools = dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.3, seed=3))
+        pools = dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.3), 3)
         per_class = sum(p.class_counts() for p in pools)
         assert np.array_equal(per_class, ds.class_counts())
 
@@ -71,7 +71,7 @@ class TestDirichletPartition:
         ds = make_synthetic(3, 3, per_class=400, spread=0.2, seed=4)
         fracs = []
         for seed in range(50):
-            pools = dirichlet_partition(ds, PartitionSpec(num_clients=4, alpha=1e6, seed=seed))
+            pools = dirichlet_partition(ds, PartitionSpec(num_clients=4, alpha=1e6), seed)
             for pool in pools:
                 fracs.extend(pool.class_counts() / 400.0)
         fracs = np.array(fracs)
@@ -81,16 +81,16 @@ class TestDirichletPartition:
         ds = make_synthetic(10, 4, per_class=100, spread=0.2, seed=5)
         hits = 0
         for seed in range(50):
-            pools = dirichlet_partition(ds, PartitionSpec(num_clients=10, alpha=0.1, seed=seed))
+            pools = dirichlet_partition(ds, PartitionSpec(num_clients=10, alpha=0.1), seed)
             if any(np.any(pool.class_counts() == 0) for pool in pools):
                 hits += 1
         assert hits >= 45  # at least 90% of seeds realize a missing class
 
     def test_deterministic(self):
         ds = make_synthetic(4, 3, per_class=50, spread=0.2, seed=6)
-        spec = PartitionSpec(num_clients=6, alpha=0.4, seed=9)
-        a = dirichlet_partition(ds, spec)
-        b = dirichlet_partition(ds, spec)
+        spec = PartitionSpec(num_clients=6, alpha=0.4)
+        a = dirichlet_partition(ds, spec, 9)
+        b = dirichlet_partition(ds, spec, 9)
         for x, y in zip(a, b):
             assert np.array_equal(x.features, y.features)
             assert np.array_equal(x.labels, y.labels)
@@ -98,7 +98,7 @@ class TestDirichletPartition:
     def test_empty_clients_repaired(self, caplog):
         # tiny dataset + many clients + tiny alpha forces empty draws
         ds = make_synthetic(2, 2, per_class=10, spread=0.1, seed=7)
-        pools = dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.05, seed=11))
+        pools = dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.05), 11)
         assert all(p.size >= 1 for p in pools)
 
     def test_too_few_instances_fail_at_first_unrepairable_client(self, caplog):
@@ -106,7 +106,7 @@ class TestDirichletPartition:
         # cause, and no warning about the same client before it
         ds = make_synthetic(3, 2, per_class=1, spread=0.1, seed=0)
         with pytest.raises(ValueError, match=r"client \d+ has no data .*3 instances for 5 clients"):
-            dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.5, seed=0))
+            dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.5), 0)
         assert not any("left empty" in r.getMessage() for r in caplog.records)
 
     def test_dirichlet_mean_is_symmetric(self):
@@ -114,7 +114,7 @@ class TestDirichletPartition:
         ds = make_synthetic(3, 3, per_class=60, spread=0.2, seed=8)
         shares = []
         for seed in range(200):
-            pools = dirichlet_partition(ds, PartitionSpec(num_clients=2, alpha=0.5, seed=seed))
+            pools = dirichlet_partition(ds, PartitionSpec(num_clients=2, alpha=0.5), seed)
             shares.append(pools[0].class_counts() / 60.0)
         assert abs(float(np.mean(shares)) - 0.5) < 0.05
 
@@ -125,7 +125,7 @@ class TestDirichletPartition:
             vals = []
             for seed in range(50):
                 pools = dirichlet_partition(
-                    ds, PartitionSpec(num_clients=5, alpha=alpha, seed=seed)
+                    ds, PartitionSpec(num_clients=5, alpha=alpha), seed
                 )
                 counts = np.stack([p.class_counts() for p in pools])  # (K, C)
                 vals.append(np.mean(counts.max(axis=0) / 100.0))
@@ -250,10 +250,11 @@ class TestLargestRemainder:
 
 def test_partition_manifest_contents():
     ds = make_synthetic(3, 3, per_class=30, spread=0.2, seed=6)
-    spec = PartitionSpec(num_clients=4, alpha=0.5, seed=2)
-    pools = dirichlet_partition(ds, spec)
-    manifest = partition_manifest(pools, spec)
+    spec = PartitionSpec(num_clients=4, alpha=0.5)
+    pools = dirichlet_partition(ds, spec, 2)
+    manifest = partition_manifest(pools, spec, 2)
     assert manifest["num_clients"] == 4
+    assert manifest["seed"] == 2
     assert manifest["alpha"] == 0.5
     assert sum(manifest["client_sizes"]) == 90
     assert np.array_equal(np.sum(manifest["client_class_counts"], axis=0), [30, 30, 30])
@@ -277,6 +278,14 @@ class TestDatasetFile:
         path.write_text("\n".join(lines[:4]) + "\n")
         with pytest.raises(DatasetFormatError, match="truncated"):
             load_dataset(path)
+
+    def test_extra_records_named(self, tmp_path):
+        # a record past the header's count is not silently dropped
+        path = tmp_path / "data.txt"
+        path.write_text("2 2 2\n0.0 0.0 0\n1.0 1.0 1\n2.0 2.0 1\n")
+        with pytest.raises(DatasetFormatError, match="promises 2 records but 3") as err:
+            load_dataset(path)
+        assert str(path) in str(err.value)
 
     def test_label_out_of_range_names_row(self, tmp_path):
         path = tmp_path / "data.txt"

@@ -25,7 +25,6 @@ from hyperfl.federation import (
     derive_seed,
     evaluate_gfl,
     evaluate_pfl,
-    run_ablation,
     run_experiment,
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
@@ -91,7 +90,7 @@ class TestRunExperiment:
             captured["client"] = locals_[0]
             captured["after"] = after
 
-        res = run_ablation(cfg, "averaged", round_hook=hook)
+        res = run_experiment(cfg, "averaged", round_hook=hook)
         # theta + (theta_k - theta) cancels to the client model up to rounding
         assert np.max(np.abs(res.global_params - captured["client"])) < 1e-14
 
@@ -166,15 +165,15 @@ class TestClientIsolation:
         # one synchronous round assembled by hand, clients processed in two
         # different orders; the aggregate depends only on client indices
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=0)
-        pools_spec = PartitionSpec(num_clients=3, alpha=1.0, seed=4)
+        pools_spec = PartitionSpec(num_clients=3, alpha=1.0)
         from hyperfl.data import dirichlet_partition
 
-        pools = dirichlet_partition(ds, pools_spec)
+        pools = dirichlet_partition(ds, pools_spec, 4)
         shards = [split_local(pools[k], k, seed=k) for k in range(3)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=1)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=2)
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         tcfg = TripletConfig(margin=3.0)
-        theta = learner.init_params(ext)
+        theta = learner.init_params(ext, 2)
 
         def train_round(order):
             locals_by_k = {}
@@ -206,8 +205,8 @@ class TestEvaluate:
 
     def test_gfl_chance_level_for_random_model(self):
         protos, _ = build_prototypes(4, 4, 0.9, seed=1)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=4, init_seed=5)
-        theta = learner.init_params(ext)
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=4)
+        theta = learner.init_params(ext, 5)
         rng = np.random.default_rng(2)
         test = LabeledDataset(rng.standard_normal((4000, 6)), rng.integers(0, 4, 4000), 4)
         acc = evaluate_gfl(theta, ext, protos, test)
@@ -217,9 +216,9 @@ class TestEvaluate:
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=3)
         shards = [split_local(ds, 0, seed=0)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         tcfg = TripletConfig(margin=3.0)
-        theta = learner.init_params(ext)
+        theta = learner.init_params(ext, 1)
         accs, _ = evaluate_pfl(theta, shards, [protos], ext, tcfg, lr=0.3, batch_size=16,
                                seeds=[derive_seed(0, "pfl", 0)], finetune_epochs=0)
         direct = evaluate_gfl(theta, ext, protos, shards[0].test)
@@ -229,8 +228,8 @@ class TestEvaluate:
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=4)
         shards = [split_local(ds, 0, seed=0)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
-        theta = learner.init_params(ext)
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
+        theta = learner.init_params(ext, 1)
         digest = hashlib.sha256(theta.tobytes()).hexdigest()
         evaluate_pfl(theta, shards, [protos], ext, TripletConfig(), lr=0.3,
                      batch_size=16, seeds=[derive_seed(1, "pfl", 0)], finetune_epochs=2)
@@ -240,8 +239,8 @@ class TestEvaluate:
         ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
         shard = split_local(ds, 0, seed=0)  # single instance: no test split
         protos, _ = build_prototypes(2, 2, 0.9, seed=0)
-        ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2, init_seed=0)
-        accs, tuned = evaluate_pfl(learner.init_params(ext), [shard], [protos], ext,
+        ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2)
+        accs, tuned = evaluate_pfl(learner.init_params(ext, 0), [shard], [protos], ext,
                                    TripletConfig(), lr=0.1, batch_size=4,
                                    seeds=[derive_seed(0, "pfl", 0)])
         assert accs == [None]
@@ -251,7 +250,7 @@ class TestEvaluate:
         # a client holding one class: finetuning on it should not hurt local
         # accuracy, checked across 10 seeds
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
-        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=2)
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         tcfg = TripletConfig(margin=3.0)
         wins = 0
         for seed in range(10):
@@ -259,7 +258,7 @@ class TestEvaluate:
             only = ds.subset(np.flatnonzero(ds.labels == 1))
             shard = split_local(only, 0, seed=seed)
             theta = learner.init_params(
-                ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=seed)
+                ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3), seed
             )
             before = evaluate_gfl(theta, ext, protos, shard.test)
             after = evaluate_pfl(theta, [shard], [protos], ext, tcfg, lr=0.3, batch_size=16,
@@ -282,12 +281,6 @@ def fresh_local_train(cfg, theta, shard, protos, epochs, t, k):
     )
 
 
-def run_variant(cfg, variant, round_hook):
-    if variant is None:
-        return run_experiment(cfg, round_hook=round_hook)
-    return run_ablation(cfg, variant, round_hook=round_hook)
-
-
 class TestPflIsNextLocalUpdate:
     """Round t's P-FL finetune is client k's round-t+1 local update: same
     start, same seed; with equal epochs it is trained once and carried over."""
@@ -301,7 +294,9 @@ class TestPflIsNextLocalUpdate:
         cfg = carry_config(finetune_epochs=finetune_epochs, rounds=3, clients=clients,
                            alpha=alpha)
         after = []
-        res = run_variant(cfg, variant, lambda t, before, locals_, w, theta: after.append(theta))
+        res = run_experiment(
+            cfg, variant, round_hook=lambda t, before, locals_, w, theta: after.append(theta)
+        )
         scored = 0
         for t, rec in enumerate(res.records):
             for k, (shard, protos) in enumerate(zip(res.shards, res.client_prototypes)):
@@ -321,8 +316,9 @@ class TestPflIsNextLocalUpdate:
     def test_carried_locals_equal_fresh_training(self, variant, clients, alpha):
         cfg = carry_config(rounds=3, clients=clients, alpha=alpha)
         seen = []
-        res = run_variant(
-            cfg, variant, lambda t, before, locals_, w, theta: seen.append((before, locals_))
+        res = run_experiment(
+            cfg, variant,
+            round_hook=lambda t, before, locals_, w, theta: seen.append((before, locals_)),
         )
         for t, (before, locals_) in enumerate(seen):
             for k, (shard, protos) in enumerate(zip(res.shards, res.client_prototypes)):
@@ -349,7 +345,7 @@ class TestPflIsNextLocalUpdate:
             return train(*args, **kwargs)
 
         monkeypatch.setattr(learner, "local_train", counted)
-        res = run_variant(cfg, variant, None)
+        res = run_experiment(cfg, variant)
         tested = sum(shard.test is not None for shard in res.shards)
         assert 0 < tested < clients  # both P-FL paths are taken
         # every client trains and every tested client finetunes each round ...
@@ -362,22 +358,22 @@ class TestPflIsNextLocalUpdate:
 class TestAblations:
     def test_averaged_with_single_client_matches_full(self):
         full = run_experiment(tiny_config(rounds=2, clients=1))
-        avg = run_ablation(tiny_config(rounds=2, clients=1), "averaged")
+        avg = run_experiment(tiny_config(rounds=2, clients=1), "averaged")
         assert np.array_equal(full.global_params, avg.global_params)
         assert [r.gfl_accuracy for r in full.records] == [r.gfl_accuracy for r in avg.records]
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            run_ablation(tiny_config(), "nonsense")
+            run_experiment(tiny_config(), "nonsense")
 
     def test_shared_only_rerandomizes_per_round(self):
-        res = run_ablation(tiny_config(rounds=2), "shared_only")
+        res = run_experiment(tiny_config(rounds=2), "shared_only")
         assert isinstance(res, ExperimentResult)
 
     def test_variants_share_partition_with_full(self):
         cfg = tiny_config(seed=8)
         full = run_experiment(cfg)
-        var = run_ablation(cfg, "averaged")
+        var = run_experiment(cfg, "averaged")
         assert full.manifest == var.manifest
 
     def test_full_method_dominates_variants_on_benchmark(self):
@@ -400,7 +396,7 @@ class TestAblations:
         )
         for variant in ("geodesic_metric_only", "fixed_only", "shared_only", "averaged"):
             variant_mean = np.mean(
-                [run_ablation(bench_cfg(s), variant).records[-1].gfl_accuracy for s in seeds]
+                [run_experiment(bench_cfg(s), variant).records[-1].gfl_accuracy for s in seeds]
             )
             assert full_mean >= variant_mean - 1e-12, variant
 
@@ -449,10 +445,7 @@ class TestPersistence:
     @pytest.mark.parametrize("variant", [None, *VARIANTS])
     def test_manifest_records_tammes_report(self, tmp_path, variant):
         cfg = tiny_config(rounds=1)
-        if variant is None:
-            run_experiment(cfg, out_dir=tmp_path)
-        else:
-            run_ablation(cfg, variant, out_dir=tmp_path)
+        run_experiment(cfg, variant, out_dir=tmp_path)
         recorded = json.loads((tmp_path / "manifest.json").read_text())["tammes"]
         if variant not in (None, "averaged"):  # random prototypes: no Tammes set
             assert recorded is None
@@ -468,7 +461,7 @@ class TestPersistence:
 
     def test_checkpoint_headers_name_model_and_prototypes(self, tmp_path):
         cfg = tiny_config(rounds=1)
-        res = run_ablation(cfg, "fixed_only", out_dir=tmp_path)
+        res = run_experiment(cfg, "fixed_only", out_dir=tmp_path)
         arch = {"input_dim": 6, "hidden": [12], "output_dim": 3, "activation": "tanh",
                 "metric": "geodesic"}
 
@@ -575,7 +568,7 @@ class TestEvalReadsHeader:
         assert "seven.txt" in message and "prototypes.bin" in message
 
     def test_fixed_only_client_checkpoint_needs_its_own_set(self, tmp_path, capsys):
-        res = run_ablation(tiny_config(rounds=1), "fixed_only", out_dir=tmp_path / "run")
+        res = run_experiment(tiny_config(rounds=1), "fixed_only", out_dir=tmp_path / "run")
         save_dataset(res.global_test, tmp_path / "test.txt")
         client = tmp_path / "run" / "client_000.params"
         rc = cli_main(eval_argv(client, tmp_path / "test.txt", tmp_path / "run" / "prototypes.bin"))
@@ -624,6 +617,17 @@ class TestCli:
         assert sum(manifest["client_sizes"]) == 90
         for k in range(3):
             assert (tmp_path / "parts" / f"client_{k:03d}.txt").exists()
+
+    def test_partition_negative_seed_names_seed(self, tmp_path, capsys):
+        data_path = tmp_path / "ds.txt"
+        save_dataset(make_synthetic(3, 4, per_class=30, spread=0.2, seed=0), data_path)
+        rc = cli_main(["partition", "--data", str(data_path), "--clients", "3",
+                       "--alpha", "0.5", "--seed", "-1", "--out", str(tmp_path / "parts")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "partition seed must be nonnegative" in err["message"]
+        assert not (tmp_path / "parts").exists()
 
     def test_run_and_eval_commands(self, tmp_path, capsys):
         cfg = tiny_config(rounds=2)

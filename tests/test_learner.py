@@ -28,8 +28,8 @@ def antipodal_protos(radius=0.9):
     return PrototypeSet(weights=w, slope=radius)
 
 
-def linear_cfg(din, dout, seed=0):
-    return ExtractorConfig(input_dim=din, hidden=(), output_dim=dout, init_seed=seed)
+def linear_cfg(din, dout):
+    return ExtractorConfig(input_dim=din, hidden=(), output_dim=dout)
 
 
 @pytest.fixture(scope="module")
@@ -62,17 +62,17 @@ class TestExtract:
         assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_deterministic(self):
-        cfg = ExtractorConfig(input_dim=5, hidden=(7,), output_dim=2, init_seed=3)
+        cfg = ExtractorConfig(input_dim=5, hidden=(7,), output_dim=2)
         x = np.arange(5.0)[None, :]
-        a = forward_batch(init_params(cfg), cfg, x)
-        b = forward_batch(init_params(cfg), cfg, x)
+        a = forward_batch(init_params(cfg, 3), cfg, x)
+        b = forward_batch(init_params(cfg, 3), cfg, x)
         assert np.array_equal(a, b)
 
     def test_layer_views_follow_layout(self):
         # init_params writes weights and biases through the layer views: the
         # bias slices at layout_for offsets are zero, the weight slices not
-        cfg = ExtractorConfig(input_dim=4, hidden=(6, 5), output_dim=3, init_seed=7)
-        theta = init_params(cfg)
+        cfg = ExtractorConfig(input_dim=4, hidden=(6, 5), output_dim=3)
+        theta = init_params(cfg, 7)
         offset = 0
         for name, shape in layout_for(cfg):
             part = theta[offset : offset + int(np.prod(shape))]
@@ -83,7 +83,7 @@ class TestExtract:
     def test_dimension_checked(self):
         cfg = linear_cfg(3, 2)
         with pytest.raises(ValueError):
-            forward_batch(init_params(cfg), cfg, np.zeros((1, 4)))
+            forward_batch(init_params(cfg, 0), cfg, np.zeros((1, 4)))
 
 
 class TestTripletLoss:
@@ -119,10 +119,10 @@ class TestTripletGrad:
 
     def test_single_layer_matches_finite_differences(self):
         ps = antipodal_protos()
-        cfg = linear_cfg(2, 2, seed=1)
+        cfg = linear_cfg(2, 2)
         tcfg = TripletConfig(margin=3.0)
         rng = np.random.default_rng(0)
-        theta = init_params(cfg)
+        theta = init_params(cfg, 1)
         theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((1, 2))
         y = np.array([0])
@@ -143,9 +143,9 @@ class TestTripletGrad:
         # C = 2 makes the sampled negative deterministic, so batch mean over
         # identical rows must equal the single-sample gradient
         ps = antipodal_protos()
-        cfg = linear_cfg(2, 2, seed=2)
+        cfg = linear_cfg(2, 2)
         tcfg = TripletConfig(margin=3.0)
-        theta = init_params(cfg)
+        theta = init_params(cfg, 2)
         x = np.array([[0.4, -1.2]])
         y = np.array([1])
         _, g1 = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=3)
@@ -160,7 +160,7 @@ class TestTripletGrad:
         rng = np.random.default_rng(12)
         for draw in range(20):
             theta = init_params(
-                ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3, init_seed=draw)
+                ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3), draw
             )
             theta += 0.3 * rng.standard_normal(theta.size)
             x = rng.standard_normal((5, 4))
@@ -181,9 +181,9 @@ class TestTripletGrad:
 
     def test_euclidean_metric_gradient(self):
         ps = antipodal_protos()
-        cfg = linear_cfg(2, 2, seed=4)
+        cfg = linear_cfg(2, 2)
         tcfg = TripletConfig(margin=1.0)
-        theta = init_params(cfg)
+        theta = init_params(cfg, 4)
         x = np.array([[1.0, 0.5]])
         y = np.array([0])
         _, grad = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
@@ -248,24 +248,24 @@ def make_blob_shard(seed=0):
 class TestLocalTrain:
     def setup_method(self):
         self.ps = antipodal_protos()
-        self.cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, init_seed=0)
+        self.cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2)
         self.tcfg = TripletConfig(margin=3.0)
 
     def test_zero_lr_is_identity(self):
         shard = make_blob_shard()
-        theta = init_params(self.cfg)
+        theta = init_params(self.cfg, 0)
         out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 3, 16, lr=0.0, seed=1)
         assert np.array_equal(out, theta)
 
     def test_zero_epochs_is_identity(self):
         shard = make_blob_shard()
-        theta = init_params(self.cfg)
+        theta = init_params(self.cfg, 0)
         out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 0, 16, lr=0.3, seed=1)
         assert np.array_equal(out, theta)
 
     def test_loss_decreases_on_separable_blobs(self):
         shard = make_blob_shard(seed=3)
-        theta = init_params(self.cfg)
+        theta = init_params(self.cfg, 0)
         before = mean_triplet_loss(theta, self.cfg, shard.train, self.ps, margin=3.0)
         out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 5, 16, lr=0.3, seed=1)
         after = mean_triplet_loss(out, self.cfg, shard.train, self.ps, margin=3.0)
@@ -273,14 +273,14 @@ class TestLocalTrain:
 
     def test_bitwise_reproducible(self):
         shard = make_blob_shard(seed=4)
-        theta = init_params(self.cfg)
+        theta = init_params(self.cfg, 0)
         a = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
         b = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
         assert np.array_equal(a, b)
 
     def test_input_params_not_mutated(self):
         shard = make_blob_shard(seed=5)
-        theta = init_params(self.cfg)
+        theta = init_params(self.cfg, 0)
         snapshot = theta.copy()
         local_train(theta, shard, self.ps, self.cfg, self.tcfg, 2, 16, lr=0.3, seed=2)
         assert np.array_equal(theta, snapshot)
@@ -302,16 +302,16 @@ class TestPredict:
         assert predict_batch(theta, cfg, ps, np.array([[1.0, 2.0]]))[0] == 0
 
     def test_representation_stays_in_ball(self):
-        cfg = ExtractorConfig(input_dim=3, hidden=(4,), output_dim=2, init_seed=0)
-        theta = init_params(cfg)
+        cfg = ExtractorConfig(input_dim=3, hidden=(4,), output_dim=2)
+        theta = init_params(cfg, 0)
         theta += 1e6  # absurd weights still give a valid ball point
         z = forward_batch(theta, cfg, np.ones((1, 3)))
         p = poincare.exp_map_origin_arr(z)
         assert np.linalg.norm(p) <= 1.0 - poincare.EPS_BALL + 1e-15
 
     def test_predict_batch_matches_scalar(self, protos3):
-        cfg = ExtractorConfig(input_dim=3, hidden=(5,), output_dim=3, init_seed=1)
-        theta = init_params(cfg)
+        cfg = ExtractorConfig(input_dim=3, hidden=(5,), output_dim=3)
+        theta = init_params(cfg, 1)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10, 3))
         batch = predict_batch(theta, cfg, protos3, x)
@@ -321,8 +321,8 @@ class TestPredict:
 
 def test_mean_triplet_loss_matches_single_negative_for_two_classes():
     ps = antipodal_protos()
-    cfg = ExtractorConfig(input_dim=2, hidden=(4,), output_dim=2, init_seed=2)
-    theta = init_params(cfg)
+    cfg = ExtractorConfig(input_dim=2, hidden=(4,), output_dim=2)
+    theta = init_params(cfg, 2)
     rng = np.random.default_rng(1)
     x = rng.standard_normal((30, 2))
     y = rng.integers(0, 2, 30)
@@ -337,8 +337,8 @@ def test_single_instance_shard_still_trains():
     cfg = linear_cfg(2, 2)
     ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
     shard = ClientShard(client_id=0, train=ds, test=None)
-    out = local_train(init_params(cfg), shard, ps, cfg, TripletConfig(), 1, 4, 0.1, seed=0)
-    assert out.shape == init_params(cfg).shape
+    out = local_train(init_params(cfg, 0), shard, ps, cfg, TripletConfig(), 1, 4, 0.1, seed=0)
+    assert out.shape == init_params(cfg, 0).shape
 
 
 def random_protos(num_classes, dim, seed, slope=0.9):
@@ -415,9 +415,9 @@ class TestBitExactAgainstReference:
         ds = LabeledDataset(rng.standard_normal((37, 6)), rng.integers(0, num_classes, 37),
                             num_classes)
         shard = ClientShard(client_id=0, train=ds, test=None)
-        cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=dim, init_seed=1)
+        cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=dim)
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=negatives)
-        theta = init_params(cfg)
+        theta = init_params(cfg, 1)
         args = (theta, shard, protos, cfg, tcfg, epochs, 8, 0.3)
         got = local_train(*args, seed=11)
         want = reference_local_train(*args, seed=11)
@@ -430,7 +430,7 @@ class TestBitExactAgainstReference:
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=2)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
-        theta = init_params(cfg)
+        theta = init_params(cfg, 0)
         loss, grad = triplet_grad(theta, cfg, x, y, protos3, tcfg, np.random.default_rng(1),
                                   np.zeros_like(theta), metric)
         ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos3, tcfg,
@@ -444,11 +444,11 @@ class TestBitExactAgainstReference:
         # eight or more rounds on a single sample: a reduction over the rounds
         # would pair their hinges up instead of adding them in draw order
         protos = random_protos(100, 8, seed=seed)
-        cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=8, init_seed=seed)
+        cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=8)
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=12)
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((1, 6)), rng.integers(0, 100, 1)
-        theta = init_params(cfg)
+        theta = init_params(cfg, seed)
         theta += rng.standard_normal(theta.size)
         loss, grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
                                   np.zeros_like(theta))
@@ -562,8 +562,8 @@ class TestMixedSteps:
                             seed=0)
         shard = split_local(ds, 0, seed=0)
         protos = random_protos(4, 3, seed=1)
-        cfg = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3, init_seed=1)
-        trained = local_train(init_params(cfg), shard, protos, cfg, TripletConfig(margin=3.0),
+        cfg = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
+        trained = local_train(init_params(cfg, 1), shard, protos, cfg, TripletConfig(margin=3.0),
                               10, 16, 0.3, seed=0)
         losses = []
         step = learner.triplet_grad
@@ -631,13 +631,13 @@ class TestGatheredDistances:
 class TestGradientBuffer:
     def setup_method(self):
         self.ps, _ = build_prototypes(4, 3, 0.9, seed=2)
-        self.cfg = ExtractorConfig(input_dim=5, hidden=(6,), output_dim=3, init_seed=2)
+        self.cfg = ExtractorConfig(input_dim=5, hidden=(6,), output_dim=3)
         self.tcfg = TripletConfig(margin=3.0, negatives_per_sample=2)
         rng = np.random.default_rng(3)
         self.x, self.y = rng.standard_normal((10, 5)), rng.integers(0, 4, 10)
 
     def test_prefilled_buffer_matches_fresh_gradient(self):
-        theta = init_params(self.cfg)
+        theta = init_params(self.cfg, 2)
         out = np.full_like(theta, np.nan)
         loss, grad = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
                                   np.random.default_rng(4), out)
@@ -648,8 +648,8 @@ class TestGradientBuffer:
         assert out.tobytes() == fresh.tobytes()
 
     def test_buffer_shape_mismatch_rejected(self):
-        theta = init_params(self.cfg)
-        other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3))
+        theta = init_params(self.cfg, 2)
+        other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3), 0)
         with pytest.raises(ValueError, match="shape"):
             triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
                          np.random.default_rng(4), other)
@@ -659,7 +659,7 @@ class TestDivergenceFailsFast:
     def test_huge_weights_overflow_gradient(self):
         ps = antipodal_protos()
         cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
-        theta = init_params(cfg)
+        theta = init_params(cfg, 0)
         theta *= 1e150  # finite, but the backward pass overflows
         x, y = np.array([[1.0, -0.5], [0.3, 2.0]]), np.array([0, 1])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
@@ -678,7 +678,7 @@ class TestDivergenceFailsFast:
         target = log0(ps.weights[:1])[0]  # z of an anchor on prototype 0
         if case == "z_overflows":
             cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, activation="identity")
-            theta = init_params(cfg)
+            theta = init_params(cfg, 0)
             theta *= 1e200
             x = np.array([[1.0, -0.5]])
         elif case == "norm_overflows":
@@ -715,21 +715,21 @@ class TestDivergenceFailsFast:
 
     def test_huge_learning_rate_raises_in_local_train(self):
         ps = antipodal_protos()
-        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, init_seed=0)
+        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2)
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), 2)
         shard = ClientShard(client_id=0, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(), 3, 8, 1e200)
+            local_train(init_params(cfg, 0), shard, ps, cfg, TripletConfig(), 3, 8, 1e200)
 
     def test_overflowing_update_raises_naming_client(self):
         # the one step's gradient is finite (its largest entry is about 1.4),
         # but lr times it overflows to inf
         ps = antipodal_protos()
-        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2, init_seed=0)
+        cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2)
         rng = np.random.default_rng(1)
         ds = LabeledDataset(100.0 * rng.standard_normal((12, 2)), rng.integers(0, 2, 12), 2)
         shard = ClientShard(client_id=7, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="client 7"):
-            local_train(init_params(cfg), shard, ps, cfg, TripletConfig(), 1, 16,
+            local_train(init_params(cfg, 0), shard, ps, cfg, TripletConfig(), 1, 16,
                         np.finfo(np.float64).max)

@@ -59,8 +59,9 @@ def test_checkpoint_nonfinite_payload_rejected(tmp_path):
     save_params(pv, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-8] + np.array([np.inf], dtype="<f8").tobytes())
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite") as err:
         load_params(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_bad_magic(tmp_path):
