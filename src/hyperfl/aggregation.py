@@ -70,8 +70,6 @@ def compute_deviations(global_params: np.ndarray, locals_: list[np.ndarray]) -> 
     vectors (not a matmul), so it matches a brute-force ``np.dot`` oracle
     bit-for-bit.
     """
-    if not locals_:
-        raise ValueError("need at least one client")
     deltas = np.stack(locals_)
     deltas -= global_params
     k = len(locals_)
@@ -108,8 +106,6 @@ def min_norm_weights(
     """
     counts = np.asarray(n_samples, dtype=np.float64)
     k = dev.num_clients
-    if counts.shape != (k,) or np.any(counts <= 0):
-        raise ValueError("need one positive sample count per client")
     p = counts / counts.sum()
     # unitless Gram, so the bordered system and the stop test are scale-free
     gram = dev.gram / max(float(np.max(np.diag(dev.gram))), np.finfo(float).tiny)
@@ -159,8 +155,6 @@ def min_norm_weights(
 def fedavg_weights(n_samples: list[int] | np.ndarray) -> AggregationWeights:
     """Data-fraction weights p_k = N_k / sum N (the averaging baseline)."""
     counts = np.asarray(n_samples, dtype=np.float64)
-    if counts.ndim != 1 or counts.size < 1 or np.any(counts <= 0):
-        raise ValueError("need one positive sample count per client")
     return AggregationWeights(
         p=counts / counts.sum(), cu_iterations=0, pareto_gap=float("nan")
     )
@@ -171,8 +165,6 @@ def aggregate(
 ) -> np.ndarray:
     """theta + sum_k p_k Delta_k (plain averaging under data weights); a
     non-finite result raises ValueError."""
-    if len(weights.p) != dev.num_clients:
-        raise ValueError("weight vector length must match the client count")
     theta = global_params + weights.p @ dev.deltas
     if not np.isfinite(theta).all():
         raise ValueError("aggregated parameters are not finite")

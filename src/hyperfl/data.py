@@ -243,8 +243,6 @@ def split_local(
     splits are nonempty whenever N >= 2.  A single-instance pool goes
     entirely to train with an empty (None) test split, flagged in the log.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     if pool.size == 1:
         log.warning("client %d has a single instance; no local test split", client_id)
         return ClientShard(client_id=client_id, train=pool, test=None)
@@ -256,8 +254,6 @@ def stratified_holdout(
     ds: LabeledDataset, holdout_fraction: float, seed: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset]:
     """Split off an IID slice (e.g. a global test set): returns (rest, slice)."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise ValueError("holdout_fraction must be in (0, 1)")
     return _stratified_split(ds, 1.0 - holdout_fraction, seed)
 
 

@@ -112,6 +112,9 @@ class ExperimentConfig:
     def __post_init__(self):
         require_ints(self, "rounds", "local_epochs", "batch_size", "seed", "finetune_epochs")
         require_reals(self, "slope", "lr", "global_test_fraction", "train_fraction")
+        if not isinstance(self.dataset, (SyntheticSpec, str)):
+            raise ValueError(f"dataset must be a SyntheticSpec or a file path, "
+                             f"got {self.dataset!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
@@ -120,8 +123,8 @@ class ExperimentConfig:
         if self.extractor.output_dim < 2:
             raise ValueError("extractor.output_dim must be at least 2, got "
                              f"{self.extractor.output_dim}")
-        if not 0 < self.slope <= 1 - 1e-5:
-            raise ValueError("slope must be in (0, 1 - 1e-5]")
+        if not 0 < self.slope <= 1 - poincare.EPS_BALL:
+            raise ValueError(f"slope must be in (0, {1 - poincare.EPS_BALL}]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not (math.isfinite(self.lr) and self.lr >= 0):
@@ -155,27 +158,33 @@ class ExperimentConfig:
             raise ValueError("finetune_steps must be null; finetuning runs whole epochs")
         if d.pop("aggregator", "consistent") != "consistent":
             raise ValueError("aggregator must be 'consistent'; averaging is --variant averaged")
-        triplet = {k: v for k, v in d.pop("triplet").items() if k != "seed"}
-        for section, key in (("partition", "seed"), ("extractor", "init_seed")):
+        for section in ("dataset", "partition", "extractor", "triplet"):
+            if not isinstance(d.get(section), dict):
+                got = repr(d[section]) if section in d else "no such section"
+                raise ValueError(f"config section {section!r} must be an object, got {got}")
             d[section] = dict(d[section])
+        d["triplet"].pop("seed", None)
+        for section, key in (("partition", "seed"), ("extractor", "init_seed")):
             value = d[section].pop(key, 0)
             if type(value) is not int or value != 0:  # not False or 0.0 either
                 raise ValueError(f"{section}.{key} must be 0 or absent, got {value!r}: "
                                  "the master seed draws every run")
         ds = d.pop("dataset")
-        if isinstance(ds, dict):
-            ds = dict(ds)
-            kind = ds.pop("kind", "synthetic")
-            if kind not in ("synthetic", "file"):
-                raise ValueError(f"dataset.kind must be 'synthetic' or 'file', got {kind!r}")
-            dataset = ds["path"] if kind == "file" else SyntheticSpec(**ds)
+        kind = ds.pop("kind", "synthetic")
+        if kind == "file":
+            dataset = ds.pop("path", None)
+            if not isinstance(dataset, str) or ds:
+                raise ValueError("a file dataset takes 'kind' and a string dataset.path only, "
+                                 f"got path {dataset!r} and extra keys {sorted(ds)}")
+        elif kind == "synthetic":
+            dataset = SyntheticSpec(**ds)
         else:
-            dataset = ds
+            raise ValueError(f"dataset.kind must be 'synthetic' or 'file', got {kind!r}")
         return ExperimentConfig(
             dataset=dataset,
             partition=PartitionSpec(**d.pop("partition")),
             extractor=ExtractorConfig(**d.pop("extractor")),
-            triplet=TripletConfig(**triplet),
+            triplet=TripletConfig(**d.pop("triplet")),
             **d,
         )
 

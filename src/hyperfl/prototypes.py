@@ -171,8 +171,8 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     """
     if c < 2 or n < 2:
         raise ValueError("need at least 2 classes and 2 dimensions")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if not 0 <= seed < 2**63:  # the prototype file stores it as an int64
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     rng = np.random.default_rng(seed)
     w = random_unit_rows(c, n, rng)
     best_w = w.copy()
@@ -206,28 +206,18 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     return best_w, report
 
 
-def contract(w_unit: np.ndarray, s: float, seed: int = -1) -> PrototypeSet:
-    """Scale a unit-row configuration radially by slope s, which PrototypeSet
-    checks.  Scaling leaves all pairwise cosines unchanged."""
-    w_unit = np.asarray(w_unit, dtype=np.float64)
-    if w_unit.ndim != 2:
-        raise ValueError("expected a (C, n) matrix")
-    if not np.all(np.abs(np.linalg.norm(w_unit, axis=1) - 1.0) <= 1e-6):  # NaN fails too
-        raise ValueError("rows must be unit norm")
-    return PrototypeSet(weights=s * w_unit, slope=s, seed=seed)
-
-
 def build_prototypes(c: int, n: int, slope: float, seed: int) -> tuple[PrototypeSet, TammesReport]:
-    """Optimize a uniform unit configuration and contract it by ``slope``."""
+    """Optimize a uniform unit configuration and contract it radially by
+    ``slope``, which PrototypeSet checks; scaling keeps every pairwise cosine."""
     w_unit, report = optimize_prototypes(c, n, seed)
-    return contract(w_unit, slope, seed=seed), report
+    return PrototypeSet(weights=slope * w_unit, slope=slope, seed=seed), report
 
 
 def random_prototypes(c: int, n: int, slope: float, seed: int) -> PrototypeSet:
     """Random (non-optimized) prototypes at radius ``slope``; used by the
     ablation variants that drop the uniformity stage."""
     rng = np.random.default_rng(seed)
-    return contract(random_unit_rows(c, n, rng), slope, seed=seed)
+    return PrototypeSet(weights=slope * random_unit_rows(c, n, rng), slope=slope, seed=seed)
 
 
 def save_prototypes(protos: PrototypeSet, path: str | Path) -> None:

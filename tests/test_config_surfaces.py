@@ -381,3 +381,55 @@ class TestExperimentConfigValidation:
         cfgs = [workloads.config(name, 0) for name in workloads.WORKLOADS]
         for cfg in [*cfgs, workloads.TINY]:
             ExperimentConfig.from_dict(json.loads(json.dumps(cfg)))
+
+
+class TestConfigSections:
+    """Each section of a config file must be present and a JSON object, and
+    a file dataset holds exactly its kind and a string path; an error names
+    the section or ``dataset.path`` at load, not mid-run."""
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("triplet", None),
+            ("partition", None),
+            ("extractor", 5),
+            ("dataset", 5),
+            ("dataset", None),
+            # the bare-string dataset is no config spelling
+            ("dataset", "data.txt"),
+            ("partition", [["num_clients", 2]]),
+        ],
+    )
+    def test_section_not_an_object_named(self, section, value):
+        d = small_config().to_dict()
+        d[section] = value
+        with pytest.raises(ValueError, match=rf"'{section}' must be an object"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section", ["dataset", "partition", "extractor", "triplet"])
+    def test_missing_section_named(self, section):
+        d = small_config().to_dict()
+        del d[section]
+        with pytest.raises(ValueError, match=rf"'{section}' must be an object, got no such"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            {"kind": "file"},
+            {"kind": "file", "path": 5},
+            {"kind": "file", "path": None},
+            # a key the file form does not read would drop out of the manifest
+            {"kind": "file", "path": "d.txt", "num_classes": 7},
+        ],
+    )
+    def test_bad_file_dataset_named(self, dataset):
+        d = {**small_config().to_dict(), "dataset": dataset}
+        with pytest.raises(ValueError, match=r"dataset\.path"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("dataset", [5, None, {"kind": "file", "path": "d.txt"}])
+    def test_constructor_refuses_other_datasets(self, dataset):
+        with pytest.raises(ValueError, match="dataset must be a SyntheticSpec or a file path"):
+            dataclasses.replace(small_config(), dataset=dataset)

@@ -606,6 +606,17 @@ class TestCli:
         assert "seed" in err["message"]
         assert not out.exists()
 
+    def test_protos_seed_past_int64_names_seed(self, tmp_path, capsys):
+        # the prototype file stores the seed as an int64
+        out = tmp_path / "p.bin"
+        rc = cli_main(["protos", "--classes", "3", "--dim", "2", "--seed", str(2**63),
+                       "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "seed" in err["message"]
+        assert not out.exists()
+
     def test_partition_command(self, tmp_path):
         ds = make_synthetic(3, 4, per_class=30, spread=0.2, seed=0)
         data_path = tmp_path / "ds.txt"

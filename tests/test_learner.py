@@ -650,7 +650,7 @@ class TestGradientBuffer:
     def test_buffer_shape_mismatch_rejected(self):
         theta = init_params(self.cfg, 2)
         other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3), 0)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="layout expects"):
             triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
                          np.random.default_rng(4), other)
 

@@ -11,7 +11,6 @@ from hyperfl.prototypes import (
     PrototypeSet,
     TammesReport,
     build_prototypes,
-    contract,
     load_prototypes,
     max_pairwise_cosine,
     optimize_prototypes,
@@ -93,12 +92,12 @@ class TestOptimizePrototypes:
 class TestContract:
     def test_row_norms_equal_slope(self):
         w, _ = optimize_prototypes(5, 4, seed=0)
-        ps = contract(w, 0.9)
+        ps = PrototypeSet(weights=0.9 * w, slope=0.9)
         assert np.max(np.abs(np.linalg.norm(ps.weights, axis=1) - 0.9)) < 1e-12
 
     def test_cosines_unchanged(self):
         w, _ = optimize_prototypes(6, 4, seed=1)
-        ps = contract(w, 0.37)
+        ps = PrototypeSet(weights=0.37 * w, slope=0.37)
         before = w @ w.T
         scaled = ps.weights / 0.37
         after = scaled @ scaled.T
@@ -109,11 +108,11 @@ class TestContract:
         for bad in (0.0, -0.5, 1.0, 1.5):
             # s = 1 would pin the prototypes on the open ball's boundary
             with pytest.raises(ValueError):
-                contract(w, bad)
+                PrototypeSet(weights=bad * w, slope=bad)
 
     def test_scaling_is_exact_multiplication(self):
         w, _ = optimize_prototypes(3, 3, seed=2)
-        ps = contract(w, 0.5)
+        ps = PrototypeSet(weights=0.5 * w, slope=0.5)
         assert np.array_equal(ps.weights, 0.5 * w)
 
 
@@ -152,10 +151,6 @@ class TestPrototypeSet:
     def test_rejects_nan_rows(self):
         with pytest.raises(ValueError):
             PrototypeSet(weights=np.full((3, 2), np.nan), slope=0.9)
-
-    def test_contract_rejects_nan_rows(self):
-        with pytest.raises(ValueError):
-            contract(np.full((3, 2), np.nan), 0.9)
 
     def test_immutable(self):
         ps, _ = build_prototypes(3, 3, 0.9, seed=0)
