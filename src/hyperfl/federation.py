@@ -36,7 +36,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +169,10 @@ class ExperimentConfig:
             if type(value) is not int or value != 0:  # not False or 0.0 either
                 raise ValueError(f"{section}.{key} must be 0 or absent, got {value!r}: "
                                  "the master seed draws every run")
+        _check_keys(ExperimentConfig, d, "")
+        for section, cls in (("partition", PartitionSpec), ("extractor", ExtractorConfig),
+                             ("triplet", TripletConfig)):
+            _check_keys(cls, d[section], section)
         ds = d.pop("dataset")
         kind = ds.pop("kind", "synthetic")
         if kind == "file":
@@ -177,6 +181,7 @@ class ExperimentConfig:
                 raise ValueError("a file dataset takes 'kind' and a string dataset.path only, "
                                  f"got path {dataset!r} and extra keys {sorted(ds)}")
         elif kind == "synthetic":
+            _check_keys(SyntheticSpec, ds, "dataset")
             dataset = SyntheticSpec(**ds)
         else:
             raise ValueError(f"dataset.kind must be 'synthetic' or 'file', got {kind!r}")
@@ -187,6 +192,20 @@ class ExperimentConfig:
             triplet=TripletConfig(**d.pop("triplet")),
             **d,
         )
+
+
+def _check_keys(cls, d: dict, section: str) -> None:
+    """Refuse a key that is no field of ``cls`` and a missing field that has
+    no default, naming it ``<section>.<key>`` (``<key>`` at the top level)."""
+    prefix = f"{section}." if section else ""
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError("unknown config key " + ", ".join(prefix + k for k in unknown))
+    missing = [name for name, f in known.items() if name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError("missing config key " + ", ".join(prefix + k for k in missing))
 
 
 @dataclass

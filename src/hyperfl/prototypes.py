@@ -5,7 +5,9 @@ The construction has two stages:
 1. place C unit vectors on the sphere by minimizing the largest pairwise
    cosine similarity (the classic Tammes-style uniformity objective, in
    matrix form: L = mean_i max_j (W W^T - 2 I)_ij, rows kept unit-norm),
-   by projected subgradient descent on one fixed step-size schedule, and
+   by projected subgradient descent on one fixed step-size schedule (each
+   iterate's shifted Gram matrix is built once, and tammes_loss_grad reads
+   both the loss and the subgradient from it), and
 2. contract the unit configuration radially by a slope factor s so the
    prototypes sit strictly inside the ball.
 
@@ -99,9 +101,13 @@ def tammes_loss(w: np.ndarray) -> float:
     return float(np.mean(np.max(_shifted_gram(w), axis=1)))
 
 
-def tammes_loss_grad(w: np.ndarray) -> np.ndarray:
-    """Subgradient of tammes_loss; only the per-row argmax entries carry
-    gradient, ties broken toward the lowest column index (np.argmax).
+def tammes_loss_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """tammes_loss and its subgradient, from one shifted Gram matrix.
+
+    Only the per-row argmax entries carry gradient, ties broken toward the
+    lowest column index (np.argmax).  The loss is the mean of the Gram
+    entries at those partners, which are the row maxima; summed by
+    ``np.add.reduce`` and divided by C it has the bits of tammes_loss.
 
     Row i with partner j_i adds w[j_i]/c to grad[i], then w[i]/c to
     grad[j_i].  One unbuffered ``np.add.at`` over the interleaved pairs
@@ -112,22 +118,29 @@ def tammes_loss_grad(w: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w, dtype=np.float64)
     c, n = w.shape
+    m = _shifted_gram(w)
+    j = np.argmax(m, axis=1)
     rows = np.arange(c)
-    j = np.argmax(_shifted_gram(w), axis=1)
-    wc = w / c
-    idx = np.stack([rows, j], axis=1).reshape(-1)
-    vals = np.stack([wc[j], wc], axis=1).reshape(2 * c, n)
-    own = np.flatnonzero(j == rows)
-    if own.size:
-        vals[2 * own] = 2.0 * w[own] / c
-        keep = np.ones(2 * c, dtype=bool)
-        keep[2 * own + 1] = False
-        idx, vals = idx[keep], vals[keep]
+    loss = float(np.add.reduce(m[rows, j]) / c)
     # element indices keep numpy's fast 1-D add.at path; each element still
     # takes its additions in pair order
+    elems = np.arange(c * n).reshape(c, n)
+    idx = np.empty((c, 2, n), dtype=np.intp)
+    idx[:, 0] = elems
+    np.take(elems, j, axis=0, out=idx[:, 1])
+    wc = w / c
+    vals = np.empty((c, 2, n))
+    np.take(wc, j, axis=0, out=vals[:, 0])
+    vals[:, 1] = wc
+    own = j == rows
+    if own.any():
+        vals[own, 0] = 2.0 * w[own] / c
+        keep = np.ones((c, 2), dtype=bool)
+        keep[:, 1] = ~own
+        idx, vals = idx[keep], vals[keep]
     grad = np.zeros(c * n)
-    np.add.at(grad, (idx[:, None] * n + np.arange(n)).reshape(-1), vals.reshape(-1))
-    return grad.reshape(c, n)
+    np.add.at(grad, idx.reshape(-1), vals.reshape(-1))
+    return loss, grad.reshape(c, n)
 
 
 def max_pairwise_cosine(w: np.ndarray) -> float:
@@ -138,12 +151,8 @@ def _shifted_gram(w: np.ndarray) -> np.ndarray:
     """W W^T - 2I, the -2 subtracted in place on the diagonal; every entry
     has the bits of ``w @ w.T - 2.0 * np.eye(c)`` (x - 0.0 == x)."""
     m = w @ w.T
-    m.flat[:: w.shape[0] + 1] -= 2.0
+    m.ravel()[:: w.shape[0] + 1] -= 2.0
     return m
-
-
-def _normalize_rows(w: np.ndarray) -> np.ndarray:
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
 def random_unit_rows(c: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,6 +170,9 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     """Minimize the uniformity loss over C unit vectors in R^n.
 
     Projected subgradient descent: ambient step, then row renormalization.
+    Each iterate's Gram matrix is built once: the (loss, grad) pair from
+    tammes_loss_grad scores the iterate and gives the next step, so a call
+    builds _MAX_ITERS + 3 Gram matrices, two of them for the report.
     The best iterate seen so far is tracked and returned; only improving
     steps enter the loss trace, so the recorded trace is non-increasing.
     The loop always runs all _MAX_ITERS iterations; _PATIENCE only sets the
@@ -175,8 +187,8 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
         raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     rng = np.random.default_rng(seed)
     w = random_unit_rows(c, n, rng)
-    best_w = w.copy()
-    best_loss = tammes_loss(w)
+    best_w = w
+    best_loss, grad = tammes_loss_grad(w)
     trace = [best_loss]
     hold = int(_MAX_ITERS * _HOLD_FRAC)
     decay = (_LR_FINAL / _LR) ** (1.0 / max(_MAX_ITERS - hold, 1))
@@ -186,18 +198,21 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     for iterations in range(1, _MAX_ITERS + 1):
         if iterations > hold:
             lr *= decay
-        w = _normalize_rows(w - lr * tammes_loss_grad(w))
-        loss = tammes_loss(w)
+        # a fresh array each step, so best_w never needs a copy; the row
+        # norms have the bits of np.linalg.norm(w, axis=1, keepdims=True)
+        w = w - lr * grad
+        w /= np.sqrt(np.add.reduce(w * w, axis=1, keepdims=True))
+        loss, grad = tammes_loss_grad(w)
         improvement = best_loss - loss
         if improvement >= 0:
             best_loss = loss
-            best_w = w.copy()
+            best_w = w
             trace.append(loss)
         if improvement >= _TOL:
             last_progress = iterations
     converged = iterations - last_progress >= _PATIENCE
     report = TammesReport(
-        final_loss=best_loss,
+        final_loss=tammes_loss(best_w),  # the bits of best_loss, from the public loss
         max_pairwise_cosine=max_pairwise_cosine(best_w),
         iterations=iterations,
         converged=converged,

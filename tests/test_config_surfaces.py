@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from hyperfl import aggregation as agg
 from hyperfl import learner
+from hyperfl.cli import main as cli_main
 from hyperfl.data import (
     LabeledDataset,
     PartitionSpec,
@@ -386,7 +388,9 @@ class TestExperimentConfigValidation:
 class TestConfigSections:
     """Each section of a config file must be present and a JSON object, and
     a file dataset holds exactly its kind and a string path; an error names
-    the section or ``dataset.path`` at load, not mid-run."""
+    the section or ``dataset.path`` at load, not mid-run.  Every key must be
+    a field and every field without a default present; an error names
+    ``<section>.<key>``."""
 
     @pytest.mark.parametrize(
         "section, value",
@@ -412,6 +416,39 @@ class TestConfigSections:
         d = small_config().to_dict()
         del d[section]
         with pytest.raises(ValueError, match=rf"'{section}' must be an object, got no such"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, edit",
+        [
+            ("partition.bogus", lambda d: d["partition"].update(bogus=1)),
+            ("roundz", lambda d: d.update(roundz=3)),
+            ("dataset.extra", lambda d: d["dataset"].update(extra=1)),
+            ("triplet.marg", lambda d: d["triplet"].update(marg=3.0)),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, capsys, path, edit):
+        # a misspelled key would otherwise leave its field at the default
+        d = small_config().to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=rf"unknown config key {re.escape(path)}$"):
+            ExperimentConfig.from_dict(d)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and path in err["message"]
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("partition", "alpha"), ("", "rounds"), ("extractor", "hidden"),
+         ("dataset", "num_classes")],
+    )
+    def test_missing_key_named(self, section, key):
+        d = small_config().to_dict()
+        del (d[section] if section else d)[key]
+        path = f"{section}.{key}" if section else key
+        with pytest.raises(ValueError, match=rf"missing config key {re.escape(path)}$"):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize(

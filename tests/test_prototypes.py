@@ -81,6 +81,21 @@ class TestOptimizePrototypes:
             off = m[~np.eye(c, dtype=bool)]
             assert off.max() - off.min() < 1e-2
 
+    def test_one_gram_matrix_per_iterate(self, monkeypatch):
+        # the loss and the subgradient of an iterate share its Gram matrix:
+        # one for the start, one per step, and two for the report
+        calls = 0
+        gram = prototypes._shifted_gram
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            return gram(w)
+
+        monkeypatch.setattr(prototypes, "_shifted_gram", counted)
+        optimize_prototypes(5, 4, seed=0)
+        assert calls == prototypes._MAX_ITERS + 3
+
     def test_budget_exhaustion_returns_best(self, monkeypatch):
         monkeypatch.setattr(prototypes, "_MAX_ITERS", 5)
         _, report = optimize_prototypes(10, 3, seed=0)
@@ -309,11 +324,14 @@ class TestBatchedGradientMatchesReference:
         # copied rows tie at cosine 1, so argmax picks the lowest copy
         for _ in range(min(duplicates, c - 1)):
             w[rng.integers(c)] = w[rng.integers(c)]
-        assert tammes_loss_grad(w).tobytes() == reference_tammes_loss_grad(w).tobytes()
+        loss, grad = tammes_loss_grad(w)
+        assert loss == _reference_loss(w)
+        assert grad.tobytes() == reference_tammes_loss_grad(w).tobytes()
 
     def test_antipodal_pair_argmax_is_self(self):
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        got = tammes_loss_grad(w)
+        loss, got = tammes_loss_grad(w)
+        assert loss == _reference_loss(w)
         assert got.tobytes() == reference_tammes_loss_grad(w).tobytes()
         assert np.array_equal(got, [[0.5, 0.0], [0.5, 0.0]])
 
