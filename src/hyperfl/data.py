@@ -15,9 +15,10 @@ d feature values followed by an integer label.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
-from dataclasses import dataclass
+import operator
+import sys
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,25 +26,40 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 
-def require_ints(config, *fields: str) -> None:
-    """Raise a ValueError naming the field unless each named field of
-    ``config`` holds an integer, or a sequence of them.  bool is refused too:
-    a config file's ``true`` is no count."""
-    for name in fields:
-        value = getattr(config, name)
-        for v in value if isinstance(value, (tuple, list)) else (value,):
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+# bound -> (holds, words) for check_fields
+_BOUNDS = {"min": (operator.ge, "at least"), "above": (operator.gt, "above"),
+           "max": (operator.le, "at most"), "below": (operator.lt, "below")}
+
+
+def check_fields(config, section: str) -> None:
+    """Check every field of the dataclass ``config`` whose metadata declares
+    a ``kind`` against that kind and its bounds; a ValueError names the
+    field ``<section>.<key>``, or ``<key>`` when ``section`` is empty.
+
+    Kinds: "int" refuses bool too (a config file's ``true`` is no count),
+    "ints" is a list or tuple of them, "real" a finite number that is not a
+    bool or a string such as "0.3".  Bounds ``min`` <= value, ``above`` <
+    value, ``max`` >= value and ``below`` > value hold for every entry.
+    """
+    prefix = f"{section}." if section else ""
+    for f in fields(config):
+        kind = f.metadata.get("kind")
+        if kind is None:
+            continue
+        name, value = prefix + f.name, getattr(config, f.name)
+        if kind == "ints" and not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a list of integers, got {value!r}")
+        for v in value if kind == "ints" else (value,):
+            if kind == "real":
+                # abs(v) <= max refuses NaN, infinities and ints past the float range
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) \
+                        or not abs(v) <= sys.float_info.max:
+                    raise ValueError(f"{name} must be a finite number, got {v!r}")
+            elif isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def require_reals(config, *fields: str) -> None:
-    """Raise a ValueError naming the field unless each named field of
-    ``config`` holds a real number.  A bool or a string such as "0.3" is
-    refused too, not read as a number."""
-    for name in fields:
-        v = getattr(config, name)
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {v!r}")
+            for bound, (holds, words) in _BOUNDS.items():
+                if bound in f.metadata and not holds(v, f.metadata[bound]):
+                    raise ValueError(f"{name} must be {words} {f.metadata[bound]}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -103,16 +119,11 @@ class ClientShard:
 class PartitionSpec:
     """Dirichlet alpha and client count; ``dirichlet_partition`` takes the seed."""
 
-    alpha: float
-    num_clients: int = 20
+    alpha: float = field(metadata={"kind": "real", "above": 0})
+    num_clients: int = field(default=20, metadata={"kind": "int", "min": 1})
 
     def __post_init__(self):
-        require_ints(self, "num_clients")
-        require_reals(self, "alpha")
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be at least 1")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError("alpha must be finite and positive")
+        check_fields(self, "partition")
 
 
 def _class_centers(num_classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:

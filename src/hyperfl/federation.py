@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +46,11 @@ from hyperfl.data import (
     ClientShard,
     LabeledDataset,
     PartitionSpec,
+    check_fields,
     dirichlet_partition,
     load_dataset,
     make_synthetic,
     partition_manifest,
-    require_ints,
-    require_reals,
     split_local,
     stratified_holdout,
 )
@@ -75,21 +73,14 @@ VARIANTS = ("geodesic_metric_only", "fixed_only", "shared_only", "averaged")
 class SyntheticSpec:
     """Parameters of the built-in hierarchical Gaussian generator."""
 
-    num_classes: int
-    dim: int
-    per_class: int
-    spread: float = 0.1
-    hierarchy_depth: int = 1
+    num_classes: int = field(metadata={"kind": "int", "min": 2})
+    dim: int = field(metadata={"kind": "int", "min": 1})
+    per_class: int = field(metadata={"kind": "int", "min": 1})
+    spread: float = field(default=0.1, metadata={"kind": "real", "min": 0})
+    hierarchy_depth: int = field(default=1, metadata={"kind": "int", "min": 0})
 
     def __post_init__(self):
-        require_ints(self, "num_classes", "dim", "per_class", "hierarchy_depth")
-        require_reals(self, "spread")
-        for name, low in (("num_classes", 2), ("dim", 1), ("per_class", 1),
-                          ("hierarchy_depth", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
-        if not (math.isfinite(self.spread) and self.spread >= 0):
-            raise ValueError(f"spread must be finite and nonnegative, got {self.spread!r}")
+        check_fields(self, "dataset")
 
 
 @dataclass(frozen=True)
@@ -98,44 +89,29 @@ class ExperimentConfig:
     partition: PartitionSpec
     extractor: ExtractorConfig
     triplet: TripletConfig
-    rounds: int
-    slope: float = 0.9
-    lr: float = 0.3
-    local_epochs: int = 5
-    batch_size: int = 128
+    rounds: int = field(metadata={"kind": "int", "min": 1})
+    slope: float = field(default=0.9, metadata={"kind": "real", "above": 0,
+                                                "max": 1 - poincare.EPS_BALL})
+    lr: float = field(default=0.3, metadata={"kind": "real", "min": 0})
+    local_epochs: int = field(default=5, metadata={"kind": "int", "min": 1})
+    batch_size: int = field(default=128, metadata={"kind": "int", "min": 1})
     metric: str = "geodesic"
-    seed: int = 0
-    finetune_epochs: int = 5
-    global_test_fraction: float = 0.2
-    train_fraction: float = 0.75
+    seed: int = field(default=0, metadata={"kind": "int", "min": 0})
+    finetune_epochs: int = field(default=5, metadata={"kind": "int", "min": 0})
+    global_test_fraction: float = field(default=0.2, metadata={"kind": "real", "above": 0,
+                                                               "below": 1})
+    train_fraction: float = field(default=0.75, metadata={"kind": "real", "above": 0,
+                                                          "below": 1})
 
     def __post_init__(self):
-        require_ints(self, "rounds", "local_epochs", "batch_size", "seed", "finetune_epochs")
-        require_reals(self, "slope", "lr", "global_test_fraction", "train_fraction")
+        check_fields(self, "")
         if not isinstance(self.dataset, (SyntheticSpec, str)):
             raise ValueError(f"dataset must be a SyntheticSpec or a file path, "
                              f"got {self.dataset!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.extractor.output_dim < 2:
             raise ValueError("extractor.output_dim must be at least 2, got "
                              f"{self.extractor.output_dim}")
-        if not 0 < self.slope <= 1 - poincare.EPS_BALL:
-            raise ValueError(f"slope must be in (0, {1 - poincare.EPS_BALL}]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError("lr must be finite and nonnegative")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be at least 1")
-        if self.finetune_epochs < 0:
-            raise ValueError("finetune_epochs must be nonnegative")
-        for name in ("global_test_fraction", "train_fraction"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in (0, 1)")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -218,12 +194,6 @@ class RoundRecord:
     p: list[float]
     cu_iterations: int
     wall_time_sec: float
-
-    def __post_init__(self):
-        accs = [self.gfl_accuracy, self.pfl_accuracy_mean]
-        accs += [a for a in self.pfl_accuracies if a is not None]
-        if any(not 0.0 <= a <= 1.0 for a in accs):
-            raise ValueError("accuracies must lie in [0, 1]")
 
     def to_json_dict(self) -> dict:
         # wall time is deliberately excluded: the persisted metric stream is
@@ -371,11 +341,9 @@ def run_experiment(
     server_protos, client_protos, tammes_report = _round_prototypes(
         cfg, variant, ds.num_classes, 0, len(shards)
     )
-    frozen = variant != "shared_only"
-    proto_bytes = server_protos.to_bytes() if frozen else None
     # a P-FL finetune is the client's next local update when both run the
     # same epochs against the same prototype set
-    carry = frozen and cfg.finetune_epochs == cfg.local_epochs
+    carry = variant != "shared_only" and cfg.finetune_epochs == cfg.local_epochs
 
     theta = learner.init_params(ext, derive_seed(cfg.seed, "init", 0))
     counts = [shard.n_train for shard in shards]
@@ -413,19 +381,7 @@ def run_experiment(
             weights = agg.fedavg_weights(counts)
         else:
             weights = agg.min_norm_weights(dev, counts)
-        theta_next = agg.aggregate(theta, dev, weights)
-
-        # conservation re-check against an independently ordered accumulation
-        acc = theta.copy()
-        for k in range(len(locals_)):
-            acc = acc + weights.p[k] * dev.deltas[k]
-        drift = float(np.max(np.abs(theta_next - acc)))
-        if drift > 1e-12 * max(1.0, float(np.max(np.abs(acc)))):
-            raise RuntimeError(f"round {t}: aggregation drifted from its definition ({drift})")
-        theta_before, theta = theta, theta_next
-
-        if frozen and server_protos.to_bytes() != proto_bytes:
-            raise RuntimeError(f"round {t}: frozen prototypes changed")
+        theta_before, theta = theta, agg.aggregate(theta, dev, weights)
         if round_hook is not None:
             round_hook(t, theta_before, locals_, weights, theta)
 

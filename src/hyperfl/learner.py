@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from hyperfl import poincare
-from hyperfl.data import ClientShard, LabeledDataset, require_ints, require_reals
+from hyperfl.data import ClientShard, LabeledDataset, check_fields
 from hyperfl.prototypes import PrototypeSet
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -39,21 +39,16 @@ _ACTIVATIONS = ("tanh", "relu", "identity")
 class ExtractorConfig:
     """Architecture of the feature extractor (input -> hidden... -> tangent)."""
 
-    input_dim: int
-    hidden: tuple[int, ...]
-    output_dim: int
+    input_dim: int = field(metadata={"kind": "int", "min": 1})
+    hidden: tuple[int, ...] = field(metadata={"kind": "ints", "min": 1})
+    output_dim: int = field(metadata={"kind": "int", "min": 1})
     activation: str = "tanh"
 
     def __post_init__(self):
-        if not isinstance(self.hidden, (tuple, list)):
-            raise ValueError(f"hidden must be a list of widths, got {self.hidden!r}")
-        require_ints(self, "input_dim", "hidden", "output_dim")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be positive")
-        if any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be positive")
+        check_fields(self, "extractor")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+            raise ValueError(f"extractor.activation must be one of {_ACTIVATIONS}, "
+                             f"got {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
@@ -63,16 +58,11 @@ class ExtractorConfig:
 
 @dataclass(frozen=True)
 class TripletConfig:
-    margin: float = 3.0
-    negatives_per_sample: int = 1
+    margin: float = field(default=3.0, metadata={"kind": "real", "above": 0})
+    negatives_per_sample: int = field(default=1, metadata={"kind": "int", "min": 1})
 
     def __post_init__(self):
-        require_ints(self, "negatives_per_sample")
-        require_reals(self, "margin")
-        if not (math.isfinite(self.margin) and self.margin > 0):
-            raise ValueError(f"margin must be finite and positive, got {self.margin!r}")
-        if self.negatives_per_sample < 1:
-            raise ValueError("negatives_per_sample must be at least 1")
+        check_fields(self, "triplet")
 
 
 @functools.cache

@@ -4,8 +4,6 @@ Conventions:
     ball point   x : ||x||_2 < 1; kernels clamp their outputs to 1 - EPS_BALL
     tangent vec  z : any finite vector, read as tangent at the origin
 
-    mobius_add(a, b) = ((1 + 2<a,b> + ||b||^2) a + (1 - ||a||^2) b)
-                       / (1 + 2<a,b> + ||a||^2 ||b||^2)
     distance(a, b)   = arcosh(1 + 2||a-b||^2 / ((1-||a||^2)(1-||b||^2)))
     exp0(z)          = tanh(||z||) z / ||z||
 
@@ -43,18 +41,6 @@ def project_to_ball_arr(x: np.ndarray) -> np.ndarray:
         return x
     scale = np.where(over, limit / np.maximum(norms, limit), 1.0)
     return x * scale
-
-
-def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Mobius addition a (+) b of ball points, ball-clamped."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a2 = np.sum(a * a, axis=-1, keepdims=True)
-    b2 = np.sum(b * b, axis=-1, keepdims=True)
-    ab = np.sum(a * b, axis=-1, keepdims=True)
-    num = (1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b
-    den = 1.0 + 2.0 * ab + a2 * b2
-    return project_to_ball_arr(num / den)
 
 
 def exp_map_origin_arr(z: np.ndarray) -> np.ndarray:

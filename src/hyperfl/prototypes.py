@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,6 @@ class TammesReport:
     max_pairwise_cosine: float
     iterations: int
     converged: bool
-    loss_trace: list[float] = field(default_factory=list)
 
 
 # The uniformity optimization's step size stays at _LR for the first
@@ -173,8 +172,7 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     Each iterate's Gram matrix is built once: the (loss, grad) pair from
     tammes_loss_grad scores the iterate and gives the next step, so a call
     builds _MAX_ITERS + 3 Gram matrices, two of them for the report.
-    The best iterate seen so far is tracked and returned; only improving
-    steps enter the loss trace, so the recorded trace is non-increasing.
+    The best iterate seen so far is tracked and returned.
     The loop always runs all _MAX_ITERS iterations; _PATIENCE only sets the
     reported flag.  converged=True means the final _PATIENCE iterations
     brought no improvement of _TOL or more; a budget that ends while the
@@ -189,7 +187,6 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     w = random_unit_rows(c, n, rng)
     best_w = w
     best_loss, grad = tammes_loss_grad(w)
-    trace = [best_loss]
     hold = int(_MAX_ITERS * _HOLD_FRAC)
     decay = (_LR_FINAL / _LR) ** (1.0 / max(_MAX_ITERS - hold, 1))
     lr = _LR
@@ -207,7 +204,6 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
         if improvement >= 0:
             best_loss = loss
             best_w = w
-            trace.append(loss)
         if improvement >= _TOL:
             last_progress = iterations
     converged = iterations - last_progress >= _PATIENCE
@@ -216,7 +212,6 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
         max_pairwise_cosine=max_pairwise_cosine(best_w),
         iterations=iterations,
         converged=converged,
-        loss_trace=trace,
     )
     return best_w, report
 

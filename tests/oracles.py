@@ -3,6 +3,7 @@
 import numpy as np
 
 from hyperfl import learner
+from hyperfl.poincare import project_to_ball_arr
 
 
 def log0(p):
@@ -18,3 +19,16 @@ def fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed, metric="geodesic"):
     repeated calls (finite differences) see the same negatives."""
     return learner.triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
                                 np.zeros_like(theta), metric)
+
+
+def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Mobius addition a (+) b of ball points, ball-clamped:
+    ((1 + 2<a,b> + ||b||^2) a + (1 - ||a||^2) b) / (1 + 2<a,b> + ||a||^2 ||b||^2)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a2 = np.sum(a * a, axis=-1, keepdims=True)
+    b2 = np.sum(b * b, axis=-1, keepdims=True)
+    ab = np.sum(a * b, axis=-1, keepdims=True)
+    num = (1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b
+    den = 1.0 + 2.0 * ab + a2 * b2
+    return project_to_ball_arr(num / den)

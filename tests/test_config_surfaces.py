@@ -300,8 +300,10 @@ class TestExperimentConfigValidation:
         section, _, name = field.rpartition(".")
         # a retired field is no constructor argument at all
         error = TypeError if field in RETIRED_FIELDS else ValueError
+        # ...and so names only the bare key; every other error names the full path
+        named = name if field in RETIRED_FIELDS else re.escape(field)
         cfg = small_config()
-        with pytest.raises(error, match=name):
+        with pytest.raises(error, match=named):
             if section:  # the section alone, then the config that holds it
                 built = dataclasses.replace(getattr(cfg, section), **{name: value})
                 dataclasses.replace(cfg, **{section: built})
@@ -310,7 +312,7 @@ class TestExperimentConfigValidation:
         # a config file goes through from_dict and fails the same way
         d = small_config().to_dict()
         (d[section] if section else d)[name] = value
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=re.escape(field)):
             ExperimentConfig.from_dict(json.loads(json.dumps(d)))
 
     def test_boundary_values_accepted(self):
@@ -383,6 +385,68 @@ class TestExperimentConfigValidation:
         cfgs = [workloads.config(name, 0) for name in workloads.WORKLOADS]
         for cfg in [*cfgs, workloads.TINY]:
             ExperimentConfig.from_dict(json.loads(json.dumps(cfg)))
+
+
+# the config fields that declare no kind: the sections, which check their
+# own fields, the dataset (a section or a path) and the two names
+UNDECLARED = {"dataset", "partition", "extractor", "triplet", "metric", "activation"}
+CONFIG_CLASSES = (SyntheticSpec, PartitionSpec, ExtractorConfig, TripletConfig, ExperimentConfig)
+
+
+class TestDeclaredRules:
+    """Each checked field declares its kind and bounds once, in its
+    metadata; ``check_fields`` reads them, and every error from a
+    constructor, a config file or the CLI names ``<section>.<key>``."""
+
+    def test_every_field_declares_its_rule(self):
+        undeclared = set()
+        for cls in CONFIG_CLASSES:
+            for f in dataclasses.fields(cls):
+                if "kind" not in f.metadata:
+                    undeclared.add(f.name)
+                    continue
+                # a misspelled bound would check nothing
+                assert f.metadata["kind"] in ("int", "ints", "real"), f.name
+                assert set(f.metadata) <= {"kind", "min", "above", "max", "below"}, f.name
+        assert undeclared == UNDECLARED
+
+    def test_readme_lists_every_rule(self):
+        # the README's list of field rules says what the declarations say
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        kinds = {"int": "integer", "ints": "list of integers", "real": "number"}
+        words = {"min": "at least", "above": "above", "max": "at most", "below": "below"}
+        sections = {SyntheticSpec: "dataset.", PartitionSpec: "partition.",
+                    ExtractorConfig: "extractor.", TripletConfig: "triplet.", ExperimentConfig: ""}
+        for cls, prefix in sections.items():
+            for f in dataclasses.fields(cls):
+                if "kind" in f.metadata:
+                    bounds = " and ".join(f"{words[b]} {f.metadata[b]}" for b in words
+                                          if b in f.metadata)
+                    line = f"- `{prefix}{f.name}`: {kinds[f.metadata['kind']]}, {bounds}"
+                    assert f"\n{line}\n" in readme, line
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--clients", "0", "partition.num_clients"), ("--alpha", "nan", "partition.alpha")],
+    )
+    def test_partition_command_names_field(self, tmp_path, capsys, flag, value, field):
+        data_path = tmp_path / "ds.txt"
+        save_dataset(make_synthetic(3, 4, per_class=10, spread=0.2, seed=0), data_path)
+        flags = {"--clients": "3", "--alpha": "0.5", flag: value}
+        argv = ["partition", "--data", str(data_path), "--out", str(tmp_path / "parts")]
+        assert cli_main(argv + [x for item in flags.items() for x in item]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and field in err["message"]
+        assert not (tmp_path / "parts").exists()
+
+    def test_run_command_names_field(self, tmp_path, capsys):
+        d = small_config().to_dict()
+        d["partition"]["num_clients"] = 2.5
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(d), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "partition.num_clients" in err["message"]
 
 
 class TestConfigSections:

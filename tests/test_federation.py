@@ -20,7 +20,6 @@ from hyperfl.federation import (
     VARIANTS,
     ExperimentConfig,
     ExperimentResult,
-    RoundRecord,
     SyntheticSpec,
     derive_seed,
     evaluate_gfl,
@@ -116,28 +115,31 @@ class TestRunExperiment:
             assert len(rec.p) == 4
             assert abs(sum(rec.p) - 1.0) < 1e-9
 
-    def test_conservation_each_round(self):
-        cfg = tiny_config(rounds=3)
+    @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
+    @pytest.mark.parametrize("variant", [None, *VARIANTS])
+    def test_conservation_each_round(self, variant, metric):
+        # aggregation equals its definition theta + sum_k p_k Delta_k, summed
+        # here one client at a time, an order apart from aggregate's matmul
+        cfg = dataclasses.replace(tiny_config(rounds=3), metric=metric)
         checks = []
 
         def hook(t, before, locals_, weights, after):
-            dev = agg.compute_deviations(before, locals_)
-            expected = before + weights.p @ dev.deltas
-            checks.append(float(np.max(np.abs(after - expected))))
+            acc = before.copy()
+            for p_k, theta_k in zip(weights.p, locals_, strict=True):
+                acc = acc + p_k * (theta_k - before)
+            drift = float(np.max(np.abs(after - acc)))
+            checks.append((drift, 1e-12 * max(1.0, float(np.max(np.abs(acc))))))
 
-        run_experiment(cfg, round_hook=hook)
+        run_experiment(cfg, variant, round_hook=hook)
         assert len(checks) == 3
-        assert max(checks) < 1e-12
+        assert all(drift <= bound for drift, bound in checks), checks
 
     def test_prototypes_fixed_across_rounds(self):
+        # a PrototypeSet is frozen over a read-only array, so no round can
+        # change it; a second run re-serializes to the same bytes
         cfg = tiny_config(rounds=3)
-        seen = []
-
-        def hook(t, before, locals_, weights, after):
-            seen.append(True)
-
-        res = run_experiment(cfg, round_hook=hook)
-        # the orchestrator enforces byte-identity internally; re-serialize to confirm
+        res = run_experiment(cfg)
+        assert not res.prototypes.weights.flags.writeable
         again = run_experiment(cfg)
         assert res.prototypes.to_bytes() == again.prototypes.to_bytes()
 
@@ -687,10 +689,3 @@ class TestCli:
         assert rc == 0
         manifest = json.loads((tmp_path / "v" / "manifest.json").read_text())
         assert manifest["variant"] == "averaged"
-
-
-def test_round_record_validates_accuracy():
-    with pytest.raises(ValueError):
-        RoundRecord(round=0, gfl_accuracy=1.2, pfl_accuracy_mean=0.5,
-                    pfl_accuracies=[0.5], train_loss_mean=0.0, p=[1.0],
-                    cu_iterations=0, wall_time_sec=0.0)

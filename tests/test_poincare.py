@@ -7,10 +7,9 @@ from hyperfl.poincare import (
     distance_to_set_arr,
     exp_map_origin_arr,
     exp_map_origin_jvp_transpose_arr,
-    mobius_add_arr,
     project_to_ball_arr,
 )
-from oracles import log0
+from oracles import log0, mobius_add_arr
 
 RNG = np.random.default_rng(20240601)
 

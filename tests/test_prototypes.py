@@ -68,11 +68,6 @@ class TestOptimizePrototypes:
         w, _ = optimize_prototypes(7, 6, seed=3)
         assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) < 1e-9
 
-    def test_trace_non_increasing(self):
-        _, report = optimize_prototypes(5, 4, seed=5)
-        trace = np.array(report.loss_trace)
-        assert np.all(np.diff(trace) <= 0)
-
     def test_pairwise_cosines_nearly_equal_for_simplex(self):
         # simplex symmetry: every pair ends within 1e-2 of every other pair
         for c, n in [(4, 3), (5, 4), (10, 20)]:
@@ -280,7 +275,6 @@ def reference_optimize_prototypes(c, n, seed):
     w = random_unit_rows(c, n, rng)
     best_w = w.copy()
     best_loss = _reference_loss(w)
-    trace = [best_loss]
     decay = (lr_final / lr) ** (1.0 / (max_iters - hold))
     last_progress = 0
     iterations = 0
@@ -294,7 +288,6 @@ def reference_optimize_prototypes(c, n, seed):
         if improvement >= 0:
             best_loss = loss
             best_w = w.copy()
-            trace.append(loss)
         if improvement >= tol:
             last_progress = iterations
     m = best_w @ best_w.T - 2.0 * np.eye(c)
@@ -303,7 +296,6 @@ def reference_optimize_prototypes(c, n, seed):
         max_pairwise_cosine=float(np.max(m)),
         iterations=iterations,
         converged=iterations - last_progress >= patience,
-        loss_trace=trace,
     )
     return best_w, report
 
@@ -341,7 +333,6 @@ class TestBatchedGradientMatchesReference:
             w, report = optimize_prototypes(c, n, seed)
             ref_w, ref = reference_optimize_prototypes(c, n, seed)
             assert w.tobytes() == ref_w.tobytes()
-            assert report.loss_trace == ref.loss_trace
             assert report.final_loss == ref.final_loss
             assert report.iterations == ref.iterations
             assert report.converged == ref.converged

@@ -20,7 +20,7 @@ import hyperfl
 from hyperfl import cli, data, federation
 
 # the only public names allowed to run under tests alone, with the reason
-ALLOWED_UNCALLED = {"poincare.mobius_add_arr": "acceptance criterion 1"}
+ALLOWED_UNCALLED = {}
 
 TINY = {
     "dataset": {"kind": "synthetic", "num_classes": 3, "dim": 4, "per_class": 20},
