@@ -62,20 +62,29 @@ class AggregationWeights:
         self.p = np.maximum(self.p, 0.0)
 
 
-def compute_deviations(global_params: np.ndarray, locals_: list[np.ndarray]) -> DeviationSet:
+# Gram rows filled per ``np.vecdot`` call
+_GRAM_TILE = 32
+
+
+def compute_deviations(global_params: np.ndarray, locals_: np.ndarray) -> DeviationSet:
     """Deltas of every client against the broadcast parameters, with Gram.
 
-    Each row of the upper triangle is one ``np.vecdot`` of a delta against
-    the deltas from it on; every entry is still one dot product of two
-    vectors (not a matmul), so it matches a brute-force ``np.dot`` oracle
-    bit-for-bit.
+    ``locals_`` is the (K, P) block of client models, one per row (or a
+    list of K rows).  The Gram is filled a tile of rows at a time: one
+    ``np.vecdot`` takes every delta from the tile's first row on against
+    the tile's own rows, which stay in cache, and the result is written
+    into the tile's columns and, transposed, into its rows.  Every entry is
+    still one dot product of two full rows (not a matmul), so it matches a
+    brute-force ``np.dot`` oracle bit-for-bit: a dot product has the same
+    bits with its two rows swapped.
     """
-    deltas = np.stack(locals_)
-    deltas -= global_params
-    k = len(locals_)
+    deltas = np.subtract(locals_, global_params)
+    k = deltas.shape[0]
     gram = np.empty((k, k))
-    for i in range(k):
-        gram[i, i:] = gram[i:, i] = np.vecdot(deltas[i], deltas[i:])
+    for i in range(0, k, _GRAM_TILE):
+        tile = np.vecdot(deltas[i:, None], deltas[None, i : i + _GRAM_TILE])
+        gram[i:, i : i + _GRAM_TILE] = tile
+        gram[i : i + _GRAM_TILE, i:] = tile.T
     return DeviationSet(deltas=deltas, gram=gram)
 
 

@@ -21,6 +21,11 @@ again, so each client trains once per round after round 0.  A run is named by
 its config, its variant and its master ``seed``: every random choice draws
 ``derive_seed(seed, tag, ...)``, so one config and seed reproduce bit-for-bit.
 
+The round's K client models are the rows of one (K, P) block.  Each client
+trains on its own, but the loss metric and the P-FL accuracy score every
+group of clients whose split has one size in one stacked call; equal shapes
+stack bit-exactly, so the bytes are those of one call per client.
+
 The four ablation variants each toggle exactly one mechanism:
 
 * ``averaged``             -- data-weighted averaging instead of min-norm weights;
@@ -209,7 +214,7 @@ class ExperimentResult:
     variant: str | None
     records: list[RoundRecord]
     global_params: np.ndarray  # flat, in learner.layout_for(config.extractor) order
-    client_params: list[np.ndarray]
+    client_params: np.ndarray  # (K, P): the final round's client models, one per row
     prototypes: PrototypeSet
     client_prototypes: list[PrototypeSet]  # the final round's set of each client
     shards: list[ClientShard]
@@ -239,8 +244,25 @@ def evaluate_gfl(
     metric: str = "geodesic",
 ) -> float:
     """Top-1 accuracy of the aggregated model on the held-out test slice."""
-    pred = learner.predict_batch(global_params, ext, protos, test.features, metric)
+    pred = learner.predict_batch(
+        global_params, ext, protos.weights, protos.sq_norms, test.features, metric
+    )
     return float(np.mean(pred == test.labels))
+
+
+def _size_groups(datasets: list[LabeledDataset | None], protos: list[PrototypeSet]):
+    """Per group of clients whose dataset has one size (a None dataset is
+    skipped), yield the client indices and their features, labels,
+    prototype weights and squared norms, each stacked on a leading axis;
+    a group of one stacks views, not copies."""
+    groups: dict[int, list[int]] = {}
+    for k, ds in enumerate(datasets):
+        if ds is not None:
+            groups.setdefault(ds.size, []).append(k)
+    for ks in groups.values():
+        parts = zip(*((datasets[k].features, datasets[k].labels, protos[k].weights,
+                       protos[k].sq_norms) for k in ks))
+        yield ks, *(a[0][None] if len(ks) == 1 else np.stack(a) for a in parts)
 
 
 def evaluate_pfl(
@@ -254,31 +276,32 @@ def evaluate_pfl(
     seeds: list[int],
     finetune_epochs: int = 5,
     metric: str = "geodesic",
-) -> tuple[list[float | None], list[np.ndarray | None]]:
+) -> tuple[list[float | None], np.ndarray]:
     """Per-client accuracy after finetuning a copy of the global model.
 
     Each client receives its own copy, finetunes on the local train split
     against its prototype set in ``protos`` for ``finetune_epochs`` epochs
-    with its seed in ``seeds`` (one of each per shard) and is scored on the
-    local test split.  Returns the accuracies and the tuned models.  Clients
-    without a test split are skipped and get None in both lists.  The global
+    with its seed in ``seeds`` (one of each per shard), one client after the
+    other, and is scored on the local test split; clients whose test splits
+    have one size are scored in one stacked call.  Returns the accuracies
+    and the (K, P) block of tuned models.  Clients without a test split are
+    skipped: their accuracy is None and their row NaN.  The global
     parameters are never mutated.
     """
-    accs: list[float | None] = []
-    tuned: list[np.ndarray | None] = []
-    for shard, proto_k, seed in zip(shards, protos, seeds, strict=True):
+    tuned = np.full((len(shards), global_params.size), np.nan)
+    for k, (shard, proto_k, seed) in enumerate(zip(shards, protos, seeds, strict=True)):
         if shard.test is None:
             log.debug("client %d has no local test split; skipped in P-FL", shard.client_id)
-            accs.append(None)
-            tuned.append(None)
             continue
-        theta_k = learner.local_train(
+        tuned[k] = learner.local_train(
             global_params, shard, proto_k, ext, tcfg,
             epochs=finetune_epochs, batch_size=batch_size, lr=lr, seed=seed, metric=metric,
         )
-        pred = learner.predict_batch(theta_k, ext, proto_k, shard.test.features, metric)
-        accs.append(float(np.mean(pred == shard.test.labels)))
-        tuned.append(theta_k)
+    accs: list[float | None] = [None] * len(shards)
+    for ks, x, y, w, w2 in _size_groups([shard.test for shard in shards], protos):
+        pred = learner.predict_batch(tuned[ks], ext, w, w2, x, metric)
+        for k, acc in zip(ks, np.mean(pred == y, axis=-1)):
+            accs[k] = float(acc)
     return accs, tuned
 
 
@@ -349,7 +372,7 @@ def run_experiment(
     counts = [shard.n_train for shard in shards]
     records: list[RoundRecord] = []
     agg_log: list[dict] = []
-    carried: list[np.ndarray | None] = [None] * len(shards)
+    tuned: np.ndarray | None = None  # last round's P-FL models, when carried
 
     for t in range(cfg.rounds):
         t0 = time.perf_counter()
@@ -357,33 +380,31 @@ def run_experiment(
             server_protos, client_protos, _ = _round_prototypes(
                 cfg, variant, ds.num_classes, t, len(shards)
             )
-        locals_: list[np.ndarray] = []
-        losses: list[float] = []
+        models = np.empty((len(shards), theta.size)) if tuned is None else tuned
         for k, shard in enumerate(shards):
-            theta_k = carried[k]
-            if theta_k is None:
-                try:
-                    theta_k = learner.local_train(
-                        theta, shard, client_protos[k], ext, cfg.triplet,
-                        epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                        seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
-                    )
-                except ValueError as err:  # local training diverged
-                    raise ValueError(f"round {t}: {err}") from err
-            locals_.append(theta_k)
-            losses.append(
-                learner.mean_triplet_loss(
-                    theta_k, ext, shard.train, client_protos[k], cfg.triplet.margin, cfg.metric
+            if tuned is not None and shard.test is not None:
+                continue  # carried over from last round's P-FL finetune
+            try:
+                models[k] = learner.local_train(
+                    theta, shard, client_protos[k], ext, cfg.triplet,
+                    epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+                    seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
                 )
+            except ValueError as err:  # local training diverged
+                raise ValueError(f"round {t}: {err}") from err
+        losses = np.empty(len(shards))
+        for ks, x, y, w, w2 in _size_groups([shard.train for shard in shards], client_protos):
+            losses[ks] = learner.mean_triplet_loss(
+                models[ks], ext, x, y, w, w2, cfg.triplet.margin, cfg.metric
             )
-        dev = agg.compute_deviations(theta, locals_)
+        dev = agg.compute_deviations(theta, models)
         if variant == "averaged":
             weights = agg.fedavg_weights(counts)
         else:
             weights = agg.min_norm_weights(dev, counts)
         theta_before, theta = theta, agg.aggregate(theta, dev, weights)
         if round_hook is not None:
-            round_hook(t, theta_before, locals_, weights, theta)
+            round_hook(t, theta_before, models, weights, theta)
 
         gap = weights.pareto_gap
         agg_log.append(
@@ -396,14 +417,15 @@ def run_experiment(
             }
         )
         # free round t's models so that the tuned ones do not raise peak
-        # memory; the last round's locals are the client checkpoints
+        # memory; the last round's models are the client checkpoints
         del dev
+        tuned = None
         if t < cfg.rounds - 1:
-            del locals_, carried
+            del models
 
         gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
         try:
-            pfl, carried = evaluate_pfl(
+            pfl, tuned = evaluate_pfl(
                 theta, shards, client_protos, ext, cfg.triplet, cfg.lr, cfg.batch_size,
                 [derive_seed(cfg.seed, "train", t + 1, k) for k in range(len(shards))],
                 finetune_epochs=cfg.finetune_epochs, metric=cfg.metric,
@@ -411,7 +433,7 @@ def run_experiment(
         except ValueError as err:  # finetuning diverged
             raise ValueError(f"round {t}: {err}") from err
         if not carry:
-            carried = [None] * len(shards)
+            tuned = None
         scored = [a for a in pfl if a is not None]
         record = RoundRecord(
             round=t,
@@ -430,7 +452,7 @@ def run_experiment(
         variant=variant,
         records=records,
         global_params=theta,
-        client_params=locals_,
+        client_params=models,
         prototypes=server_protos,
         client_prototypes=client_protos,
         shards=shards,

@@ -18,6 +18,11 @@ formula); the optimizer is plain SGD.  The prototypes are frozen, so every
 trainable parameter lives in flat Euclidean space and no manifold-aware
 update is needed.  The parameters theta are one flat float64 array; only
 this module reads its per-layer layout, ``layout_for``.
+
+The scoring functions ``mean_triplet_loss`` and ``predict_batch`` also take
+a (G, P) block of G models with inputs stacked the same way, (G, B, d);
+every product is one ``np.matmul``, which gives each stacked model the bits
+of a call of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyperfl import poincare
-from hyperfl.data import ClientShard, LabeledDataset, check_fields
+from hyperfl.data import ClientShard, check_fields
 from hyperfl.prototypes import PrototypeSet
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -74,15 +79,25 @@ def layout_for(cfg: ExtractorConfig):
     return tuple(layout)
 
 
-def _layers(theta: np.ndarray, cfg: ExtractorConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (W, b) views into the flat ``theta``, in ``layout_for`` order."""
-    views, offset = [], 0
+@functools.cache
+def _spans(cfg: ExtractorConfig) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) in theta of each tensor of ``layout_for(cfg)``."""
+    spans, offset = [], 0
     for _, shape in layout_for(cfg):
-        size = math.prod(shape)
-        views.append(theta[offset : offset + size].reshape(shape))
-        offset += size
-    if offset != theta.size:
-        raise ValueError(f"parameter vector has {theta.size} values, layout expects {offset}")
+        spans.append((offset, offset + math.prod(shape), shape))
+        offset += math.prod(shape)
+    return tuple(spans)
+
+
+def _layers(theta: np.ndarray, cfg: ExtractorConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (W, b) views into ``theta``, in ``layout_for`` order: a flat
+    (P,) vector, or a (..., P) block whose leading axes lead every view."""
+    spans = _spans(cfg)
+    if spans[-1][1] != theta.shape[-1]:
+        raise ValueError(f"parameter vector has {theta.shape[-1]} values, "
+                         f"layout expects {spans[-1][1]}")
+    lead = theta.shape[:-1]
+    views = [theta[..., start:stop].reshape(lead + shape) for start, stop, shape in spans]
     return list(zip(views[::2], views[1::2]))
 
 
@@ -118,14 +133,21 @@ def _forward_cached(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
     layers = _layers(theta, cfg)
     acts = [x]
     for i, (w, b) in enumerate(layers):
-        a = acts[-1] @ w.T + b
+        a = acts[-1] @ w.mT + b[..., None, :]
         acts.append(_act(a, cfg.activation) if i < len(layers) - 1 else a)
     return acts[-1], acts, layers
 
 
 def forward_batch(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray) -> np.ndarray:
-    """Tangent-space features for a (B, input_dim) batch."""
+    """Tangent-space features for a (B, input_dim) batch, or for a (..., B,
+    input_dim) stack of batches under a (..., P) block of models."""
     return _forward_cached(theta, cfg, x)[0]
+
+
+def _ball_points(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
+    """The ball points exp0(forward(x)) of a batch and their squared norms."""
+    z = forward_batch(theta, cfg, x)
+    return poincare.exp_map_origin_arr(z, np.sqrt(np.add.reduce(z * z, axis=-1)))
 
 
 def _backward(cfg: ExtractorConfig, acts, layers, delta: np.ndarray, grads) -> None:
@@ -137,9 +159,11 @@ def _backward(cfg: ExtractorConfig, acts, layers, delta: np.ndarray, grads) -> N
             delta = (delta @ layers[i][0]) * _act_prime_from_output(acts[i], cfg.activation)
 
 
-def _distances_at(p: np.ndarray, w: np.ndarray, cols: np.ndarray, metric: str) -> np.ndarray:
+def _distances_at(
+    p: np.ndarray, p2: np.ndarray, w: np.ndarray, w2: np.ndarray, cols: np.ndarray, metric: str
+) -> np.ndarray:
     """Distance from row i of ``p`` to ``w[cols[..., i]]``, for class indices
-    ``cols`` of shape (..., B).
+    ``cols`` of shape (..., B), given the squared row norms ``p2`` and ``w2``.
 
     Each entry has the bits of the matching entry of
     ``poincare.distance_to_set_arr``: its inner product is gathered from the
@@ -148,7 +172,7 @@ def _distances_at(p: np.ndarray, w: np.ndarray, cols: np.ndarray, metric: str) -
     """
     from_inner, _ = poincare.metric_kernels(metric)
     pw = (p @ w.T)[np.arange(p.shape[0]), cols]
-    return from_inner(np.add.reduce(p * p, axis=-1), np.add.reduce(w * w, axis=-1)[cols], pw)
+    return from_inner(p2, w2[cols], pw)
 
 
 def sample_negative(y: int | np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,13 +219,16 @@ def triplet_grad(
     b = x.shape[0]
 
     z, acts, layers = _forward_cached(theta, cfg, x)
-    p = poincare.exp_map_origin_arr(z)
+    # each row norm is taken once and shared by the kernels that read it
+    z_norm = np.sqrt(np.add.reduce(z * z, axis=-1))
+    p, p2 = poincare.exp_map_origin_arr(z, z_norm)
     # row 0: the true labels; row 1 + r: the negatives of round r
     cols = np.empty((1 + tcfg.negatives_per_sample, b), dtype=np.int64)
     cols[0] = y
     for r in range(1, cols.shape[0]):
         cols[r] = sample_negative(y, c, rng)
-    d = _distances_at(p, protos.weights, cols, metric)
+    w, w2 = protos.weights, protos.sq_norms
+    d = _distances_at(p, p2, w, w2, cols, metric)
     gap = d[0] - d[1:] + tcfg.margin
     # summed one round at a time: a reduction over the rounds may pair them up
     loss_acc = np.zeros(b)
@@ -214,20 +241,22 @@ def triplet_grad(
         # rows :b take each sample's positive, rows b: each active negative; the
         # kernel is row-wise, so each row has the bits a call of its own gives
         pts, cls = np.concatenate((p, p[s])), np.concatenate((y, cols[1 + rnd, s]))
-        g = poincare.dist_grad_wrt_point_arr(pts, protos.weights[cls], metric)
-        d_p_acc = np.zeros(p.size)
-        # unbuffered, over (round, sample) pairs in round-major order: an entry
-        # hit by several rounds takes their terms one at a time, in draw order
-        # (scattered flat, where numpy's add.at is fastest)
+        g = poincare.dist_grad_wrt_point_arr(
+            pts, np.concatenate((p2, p2[s])), w[cls], w2[cls], metric
+        )
+        # summed from zero over (round, sample) pairs in round-major order: an
+        # entry hit by several rounds takes their terms one at a time, in draw
+        # order
         flat = (s[:, None] * p.shape[1] + np.arange(p.shape[1])).ravel()
-        np.add.at(d_p_acc, flat, (g[s] - g[b:]).ravel())
-        d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc.reshape(p.shape) * scale)
+        d_p_acc = np.bincount(flat, (g[s] - g[b:]).ravel(), minlength=p.size)
+        d_p = d_p_acc.reshape(p.shape) * scale
+        d_z = poincare.exp_map_origin_jvp_transpose_arr(z, z_norm, d_p)
         _backward(cfg, acts, layers, d_z, _layers(out, cfg))
         finite = np.isfinite(out).all()
     else:
         # zeros pulled back stay zero unless they meet 0 * inf: in an input or
         # weight the backward pass multiplies them by, or a non-finite ||z||
-        seen = [np.add.reduce(z * z, axis=-1), *acts[:-1]]
+        seen = [z_norm, *acts[:-1]]
         seen += [w for w, _ in layers[1:]]
         finite = all(np.isfinite(a).all() for a in seen)
         out.fill(0.0)
@@ -239,21 +268,28 @@ def triplet_grad(
 def mean_triplet_loss(
     theta: np.ndarray,
     cfg: ExtractorConfig,
-    ds: LabeledDataset,
-    protos: PrototypeSet,
+    x: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    w2: np.ndarray,
     margin: float,
     metric: str = "geodesic",
-) -> float:
+) -> np.ndarray:
     """Deterministic loss metric: the hinge averaged over *all* negative
-    classes per sample (the expectation of the sampled objective)."""
-    z = forward_batch(theta, cfg, ds.features)
-    p = poincare.exp_map_origin_arr(z)
-    d_all = poincare.distance_to_set_arr(p, protos.weights, metric)
-    idx = np.arange(ds.size)
-    d_pos = d_all[idx, ds.labels]
-    gaps = np.maximum(d_pos[:, None] - d_all + margin, 0.0)
-    gaps[idx, ds.labels] = 0.0
-    return float(np.mean(np.sum(gaps, axis=1) / (protos.num_classes - 1)))
+    classes per sample (the expectation of the sampled objective), against
+    prototypes ``w`` (C, n) with squared norms ``w2`` (C,).
+
+    A (P,) ``theta`` scores the batch ``x`` (B, d), ``y`` (B,) and returns
+    one float64.  A (G, P) block scores G batches stacked as (G, B, d) and
+    (G, B) against one set or G sets stacked as (G, C, n) and (G, C), and
+    returns G losses.
+    """
+    p, p2 = _ball_points(theta, cfg, x)
+    d_all = poincare.distance_to_set_arr(p, p2, w, w2, metric)
+    pos = y[..., None]
+    gaps = np.maximum(np.take_along_axis(d_all, pos, axis=-1) - d_all + margin, 0.0)
+    np.put_along_axis(gaps, pos, 0.0, axis=-1)
+    return np.mean(np.sum(gaps, axis=-1) / (w.shape[-2] - 1), axis=-1)
 
 
 def local_train(
@@ -305,11 +341,15 @@ def local_train(
 def predict_batch(
     theta: np.ndarray,
     cfg: ExtractorConfig,
-    protos: PrototypeSet,
+    w: np.ndarray,
+    w2: np.ndarray,
     x: np.ndarray,
     metric: str = "geodesic",
 ) -> np.ndarray:
-    """Nearest-prototype labels for a batch; ties go to the lowest class."""
-    z = forward_batch(theta, cfg, x)
-    p = poincare.exp_map_origin_arr(z)
-    return np.argmin(poincare.distance_to_set_arr(p, protos.weights, metric), axis=1)
+    """Nearest-prototype labels for a batch; ties go to the lowest class.
+
+    Takes the stacked shapes of ``mean_triplet_loss`` as well: a (G, P)
+    block with (G, B, d) inputs gives (G, B) labels.
+    """
+    p, p2 = _ball_points(theta, cfg, x)
+    return np.argmin(poincare.distance_to_set_arr(p, p2, w, w2, metric), axis=-1)

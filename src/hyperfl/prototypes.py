@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,8 @@ class PrototypeSet:
     weights: np.ndarray  # (C, n) ball coordinates
     slope: float
     seed: int = -1
+    # (C,) squared row norms ||w||^2, the distance kernels' input
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -49,6 +51,9 @@ class PrototypeSet:
             raise ValueError("every prototype row must have norm equal to slope")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        sq_norms = np.add.reduce(w * w, axis=-1)
+        sq_norms.flags.writeable = False
+        object.__setattr__(self, "sq_norms", sq_norms)
 
     @property
     def num_classes(self) -> int:

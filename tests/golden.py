@@ -53,6 +53,13 @@ CONFIGS = {
         "dataset": {"kind": "synthetic", "num_classes": 3, "dim": 4, "per_class": 30},
         "partition": {"num_clients": 40, "alpha": 0.3},
     }, None),
+    # 12 equal shards (5 train, 1 test each) with per-client prototype sets:
+    # every client shares its split sizes with all others
+    "many_clients_fixed_only": ({
+        **TINY,
+        "dataset": {"kind": "synthetic", "num_classes": 3, "dim": 4, "per_class": 30},
+        "partition": {"num_clients": 12, "alpha": 100.0},
+    }, "fixed_only"),
     # three rounds, so carried and retrained local models both feed two aggregations
     "equal_epochs": ({**TINY, "rounds": 3, "local_epochs": 2, "finetune_epochs": 2}, None),
     "unequal_epochs": ({**TINY, "rounds": 3, "local_epochs": 2, "finetune_epochs": 1}, None),

@@ -3,11 +3,45 @@
 import numpy as np
 
 from hyperfl import learner
-from hyperfl.poincare import project_to_ball_arr
+from hyperfl.poincare import (
+    _project_to_ball_arr,
+    dist_grad_wrt_point_arr,
+    distance_to_set_arr,
+    exp_map_origin_arr,
+    exp_map_origin_jvp_transpose_arr,
+)
+
+
+def sq_norms(x):
+    """Squared row norms, reduced over the last axis as the program does."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.add.reduce(x * x, axis=-1)
+
+
+def exp0(z):
+    """The ball points of ``poincare.exp_map_origin_arr`` of rows ``z``,
+    their norms taken here."""
+    z = np.asarray(z, dtype=np.float64)
+    return exp_map_origin_arr(z, np.sqrt(sq_norms(z)))[0]
+
+
+def distances(p, w, metric="geodesic"):
+    """``poincare.distance_to_set_arr``, the squared norms taken here."""
+    return distance_to_set_arr(p, sq_norms(p), w, sq_norms(w), metric)
+
+
+def dist_grad(p, w, metric="geodesic"):
+    """``poincare.dist_grad_wrt_point_arr``, the squared norms taken here."""
+    return dist_grad_wrt_point_arr(p, sq_norms(p), w, sq_norms(w), metric)
+
+
+def pullback(z, v):
+    """``poincare.exp_map_origin_jvp_transpose_arr``, the norms of ``z`` taken here."""
+    return exp_map_origin_jvp_transpose_arr(z, np.sqrt(sq_norms(z)), v)
 
 
 def log0(p):
-    """Inverse of ``poincare.exp_map_origin_arr``, row-wise: artanh(||p||) p/||p||."""
+    """Inverse of ``exp0``, row-wise: artanh(||p||) p/||p||."""
     p = np.asarray(p, dtype=np.float64)
     r = np.linalg.norm(p, axis=-1, keepdims=True)
     return np.divide(np.arctanh(r), r, out=np.ones_like(r), where=r > 0) * p
@@ -31,4 +65,4 @@ def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = np.sum(a * b, axis=-1, keepdims=True)
     num = (1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b
     den = 1.0 + 2.0 * ab + a2 * b2
-    return project_to_ball_arr(num / den)
+    return _project_to_ball_arr(num / den)[0]

@@ -56,6 +56,18 @@ class TestComputeDeviations:
                 direct = float(np.dot(dev.deltas[i], dev.deltas[j]))
                 assert dev.gram[i, j] == direct  # bit-exact vs the dot oracle
 
+    @pytest.mark.parametrize("k", [1, 31, 32, 33, 70])
+    def test_tiled_gram_matches_brute_force(self, k):
+        # a (K, P) block over one to three Gram tiles: every entry, the tiles'
+        # corners included, is the dot oracle of the two rows
+        rng = np.random.default_rng(k)
+        block = rng.standard_normal((k, 203))
+        dev = compute_deviations(pv(rng.standard_normal(203)), block)
+        for i in range(k):
+            for j in range(i, k):
+                direct = float(np.dot(dev.deltas[i], dev.deltas[j]))
+                assert dev.gram[i, j] == direct and dev.gram[j, i] == direct
+
     def test_gram_symmetric_nonneg_diag(self):
         rng = np.random.default_rng(1)
         dev = random_dev(rng, 5, 20)

@@ -89,8 +89,9 @@ class TestEuclideanMetric:
         cfg = ExtractorConfig(input_dim=2, hidden=(), output_dim=2)
         theta = np.concatenate((np.eye(2).ravel(), np.zeros(2)))  # w0 = I, b0 = 0
         x = np.array([0.2, 0.0])
-        geo = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="geodesic")[0]
-        euc = learner.predict_batch(theta, cfg, protos_in, x[None, :], metric="euclidean")[0]
+        w, w2 = protos_in.weights, protos_in.sq_norms
+        geo = learner.predict_batch(theta, cfg, w, w2, x[None, :], metric="geodesic")[0]
+        euc = learner.predict_batch(theta, cfg, w, w2, x[None, :], metric="euclidean")[0]
         assert geo == euc == 0  # sanity: both agree on an easy case
 
     def test_full_run_with_euclidean_metric(self):
@@ -114,8 +115,8 @@ class TestEuclideanMetric:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         cfg = ExtractorConfig(input_dim=3, hidden=(), output_dim=3)
         with pytest.raises(ValueError):
-            learner.predict_batch(learner.init_params(cfg, 0), cfg, protos, np.zeros((1, 3)),
-                                  metric="cosine")
+            learner.predict_batch(learner.init_params(cfg, 0), cfg, protos.weights,
+                                  protos.sq_norms, np.zeros((1, 3)), metric="cosine")
 
 
 class TestStepGranularFinetune:
@@ -131,7 +132,8 @@ class TestStepGranularFinetune:
         untuned, _ = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(),
                                   lr=0.3, batch_size=16, seeds=[derive_seed(0, "pfl", 0)],
                                   finetune_epochs=0)
-        pred = learner.predict_batch(theta, ext, protos, shard.test.features)
+        pred = learner.predict_batch(theta, ext, protos.weights, protos.sq_norms,
+                                     shard.test.features)
         assert untuned == [float(np.mean(pred == shard.test.labels))]
 
     def test_config_carries_finetune_steps(self):

@@ -246,7 +246,7 @@ class TestEvaluate:
                                    TripletConfig(), lr=0.1, batch_size=4,
                                    seeds=[derive_seed(0, "pfl", 0)])
         assert accs == [None]
-        assert tuned == [None]
+        assert tuned.shape == (1, learner.init_params(ext, 0).size) and np.isnan(tuned).all()
 
     def test_pfl_finetune_helps_single_class_client(self):
         # a client holding one class: finetuning on it should not hurt local
@@ -306,7 +306,8 @@ class TestPflIsNextLocalUpdate:
                     assert rec.pfl_accuracies[k] is None
                     continue
                 tuned = fresh_local_train(cfg, after[t], shard, protos, finetune_epochs, t + 1, k)
-                pred = learner.predict_batch(tuned, cfg.extractor, protos, shard.test.features)
+                pred = learner.predict_batch(tuned, cfg.extractor, protos.weights, protos.sq_norms,
+                                             shard.test.features)
                 assert rec.pfl_accuracies[k] == float(np.mean(pred == shard.test.labels))
                 scored += 1
         assert scored > 0

@@ -20,7 +20,7 @@ from hyperfl.learner import (
     triplet_grad,
 )
 from hyperfl.prototypes import PrototypeSet, build_prototypes
-from oracles import fresh_triplet_grad, log0
+from oracles import dist_grad, distances, exp0, fresh_triplet_grad, log0, pullback, sq_norms
 
 
 def antipodal_protos(radius=0.9):
@@ -266,9 +266,11 @@ class TestLocalTrain:
     def test_loss_decreases_on_separable_blobs(self):
         shard = make_blob_shard(seed=3)
         theta = init_params(self.cfg, 0)
-        before = mean_triplet_loss(theta, self.cfg, shard.train, self.ps, margin=3.0)
+        before = mean_triplet_loss(theta, self.cfg, shard.train.features, shard.train.labels,
+                                   self.ps.weights, self.ps.sq_norms, margin=3.0)
         out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 5, 16, lr=0.3, seed=1)
-        after = mean_triplet_loss(out, self.cfg, shard.train, self.ps, margin=3.0)
+        after = mean_triplet_loss(out, self.cfg, shard.train.features, shard.train.labels,
+                                  self.ps.weights, self.ps.sq_norms, margin=3.0)
         assert after < before
 
     def test_bitwise_reproducible(self):
@@ -292,21 +294,22 @@ class TestPredict:
         for c in range(3):
             z = log0(protos3.weights[c])
             theta = flat(np.diag(z), np.zeros(3))
-            assert predict_batch(theta, cfg, protos3, np.ones((1, 3)))[0] == c
+            assert predict_batch(theta, cfg, protos3.weights, protos3.sq_norms,
+                                 np.ones((1, 3)))[0] == c
 
     def test_tie_breaks_to_lowest_class(self):
         # zero features are equidistant from antipodal prototypes
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
         theta = flat(np.zeros((2, 2)), np.zeros(2))
-        assert predict_batch(theta, cfg, ps, np.array([[1.0, 2.0]]))[0] == 0
+        assert predict_batch(theta, cfg, ps.weights, ps.sq_norms, np.array([[1.0, 2.0]]))[0] == 0
 
     def test_representation_stays_in_ball(self):
         cfg = ExtractorConfig(input_dim=3, hidden=(4,), output_dim=2)
         theta = init_params(cfg, 0)
         theta += 1e6  # absurd weights still give a valid ball point
         z = forward_batch(theta, cfg, np.ones((1, 3)))
-        p = poincare.exp_map_origin_arr(z)
+        p = exp0(z)
         assert np.linalg.norm(p) <= 1.0 - poincare.EPS_BALL + 1e-15
 
     def test_predict_batch_matches_scalar(self, protos3):
@@ -314,8 +317,9 @@ class TestPredict:
         theta = init_params(cfg, 1)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10, 3))
-        batch = predict_batch(theta, cfg, protos3, x)
-        singles = [predict_batch(theta, cfg, protos3, xi[None, :])[0] for xi in x]
+        batch = predict_batch(theta, cfg, protos3.weights, protos3.sq_norms, x)
+        singles = [predict_batch(theta, cfg, protos3.weights, protos3.sq_norms, xi[None, :])[0]
+                   for xi in x]
         assert np.array_equal(batch, singles)
 
 
@@ -329,7 +333,9 @@ def test_mean_triplet_loss_matches_single_negative_for_two_classes():
     ds = LabeledDataset(x, y, 2)
     # with C = 2 the expectation over negatives is the sampled loss itself
     expected, _ = fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0), seed=0)
-    assert mean_triplet_loss(theta, cfg, ds, ps, margin=3.0) == pytest.approx(expected, abs=1e-12)
+    got = mean_triplet_loss(theta, cfg, ds.features, ds.labels, ps.weights, ps.sq_norms,
+                            margin=3.0)
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_single_instance_shard_still_trains():
@@ -351,12 +357,12 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
     sample, and a fresh concatenated gradient per call."""
     b, c = x.shape[0], protos.num_classes
     z, acts, layers = learner._forward_cached(theta, cfg, x)
-    p = poincare.exp_map_origin_arr(z)
-    d_all = poincare.distance_to_set_arr(p, protos.weights, metric)
+    p = exp0(z)
+    d_all = distances(p, protos.weights, metric)
     d_pos = d_all[np.arange(b), y]
     loss_acc = np.zeros(b)
     d_p_acc = np.zeros_like(p)
-    grad_pos = poincare.dist_grad_wrt_point_arr(p, protos.weights[y], metric)
+    grad_pos = dist_grad(p, protos.weights[y], metric)
     for _ in range(tcfg.negatives_per_sample):
         neg = []
         for label in y:
@@ -367,12 +373,12 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
         active = gap > 0.0
         loss_acc += np.maximum(gap, 0.0)
         if np.any(active):
-            grad_neg = poincare.dist_grad_wrt_point_arr(
+            grad_neg = dist_grad(
                 p[active], protos.weights[neg[active]], metric
             )
             d_p_acc[active] += grad_pos[active] - grad_neg
     scale = 1.0 / (b * tcfg.negatives_per_sample)
-    d_z = poincare.exp_map_origin_jvp_transpose_arr(z, d_p_acc * scale)
+    d_z = pullback(z, d_p_acc * scale)
     grads = []
     delta = d_z
     for i in reversed(range(len(layers))):
@@ -522,7 +528,7 @@ class TestStepMatchesReference:
         if on_prototypes:
             z = log0(protos.weights[y])
             # half the closest distinct prototypes' distance: no hinge is active
-            d = poincare.distance_to_set_arr(protos.weights, protos.weights, metric)
+            d = distances(protos.weights, protos.weights, metric)
             closest = d[~np.eye(c, dtype=bool)].min()
             no_hinge = closest > 1e-4  # else two prototypes (nearly) coincide
             margin = 0.5 * closest if no_hinge else 0.5
@@ -599,8 +605,8 @@ class TestGatheredDistances:
     )
     def test_pair_distance_bytes(self, b, c, n, rounds, seed, clamped, coincident):
         rng = np.random.default_rng(seed)
-        w = poincare.exp_map_origin_arr(rng.standard_normal((c, n)))
-        p = poincare.exp_map_origin_arr(rng.standard_normal((b, n)))
+        w = exp0(rng.standard_normal((c, n)))
+        p = exp0(rng.standard_normal((b, n)))
         # rounds == 0 stands for a single (B,) row of class indices
         cols = rng.integers(0, c, (max(rounds, 1), b))
         if rounds == 0:
@@ -608,8 +614,8 @@ class TestGatheredDistances:
         rows = np.atleast_2d(cols)
         # huge tangent vectors land on the clamp at norm 1 - 1e-5
         for _ in range(clamped):
-            p[rng.integers(b)] = poincare.exp_map_origin_arr(1e3 * rng.standard_normal((1, n)))
-            w[rng.integers(c)] = poincare.exp_map_origin_arr(1e3 * rng.standard_normal((1, n)))
+            p[rng.integers(b)] = exp0(1e3 * rng.standard_normal((1, n)))
+            w[rng.integers(c)] = exp0(1e3 * rng.standard_normal((1, n)))
         # p on, or within rounding of, a prototype it is measured against
         for _ in range(coincident):
             i = rng.integers(b)
@@ -617,15 +623,16 @@ class TestGatheredDistances:
             p[i] = target * (1.0 + float(rng.choice([0.0, 1e-16, -1e-12, 1e-9])))
         full_rows = np.arange(b)
         for metric in ("geodesic", "euclidean"):
-            full = poincare.distance_to_set_arr(p, w, metric)
-            got = learner._distances_at(p, w, cols, metric)
+            full = distances(p, w, metric)
+            got = learner._distances_at(p, sq_norms(p), w, sq_norms(w), cols, metric)
             assert got.shape == cols.shape
             assert got.tobytes() == full[full_rows, cols].tobytes()
 
     def test_unknown_metric_rejected(self):
         p = np.zeros((2, 3))
         with pytest.raises(ValueError, match="metric"):
-            learner._distances_at(p, np.eye(3) * 0.5, np.array([0, 1]), "cosine")
+            w = np.eye(3) * 0.5
+            learner._distances_at(p, sq_norms(p), w, sq_norms(w), np.array([0, 1]), "cosine")
 
 
 class TestGradientBuffer:
@@ -684,8 +691,8 @@ class TestDivergenceFailsFast:
         elif case == "norm_overflows":
             # ||z|| overflows, so p = 0: a stand-in for PrototypeSet (whose
             # rows share one norm) puts the positive nearer the origin
-            ps = SimpleNamespace(weights=np.array([[0.1, 0.0], [-0.99, 0.0]]), num_classes=2,
-                                 dim=2)
+            w = np.array([[0.1, 0.0], [-0.99, 0.0]])
+            ps = SimpleNamespace(weights=w, sq_norms=sq_norms(w), num_classes=2, dim=2)
             theta, cfg = constant_feature(np.array([1e200, 1e200]))
             x = np.zeros((1, 1))
         elif case == "inf_input":
@@ -706,8 +713,8 @@ class TestDivergenceFailsFast:
             x = np.array([[1e300, 1e300]]) if relu else np.array([[0.5, -0.5]])
         with np.errstate(all="ignore"):
             z = forward_batch(theta, cfg, x)
-            p = poincare.exp_map_origin_arr(z)
-            d = poincare.distance_to_set_arr(p, ps.weights)[0]
+            p = exp0(z)
+            d = distances(p, ps.weights)[0]
             assert np.isfinite(z).all() == (case != "z_overflows")
             assert not d[0] - d[1] + 3.0 > 0.0  # no active hinge (NaN compares False)
             with pytest.raises(ValueError, match="not finite"):

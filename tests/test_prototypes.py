@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperfl import prototypes
-from hyperfl.poincare import distance_to_set_arr
 from hyperfl.prototypes import (
     PrototypeSet,
     TammesReport,
@@ -20,6 +19,7 @@ from hyperfl.prototypes import (
     tammes_loss,
     tammes_loss_grad,
 )
+from oracles import distances
 
 SIMPLEX_CASES = [(2, 2), (3, 2), (4, 3), (5, 4), (10, 20), (21, 20)]
 
@@ -133,7 +133,7 @@ class TestGeodesicSeparation:
             dists = []
             for i in range(c):
                 for j in range(i + 1, c):
-                    pair = distance_to_set_arr(ps.weights[i : i + 1], ps.weights[j : j + 1])
+                    pair = distances(ps.weights[i : i + 1], ps.weights[j : j + 1])
                     dists.append(pair[0, 0])
             dists = np.array(dists)
             assert np.all(dists > 0)
