@@ -129,6 +129,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         # older config files name the one prototype mode and aggregator, leave
         # step-granular finetuning off, carry a triplet seed no run read and
@@ -273,7 +275,7 @@ def evaluate_pfl(
     tcfg: TripletConfig,
     lr: float,
     batch_size: int,
-    seeds: list[int],
+    seeds: list[int | None],
     finetune_epochs: int = 5,
     metric: str = "geodesic",
 ) -> tuple[list[float | None], np.ndarray]:
@@ -285,8 +287,8 @@ def evaluate_pfl(
     other, and is scored on the local test split; clients whose test splits
     have one size are scored in one stacked call.  Returns the accuracies
     and the (K, P) block of tuned models.  Clients without a test split are
-    skipped: their accuracy is None and their row NaN.  The global
-    parameters are never mutated.
+    skipped and their seed (None) unread: their accuracy is None and their
+    row NaN.  The global parameters are never mutated.
     """
     tuned = np.full((len(shards), global_params.size), np.nan)
     for k, (shard, proto_k, seed) in enumerate(zip(shards, protos, seeds, strict=True)):
@@ -427,7 +429,8 @@ def run_experiment(
         try:
             pfl, tuned = evaluate_pfl(
                 theta, shards, client_protos, ext, cfg.triplet, cfg.lr, cfg.batch_size,
-                [derive_seed(cfg.seed, "train", t + 1, k) for k in range(len(shards))],
+                [None if shard.test is None else derive_seed(cfg.seed, "train", t + 1, k)
+                 for k, shard in enumerate(shards)],
                 finetune_epochs=cfg.finetune_epochs, metric=cfg.metric,
             )
         except ValueError as err:  # finetuning diverged

@@ -6,8 +6,9 @@ The construction has two stages:
    cosine similarity (the classic Tammes-style uniformity objective, in
    matrix form: L = mean_i max_j (W W^T - 2 I)_ij, rows kept unit-norm),
    by projected subgradient descent on one fixed step-size schedule (each
-   iterate's shifted Gram matrix is built once, and tammes_loss_grad reads
-   both the loss and the subgradient from it), and
+   iterate's shifted Gram matrix is built once; tammes_loss_grad reads the
+   loss from it and takes the subgradient as the one product (H + H^T) W / C,
+   H the 0/1 matrix of each row's argmax partner), and
 2. contract the unit configuration radially by a slope factor s so the
    prototypes sit strictly inside the ball.
 
@@ -106,45 +107,26 @@ def tammes_loss(w: np.ndarray) -> float:
 
 
 def tammes_loss_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-    """tammes_loss and its subgradient, from one shifted Gram matrix.
+    """tammes_loss and its subgradient (H + H^T) W / C, from one shifted
+    Gram matrix.
 
-    Only the per-row argmax entries carry gradient, ties broken toward the
-    lowest column index (np.argmax).  The loss is the mean of the Gram
-    entries at those partners, which are the row maxima; summed by
-    ``np.add.reduce`` and divided by C it has the bits of tammes_loss.
-
-    Row i with partner j_i adds w[j_i]/c to grad[i], then w[i]/c to
-    grad[j_i].  One unbuffered ``np.add.at`` over the interleaved pairs
-    (0, j_0, 1, j_1, ...) applies those additions in exactly that order, so
-    every entry rounds as a row-by-row loop would; a buffered
-    ``grad[idx] += vals`` would drop repeated indices.  A row whose argmax
-    is itself (every pair already at cosine -1) adds 2 w[i]/c once.
+    H is the 0/1 matrix of each row's argmax partner (H[i, j_i] = 1, ties
+    broken toward the lowest column index by np.argmax): row i's max term
+    w_i . w_{j_i} adds w[j_i]/C to grad[i] and w[i]/C to grad[j_i].  A row
+    whose partner is itself (every pair already at cosine -1) has the
+    diagonal entry 2.  The loss is the mean of the Gram entries at the
+    partners, which are the row maxima; summed by ``np.add.reduce`` and
+    divided by C it has the bits of tammes_loss.
     """
     w = np.asarray(w, dtype=np.float64)
-    c, n = w.shape
+    c = w.shape[0]
     m = _shifted_gram(w)
     j = np.argmax(m, axis=1)
     rows = np.arange(c)
-    loss = float(np.add.reduce(m[rows, j]) / c)
-    # element indices keep numpy's fast 1-D add.at path; each element still
-    # takes its additions in pair order
-    elems = np.arange(c * n).reshape(c, n)
-    idx = np.empty((c, 2, n), dtype=np.intp)
-    idx[:, 0] = elems
-    np.take(elems, j, axis=0, out=idx[:, 1])
-    wc = w / c
-    vals = np.empty((c, 2, n))
-    np.take(wc, j, axis=0, out=vals[:, 0])
-    vals[:, 1] = wc
-    own = j == rows
-    if own.any():
-        vals[own, 0] = 2.0 * w[own] / c
-        keep = np.ones((c, 2), dtype=bool)
-        keep[:, 1] = ~own
-        idx, vals = idx[keep], vals[keep]
-    grad = np.zeros(c * n)
-    np.add.at(grad, idx.reshape(-1), vals.reshape(-1))
-    return loss, grad.reshape(c, n)
+    partners = np.zeros((c, c))
+    partners[rows, j] = 1.0
+    partners[j, rows] += 1.0  # H + H^T in place: the (j_i, i) pairs are distinct
+    return float(np.add.reduce(m[rows, j]) / c), partners @ (w / c)
 
 
 def max_pairwise_cosine(w: np.ndarray) -> float:

@@ -63,6 +63,13 @@ CONFIGS = {
     # three rounds, so carried and retrained local models both feed two aggregations
     "equal_epochs": ({**TINY, "rounds": 3, "local_epochs": 2, "finetune_epochs": 2}, None),
     "unequal_epochs": ({**TINY, "rounds": 3, "local_epochs": 2, "finetune_epochs": 1}, None),
+    # C=5 in n=4: how the Tammes subgradient rounds reaches the prototype
+    # bytes here; the C=3 configs above happen not to show it
+    "five_classes": ({
+        **TINY,
+        "dataset": {"kind": "synthetic", "num_classes": 5, "dim": 4, "per_class": 20},
+        "extractor": {"input_dim": 4, "hidden": [6], "output_dim": 4},
+    }, None),
 }
 
 

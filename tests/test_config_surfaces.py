@@ -477,6 +477,19 @@ class TestConfigSections:
         with pytest.raises(ValueError, match=rf"'{section}' must be an object"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize(
+        "value, kind", [([1], "list"), (None, "NoneType"), ("cfg", "str"), (3, "int")]
+    )
+    def test_config_not_an_object(self, tmp_path, capsys, value, kind):
+        with pytest.raises(ValueError, match=rf"config must be a JSON object, got {kind}$"):
+            ExperimentConfig.from_dict(value)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(value), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError",
+                       "message": f"config must be a JSON object, got {kind}"}
+
     @pytest.mark.parametrize("section", ["dataset", "partition", "extractor", "triplet"])
     def test_missing_section_named(self, section):
         d = small_config().to_dict()

@@ -243,8 +243,9 @@ def test_max_pairwise_cosine_matches_loss_for_symmetric_config():
     assert max_pairwise_cosine(w) == pytest.approx(-0.5, abs=1e-12)
 
 
-# Reference for the batched Tammes subgradient: the original row-by-row loop,
-# and the optimizer driven by it with the original explicit -2I Gram matrix.
+# Oracles for the Tammes subgradient: the original row-by-row loop, and the
+# optimizer driven by a plainly written (H + H^T) W / C step with the original
+# explicit -2I Gram matrix.
 
 
 def reference_tammes_loss_grad(w):
@@ -267,6 +268,15 @@ def _reference_loss(w):
     return float(np.mean(np.max(m, axis=1)))
 
 
+def reference_subgradient(w):
+    """(H + H^T) W / C, H[i, j] = 1 where j is row i's argmax partner."""
+    c = w.shape[0]
+    m = w @ w.T - 2.0 * np.eye(c)
+    h = np.zeros((c, c))
+    h[np.arange(c), np.argmax(m, axis=1)] = 1.0
+    return (h + h.T) @ (w / c)
+
+
 def reference_optimize_prototypes(c, n, seed):
     """2,000 steps: step size 0.1 for the first half, then a geometric decay
     to 1e-6; converged means no 1e-7 improvement in the last 50 steps."""
@@ -281,7 +291,7 @@ def reference_optimize_prototypes(c, n, seed):
     for iterations in range(1, max_iters + 1):
         if iterations > hold:
             lr *= decay
-        w = w - lr * reference_tammes_loss_grad(w)
+        w = w - lr * reference_subgradient(w)
         w = w / np.linalg.norm(w, axis=1, keepdims=True)
         loss = _reference_loss(w)
         improvement = best_loss - loss
@@ -301,7 +311,8 @@ def reference_optimize_prototypes(c, n, seed):
 
 
 class TestBatchedGradientMatchesReference:
-    """The batched subgradient and the optimizer keep the reference's bytes."""
+    """The subgradient product agrees with the row loop up to rounding; the
+    optimizer keeps the bytes of a plainly written product step."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
@@ -310,7 +321,7 @@ class TestBatchedGradientMatchesReference:
         seed=st.integers(0, 2**32 - 1),
         duplicates=st.integers(0, 8),
     )
-    def test_gradient_bytes(self, c, n, seed, duplicates):
+    def test_gradient_matches_row_loop(self, c, n, seed, duplicates):
         rng = np.random.default_rng(seed)
         w = random_unit_rows(c, n, rng)
         # copied rows tie at cosine 1, so argmax picks the lowest copy
@@ -318,13 +329,14 @@ class TestBatchedGradientMatchesReference:
             w[rng.integers(c)] = w[rng.integers(c)]
         loss, grad = tammes_loss_grad(w)
         assert loss == _reference_loss(w)
-        assert grad.tobytes() == reference_tammes_loss_grad(w).tobytes()
+        # each entry sums at most C terms, each at most 2/C in size
+        atol = 2 * c * np.finfo(float).eps
+        np.testing.assert_allclose(grad, reference_tammes_loss_grad(w), rtol=0, atol=atol)
 
     def test_antipodal_pair_argmax_is_self(self):
         w = np.array([[1.0, 0.0], [-1.0, 0.0]])
         loss, got = tammes_loss_grad(w)
         assert loss == _reference_loss(w)
-        assert got.tobytes() == reference_tammes_loss_grad(w).tobytes()
         assert np.array_equal(got, [[0.5, 0.0], [0.5, 0.0]])
 
     @pytest.mark.parametrize("c,n", [(2, 3), (5, 4), (10, 8), (100, 16)])
