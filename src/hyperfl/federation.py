@@ -193,13 +193,18 @@ def _check_keys(cls, d: dict, section: str) -> None:
 
 @dataclass
 class RoundRecord:
+    """One round's accuracies and mean train loss, a line of rounds.jsonl.
+
+    The round's aggregation weights and solver steps are not repeated here:
+    they are the ``aggregation_log`` entry (a line of aggregation.jsonl) with
+    the same ``round``.
+    """
+
     round: int
     gfl_accuracy: float
     pfl_accuracy_mean: float
     pfl_accuracies: list[float | None]
     train_loss_mean: float
-    p: list[float]
-    cu_iterations: int
     wall_time_sec: float
 
     def to_json_dict(self) -> dict:
@@ -444,8 +449,6 @@ def run_experiment(
             pfl_accuracy_mean=float(np.mean(scored)) if scored else 0.0,
             pfl_accuracies=pfl,
             train_loss_mean=float(np.mean(losses)),
-            p=[float(v) for v in weights.p],
-            cu_iterations=weights.cu_iterations,
             wall_time_sec=time.perf_counter() - t0,
         )
         records.append(record)
@@ -494,7 +497,6 @@ def persist_result(result: ExperimentResult, out_dir: str | Path) -> None:
         "tammes": None if report is None else {
             "max_pairwise_cosine": report.max_pairwise_cosine,
             "simplex_bound": -1.0 / (result.prototypes.num_classes - 1),
-            "iterations": report.iterations,
             "converged": report.converged,
         },
     }

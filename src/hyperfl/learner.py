@@ -200,13 +200,13 @@ def triplet_grad(
     """Batch-mean triplet loss and its analytic gradient in theta.
 
     Per sample the loss averages tcfg.negatives_per_sample independently
-    drawn negatives; each round of negatives is one batched
-    ``sample_negative`` draw for the whole batch, and all rounds are drawn
-    before any distance is taken.  Only the 1 + R distances per sample that
-    the hinge reads are computed.  Samples whose hinge is inactive contribute
-    nothing to the gradient; one distance-gradient call covers every
-    positive and the negative of every active (round, sample) pair.  A step
-    with no active hinge skips it, the pullback and the backward pass.
+    drawn negatives; all R rounds are one ``sample_negative`` draw on the
+    (R, batch) label block, taken before any distance.  Only the 1 + R
+    distances per sample that the hinge reads are computed.  Samples whose
+    hinge is inactive contribute nothing to the gradient; one
+    distance-gradient call covers every positive and the negative of every
+    active (round, sample) pair.  A step with no active hinge skips it, the
+    pullback and the backward pass.
 
     Negatives are drawn from ``rng``.  The gradient is written into ``out``
     and returned; a caller that steps repeatedly passes the same buffer every
@@ -222,11 +222,11 @@ def triplet_grad(
     # each row norm is taken once and shared by the kernels that read it
     z_norm = np.sqrt(np.add.reduce(z * z, axis=-1))
     p, p2 = poincare.exp_map_origin_arr(z, z_norm)
-    # row 0: the true labels; row 1 + r: the negatives of round r
+    # row 0: the true labels; row 1 + r: the negatives of round r, drawn on
+    # a copy of the labels in each row (np.broadcast_to costs more per step)
     cols = np.empty((1 + tcfg.negatives_per_sample, b), dtype=np.int64)
-    cols[0] = y
-    for r in range(1, cols.shape[0]):
-        cols[r] = sample_negative(y, c, rng)
+    cols[:] = y
+    cols[1:] = sample_negative(cols[1:], c, rng)
     w, w2 = protos.weights, protos.sq_norms
     d = _distances_at(p, p2, w, w2, cols, metric)
     gap = d[0] - d[1:] + tcfg.margin

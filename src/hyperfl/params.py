@@ -8,12 +8,14 @@ file it is scored against.  It is checked on construction: a known metric,
 the size ``learner.layout_for(extractor)`` implies, finite values.
 
 Checkpoint format: magic, one UTF-8 JSON header line, then the raw values
-as little-endian float64.  The header object holds ``layout``, the ordered
-[name, shape] pairs, and ``model``: the extractor architecture
-(``input_dim``, ``hidden``, ``output_dim``, ``activation``), ``metric`` and
-``prototypes_sha256``.  A checkpoint so names everything needed to score
-it; a header missing any of it, or whose layout is not the one its
-architecture implies, is rejected with an error naming the file and field.
+as little-endian float64 in ``learner.layout_for`` order.  The header object
+holds ``model``: the extractor architecture (``input_dim``, ``hidden``,
+``output_dim``, ``activation``), ``metric`` and ``prototypes_sha256``.  A
+checkpoint so names everything needed to score it.  A header missing any of
+it is rejected with an error naming the file and field, and a payload of
+another size than the architecture implies with one naming the file and
+both sizes.  Any other header key, such as the ``layout`` that older
+checkpoints stored, is ignored.
 """
 
 from __future__ import annotations
@@ -57,17 +59,13 @@ def _size(ext: ExtractorConfig) -> int:
     return sum(math.prod(shape) for _, shape in learner.layout_for(ext))
 
 
-def _layout_json(ext: ExtractorConfig) -> list:
-    return [[name, list(shape)] for name, shape in learner.layout_for(ext)]
-
-
 def save_params(params: ParamVector, path: str | Path) -> None:
     """Write ``params`` as a checkpoint (format in the module docstring)."""
     ext = params.extractor
     model = {"input_dim": ext.input_dim, "hidden": list(ext.hidden),
              "output_dim": ext.output_dim, "activation": ext.activation,
              "metric": params.metric, "prototypes_sha256": params.prototypes_sha256}
-    header = json.dumps({"layout": _layout_json(ext), "model": model}).encode()
+    header = json.dumps({"model": model}).encode()
     body = params.values.astype("<f8").tobytes()
     Path(path).write_bytes(_CKPT_MAGIC + header + b"\n" + body)
 
@@ -87,9 +85,8 @@ def load_params(path: str | Path) -> ParamVector:
         raise ValueError(f"{path}: checkpoint header is not JSON: {err}") from None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: checkpoint header must be a JSON object")
-    for name in ("layout", "model"):
-        if name not in header:
-            raise ValueError(f"{path}: checkpoint header has no '{name}' field")
+    if "model" not in header:
+        raise ValueError(f"{path}: checkpoint header has no 'model' field")
     model = header["model"]
     if not isinstance(model, dict):
         raise ValueError(f"{path}: header field 'model' must be a JSON object")
@@ -107,8 +104,6 @@ def load_params(path: str | Path) -> ParamVector:
         poincare.metric_kernels(model["metric"])
     except ValueError as err:
         raise ValueError(f"{path}: header field 'model.metric': {err}") from None
-    if header["layout"] != _layout_json(ext):
-        raise ValueError(f"{path}: header field 'layout' does not match 'model'")
     body = rest[newline + 1 :]
     if len(body) != 8 * _size(ext):
         raise ValueError(f"{path}: expected {8 * _size(ext)} payload bytes, found {len(body)}")

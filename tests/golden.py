@@ -70,6 +70,9 @@ CONFIGS = {
         "dataset": {"kind": "synthetic", "num_classes": 5, "dim": 4, "per_class": 20},
         "extractor": {"input_dim": 4, "hidden": [6], "output_dim": 4},
     }, None),
+    # two negatives per sample: a sample whose hinge is active in both rounds
+    # sums its two gradient terms in round-major order
+    "two_negatives": ({**TINY, "triplet": {"negatives_per_sample": 2}}, None),
 }
 
 

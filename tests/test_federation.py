@@ -112,8 +112,10 @@ class TestRunExperiment:
         assert [r.round for r in res.records] == [0, 1, 2, 3]
         for rec in res.records:
             assert 0.0 <= rec.gfl_accuracy <= 1.0
-            assert len(rec.p) == 4
-            assert abs(sum(rec.p) - 1.0) < 1e-9
+        assert [entry["round"] for entry in res.aggregation_log] == [0, 1, 2, 3]
+        for entry in res.aggregation_log:
+            assert len(entry["p"]) == 4
+            assert abs(sum(entry["p"]) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
     @pytest.mark.parametrize("variant", [None, *VARIANTS])
@@ -429,11 +431,12 @@ class TestPersistence:
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert set(rec) == {
-            "round", "gfl_accuracy", "pfl_accuracy_mean", "pfl_accuracies",
-            "train_loss_mean", "p", "cu_iterations",
+            "round", "gfl_accuracy", "pfl_accuracy_mean", "pfl_accuracies", "train_loss_mean",
         }
         dump = json.loads((out / "aggregation.jsonl").read_text().splitlines()[0])
         assert set(dump) == {"round", "p", "cu_iterations", "pareto_gap", "gram_diagonal"}
+        # one fact, one file: the streams share only the key that joins them
+        assert set(rec) & set(dump) == {"round"}
 
     def test_checkpoints_loadable(self, tmp_path):
         cfg = tiny_config(rounds=2)
@@ -458,7 +461,6 @@ class TestPersistence:
         assert recorded == {
             "max_pairwise_cosine": report.max_pairwise_cosine,
             "simplex_bound": -1 / (c - 1),
-            "iterations": report.iterations,
             "converged": report.converged,
         }
 
@@ -536,10 +538,11 @@ class TestEvalReadsHeader:
 
     def test_refuses_checkpoint_without_model_fields(self, relu_run, tmp_path, capsys):
         # the header line of checkpoints written before headers named the model
-        _, out = relu_run
+        res, out = relu_run
         raw = (out / "run" / "global.params").read_bytes()
-        magic, header, body = raw.split(b"\n", 2)
-        layout_only = json.dumps({"layout": json.loads(header)["layout"]}).encode()
+        magic, _, body = raw.split(b"\n", 2)
+        layout = [[name, list(shape)] for name, shape in learner.layout_for(res.config.extractor)]
+        layout_only = json.dumps({"layout": layout}).encode()
         old = tmp_path / "old.params"
         old.write_bytes(magic + b"\n" + layout_only + b"\n" + body)
         rc = cli_main(eval_argv(old, out / "test.txt", out / "run" / "prototypes.bin"))
@@ -557,7 +560,9 @@ class TestEvalReadsHeader:
         wrong.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + body)
         rc = cli_main(eval_argv(wrong, out / "test.txt", out / "run" / "prototypes.bin"))
         assert rc == 1
-        assert "'layout'" in json.loads(capsys.readouterr().err)["message"]
+        message = json.loads(capsys.readouterr().err)["message"]
+        # 6-12-3 has 123 values; the header's 6-7-3 would need 73
+        assert str(wrong) in message and "expected 584 payload bytes, found 984" in message
 
     def test_refuses_dataset_with_another_class_count(self, relu_run, tmp_path, capsys):
         # same dimension, seven classes against the run's three prototypes

@@ -236,6 +236,12 @@ class TestSampleNegative:
             neg = sample_negative(y, 10, batched)
             assert neg.shape == y.shape
             assert np.array_equal(neg, [sample_negative(int(label), 10, scalar) for label in y])
+        # a (rounds, batch) block, as triplet_grad draws it: round-major
+        block = sample_negative(np.broadcast_to(y, (4, y.size)), 10, batched)
+        assert block.shape == (4, y.size)
+        assert np.array_equal(
+            block, [[sample_negative(int(label), 10, scalar) for label in y] for _ in range(4)]
+        )
         one = sample_negative(7, 10, batched)
         assert one.shape == () and one == sample_negative(7, 10, scalar)
 

@@ -7,7 +7,7 @@ from hyperfl.learner import ExtractorConfig
 from hyperfl.params import ParamVector, load_params, save_params
 
 EXT = ExtractorConfig(input_dim=3, hidden=(), output_dim=2, activation="relu")
-LAYOUT_JSON = [["w0", [2, 3]], ["b0", [2]]]  # the layout EXT implies
+LAYOUT_JSON = [["w0", [2, 3]], ["b0", [2]]]  # the layout EXT implies, as older headers stored it
 MODEL = {"input_dim": 3, "hidden": [], "output_dim": 2, "activation": "relu",
          "metric": "euclidean", "prototypes_sha256": "0" * 64}
 
@@ -40,7 +40,20 @@ def test_checkpoint_roundtrip(tmp_path):
     assert (back.metric, back.prototypes_sha256) == (pv.metric, pv.prototypes_sha256)
     assert np.array_equal(back.values, pv.values)
     header = json.loads(path.read_bytes().split(b"\n")[1])
-    assert header == {"layout": LAYOUT_JSON, "model": MODEL}
+    assert header == {"model": MODEL}
+
+
+def test_checkpoint_with_stored_layout_loads(tmp_path):
+    # older checkpoints also stored the layout that "model" implies; it is ignored
+    pv = make_pv(np.linspace(-1, 1, 8))
+    path = tmp_path / "old.params"
+    body = pv.values.astype("<f8").tobytes()
+    path.write_bytes(b"HFPARAM1\n" + header_line({"layout": LAYOUT_JSON, "model": MODEL})
+                     + b"\n" + body)
+    back = load_params(path)
+    assert back.extractor == pv.extractor
+    assert (back.metric, back.prototypes_sha256) == (pv.metric, pv.prototypes_sha256)
+    assert back.values.tobytes() == pv.values.tobytes()
 
 
 def test_checkpoint_truncated(tmp_path):
@@ -80,9 +93,6 @@ def header_line(header) -> bytes:
     [
         (b"{layout", "not JSON"),
         (header_line([LAYOUT_JSON, MODEL]), "JSON object"),  # a list, not an object
-        (header_line({"model": MODEL}), "'layout'"),
-        (header_line({"layout": [["w0", [-2, 3]], ["b0", [2]]], "model": MODEL}), "'layout'"),
-        (header_line({"layout": [["w0", [2, 3.5]], ["b0", [2]]], "model": MODEL}), "'layout'"),
         # the header of a checkpoint written before headers named the model
         (header_line({"layout": LAYOUT_JSON}), "'model'"),
         (header_line({"layout": LAYOUT_JSON, "model": [MODEL]}), "'model'"),
@@ -98,8 +108,13 @@ def header_line(header) -> bytes:
          "'model'"),
         (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "metric": "cosine"}}),
          "'model.metric'"),
-        # a layout that is well formed but not the one the architecture implies
-        (header_line({"layout": [["w0", [3, 2]], ["b0", [2]]], "model": MODEL}), "'layout'"),
+        # the payload holds EXT's 8 values; the size ties them to the architecture
+        (header_line({"model": {**MODEL, "input_dim": 2}}), "expected 48 payload bytes, found 64"),
+        (header_line({"model": {**MODEL, "output_dim": 3}}), "expected 96 payload bytes, found 64"),
+        (header_line({"model": {**MODEL, "hidden": [4]}}), "expected 208 payload bytes, found 64"),
+        # an older header: its stored layout fits the payload, its model does not
+        (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "hidden": [4]}}),
+         "expected 208 payload bytes, found 64"),
     ],
 )
 def test_checkpoint_bad_header_names_file_and_field(tmp_path, header, field):
