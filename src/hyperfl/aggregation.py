@@ -1,8 +1,8 @@
-"""Server-side aggregation of client parameter deviations.
+"""Server-side aggregation of client parameter deviations, on plain arrays.
 
 Given the round's broadcast parameters and the K locally trained results,
 flat float64 vectors of one length, the deviations Delta_k = theta_k - theta
-are combined as
+(the rows of a (K, P) block D) are combined under simplex weights p as
 
     theta_next = theta + sum_k p_k Delta_k.
 
@@ -16,58 +16,23 @@ MGDA, Sener & Koltun 2018, solves too), with Wolfe's (1976) min-norm-point
 algorithm.  The algorithm is exact, ends after finitely many steps and reads
 only the Gram matrix V = D D^T.  At the solution the variational
 inequality <Delta_k, Delta*> >= ||Delta*||^2 holds for every k (Pareto
-stationarity); the residual of that inequality is reported as
-``pareto_gap``.  The min-norm point Delta* is unique, the weights p need
-not be.
+stationarity); the residual of that inequality is ``pareto_gap``.  The
+min-norm point Delta* is unique, the weights p need not be.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class DeviationSet:
-    """Client deviations, one per row of the (K, P) block ``deltas``, plus
-    their Gram matrix V[k, k'] = <Delta_k, Delta_k'>."""
-
-    deltas: np.ndarray
-    gram: np.ndarray
-
-    @property
-    def num_clients(self) -> int:
-        return self.deltas.shape[0]
-
-
-@dataclass
-class AggregationWeights:
-    """A simplex weight vector over clients.
-
-    ``cu_iterations`` counts the major steps the min-norm solver took (zero
-    for data-weighted averaging); ``pareto_gap`` is the stationarity
-    residual ||Delta*||^2 - min_k <Delta_k, Delta*> (NaN when no deviations
-    were involved).
-    """
-
-    p: np.ndarray
-    cu_iterations: int
-    pareto_gap: float
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=np.float64)
-        if abs(float(self.p.sum()) - 1.0) > 1e-9 or np.any(self.p < -1e-12):
-            raise ValueError("weights must lie on the probability simplex")
-        self.p = np.maximum(self.p, 0.0)
-
 
 # Gram rows filled per ``np.vecdot`` call
 _GRAM_TILE = 32
 
 
-def compute_deviations(global_params: np.ndarray, locals_: np.ndarray) -> DeviationSet:
-    """Deltas of every client against the broadcast parameters, with Gram.
+def compute_deviations(
+    global_params: np.ndarray, locals_: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, P) deltas of every client against the broadcast parameters,
+    and their (K, K) Gram matrix V[k, k'] = <Delta_k, Delta_k'>.
 
     ``locals_`` is the (K, P) block of client models, one per row (or a
     list of K rows).  The Gram is filled a tile of rows at a time: one
@@ -85,7 +50,7 @@ def compute_deviations(global_params: np.ndarray, locals_: np.ndarray) -> Deviat
         tile = np.vecdot(deltas[i:, None], deltas[None, i : i + _GRAM_TILE])
         gram[i:, i : i + _GRAM_TILE] = tile
         gram[i : i + _GRAM_TILE, i:] = tile.T
-    return DeviationSet(deltas=deltas, gram=gram)
+    return deltas, gram
 
 
 def pareto_gap(gram: np.ndarray, p: np.ndarray) -> float:
@@ -95,29 +60,30 @@ def pareto_gap(gram: np.ndarray, p: np.ndarray) -> float:
 
 
 def min_norm_weights(
-    dev: DeviationSet, n_samples: list[int] | np.ndarray, max_iters: int = 500
-) -> AggregationWeights:
+    gram: np.ndarray, start: np.ndarray, max_iters: int = 500
+) -> tuple[np.ndarray, int]:
     """Wolfe's min-norm-point algorithm over the deviation hull, in Gram space.
 
-    The data fractions N_k / sum N are returned unchanged when they are
-    already stationary.  Otherwise the corral S (the clients carrying
-    weight) starts as the client least aligned with that combination, and
-    each major step adds the client with the smallest <Delta_k, Delta*> to
-    S.  Minor steps then move towards the minimum of S's affine hull,
-    found from the bordered system [[V_SS, 1], [1^T, 0]]: when some weight
-    would turn nonpositive, the step stops where the first one reaches
-    zero and that client leaves S.  The loop stops once the stationarity
-    residual is below 1e-14 of the largest Gram diagonal, after
-    ``max_iters`` major steps (the count reported as ``cu_iterations``), or
-    when a major step fails to shrink ||Delta*||^2, which happens only when
-    clients closer than rounding can resolve in V make S degenerate; the
-    weights from before that step are kept.
+    Returns the weights p and the number of major steps taken.  ``start``,
+    a simplex vector (the data fractions), is returned as it is when it is
+    already stationary, and is never written to.  Otherwise the corral S
+    (the clients carrying weight) starts as the client least aligned with
+    that combination, and each major step adds the client with the smallest
+    <Delta_k, Delta*> to S.  Minor steps then move towards the minimum of
+    S's affine hull, found from the bordered system [[V_SS, 1], [1^T, 0]]:
+    when some weight would turn nonpositive, the step stops where the first
+    one reaches zero and that client leaves S.  Every weight written is
+    positive or clamped at zero, so p stays on the simplex.  The loop stops
+    once the stationarity residual is below 1e-14 of the largest Gram
+    diagonal, after ``max_iters`` major steps, or when a major step fails to
+    shrink ||Delta*||^2, which happens only when clients closer than
+    rounding can resolve in V make S degenerate; the weights from before
+    that step are kept.
     """
-    counts = np.asarray(n_samples, dtype=np.float64)
-    k = dev.num_clients
-    p = counts / counts.sum()
+    k = gram.shape[0]
+    p = start
     # unitless Gram, so the bordered system and the stop test are scale-free
-    gram = dev.gram / max(float(np.max(np.diag(dev.gram))), np.finfo(float).tiny)
+    gram = gram / max(float(np.max(np.diag(gram))), np.finfo(float).tiny)
     corral: list[int] = []
     kept, kept_sq = p, np.inf
     iterations = 0
@@ -158,23 +124,13 @@ def min_norm_weights(
             x[drop] = 0.0
             p[s] = np.maximum(x, 0.0)
             corral = [int(c) for c in s[x > 0]]
-    return AggregationWeights(p=p, cu_iterations=iterations, pareto_gap=pareto_gap(dev.gram, p))
+    return p, iterations
 
 
-def fedavg_weights(n_samples: list[int] | np.ndarray) -> AggregationWeights:
-    """Data-fraction weights p_k = N_k / sum N (the averaging baseline)."""
-    counts = np.asarray(n_samples, dtype=np.float64)
-    return AggregationWeights(
-        p=counts / counts.sum(), cu_iterations=0, pareto_gap=float("nan")
-    )
-
-
-def aggregate(
-    global_params: np.ndarray, dev: DeviationSet, weights: AggregationWeights
-) -> np.ndarray:
+def aggregate(global_params: np.ndarray, deltas: np.ndarray, p: np.ndarray) -> np.ndarray:
     """theta + sum_k p_k Delta_k (plain averaging under data weights); a
     non-finite result raises ValueError."""
-    theta = global_params + weights.p @ dev.deltas
+    theta = global_params + p @ deltas
     if not np.isfinite(theta).all():
         raise ValueError("aggregated parameters are not finite")
     return theta

@@ -28,7 +28,10 @@ from hyperfl.params import load_params
 
 
 def _cmd_run(args) -> int:
-    cfg_dict = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    try:
+        cfg_dict = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"{args.config}: config is not JSON: {exc}") from exc
     cfg = federation.ExperimentConfig.from_dict(cfg_dict)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -310,14 +310,16 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         raise DatasetFormatError(
             f"{path}: {problem}, header promises {n} records but {len(lines) - 1} are present"
         )
-    feats = np.empty((n, d))
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        tokens = lines[1 + i].split()
+    # field counts first: a header that overstates d must not size the arrays
+    records = [ln.split() for ln in lines[1:]]
+    for i, tokens in enumerate(records):
         if len(tokens) != d + 1:
             raise DatasetFormatError(
                 f"{path}: record {i} has {len(tokens)} fields, expected {d + 1}"
             )
+    feats = np.empty((n, d))
+    labels = np.empty(n, dtype=np.int64)
+    for i, tokens in enumerate(records):
         try:
             row = np.array([float(tok) for tok in tokens[:d]])
             label = int(tokens[d])

@@ -346,8 +346,9 @@ def run_experiment(
     """Run the full method (``variant=None``: frozen Tammes prototypes and
     min-norm aggregation) or one ablation in ``VARIANTS``; write the outputs
     to ``out_dir`` when given.  ``round_hook(t, theta_before, client_params,
-    weights, theta_after)`` is invoked after each round when given, with the
-    flat parameter arrays; useful for auditing aggregation.
+    p, theta_after)`` is invoked after each round when given, with the flat
+    parameter arrays and the round's aggregation weights; useful for
+    auditing aggregation.
     """
     if variant is not None and variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -376,7 +377,8 @@ def run_experiment(
     carry = variant != "shared_only" and cfg.finetune_epochs == cfg.local_epochs
 
     theta = learner.init_params(ext, derive_seed(cfg.seed, "init", 0))
-    counts = [shard.n_train for shard in shards]
+    counts = np.array([shard.n_train for shard in shards], dtype=np.float64)
+    fractions = counts / counts.sum()
     records: list[RoundRecord] = []
     agg_log: list[dict] = []
     tuned: np.ndarray | None = None  # last round's P-FL models, when carried
@@ -404,28 +406,28 @@ def run_experiment(
             losses[ks] = learner.mean_triplet_loss(
                 models[ks], ext, x, y, w, w2, cfg.triplet.margin, cfg.metric
             )
-        dev = agg.compute_deviations(theta, models)
+        deltas, gram = agg.compute_deviations(theta, models)
         if variant == "averaged":
-            weights = agg.fedavg_weights(counts)
+            p, steps, gap = fractions, 0, None
         else:
-            weights = agg.min_norm_weights(dev, counts)
-        theta_before, theta = theta, agg.aggregate(theta, dev, weights)
+            p, steps = agg.min_norm_weights(gram, fractions)
+            gap = agg.pareto_gap(gram, p)
+        theta_before, theta = theta, agg.aggregate(theta, deltas, p)
         if round_hook is not None:
-            round_hook(t, theta_before, models, weights, theta)
+            round_hook(t, theta_before, models, p, theta)
 
-        gap = weights.pareto_gap
         agg_log.append(
             {
                 "round": t,
-                "p": [float(v) for v in weights.p],
-                "cu_iterations": weights.cu_iterations,
-                "pareto_gap": None if np.isnan(gap) else float(gap),
-                "gram_diagonal": [float(v) for v in np.diag(dev.gram)],
+                "p": [float(v) for v in p],
+                "cu_iterations": steps,
+                "pareto_gap": gap,
+                "gram_diagonal": [float(v) for v in np.diag(gram)],
             }
         )
         # free round t's models so that the tuned ones do not raise peak
         # memory; the last round's models are the client checkpoints
-        del dev
+        del deltas, gram
         tuned = None
         if t < cfg.rounds - 1:
             del models

@@ -196,8 +196,8 @@ def triplet_grad(
     rng: np.random.Generator,
     out: np.ndarray,
     metric: str = "geodesic",
-) -> tuple[float, np.ndarray]:
-    """Batch-mean triplet loss and its analytic gradient in theta.
+) -> np.ndarray:
+    """Analytic gradient in theta of the batch-mean triplet loss.
 
     Per sample the loss averages tcfg.negatives_per_sample independently
     drawn negatives; all R rounds are one ``sample_negative`` draw on the
@@ -206,7 +206,8 @@ def triplet_grad(
     hinge is inactive contribute nothing to the gradient; one
     distance-gradient call covers every positive and the negative of every
     active (round, sample) pair.  A step with no active hinge skips it, the
-    pullback and the backward pass.
+    pullback and the backward pass.  The sampled loss itself is not formed;
+    SGD reads only its gradient.
 
     Negatives are drawn from ``rng``.  The gradient is written into ``out``
     and returned; a caller that steps repeatedly passes the same buffer every
@@ -230,12 +231,7 @@ def triplet_grad(
     w, w2 = protos.weights, protos.sq_norms
     d = _distances_at(p, p2, w, w2, cols, metric)
     gap = d[0] - d[1:] + tcfg.margin
-    # summed one round at a time: a reduction over the rounds may pair them up
-    loss_acc = np.zeros(b)
-    for hinge in np.maximum(gap, 0.0):
-        loss_acc += hinge
     scale = 1.0 / (b * tcfg.negatives_per_sample)
-    loss = float(np.add.reduce(loss_acc) * scale)
     rnd, s = np.nonzero(gap > 0.0)
     if s.size:
         # rows :b take each sample's positive, rows b: each active negative; the
@@ -262,7 +258,7 @@ def triplet_grad(
         out.fill(0.0)
     if not finite:
         raise ValueError("gradient is not finite; training diverged")
-    return loss, out
+    return out
 
 
 def mean_triplet_loss(

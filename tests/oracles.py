@@ -47,12 +47,30 @@ def log0(p):
     return np.divide(np.arctanh(r), r, out=np.ones_like(r), where=r > 0) * p
 
 
+def sampled_triplet_loss(theta, cfg, x, y, protos, tcfg, rng, metric="geodesic"):
+    """The batch-mean triplet loss that ``learner.triplet_grad`` differentiates:
+    per sample, the hinge averaged over tcfg.negatives_per_sample negatives,
+    drawn from ``rng`` as the step draws them (one (R, B) label block)."""
+    y = np.asarray(y, dtype=np.int64)
+    rounds, b = tcfg.negatives_per_sample, y.shape[0]
+    d = distances(exp0(learner.forward_batch(theta, cfg, np.asarray(x, dtype=np.float64))),
+                  protos.weights, metric)
+    neg = learner.sample_negative(np.broadcast_to(y, (rounds, b)), protos.num_classes, rng)
+    rows = np.arange(b)
+    gap = d[rows, y] - d[rows, neg] + tcfg.margin
+    return float(np.sum(np.maximum(gap, 0.0)) / (b * rounds))
+
+
 def fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed, metric="geodesic"):
-    """One ``learner.triplet_grad`` call that draws its negatives from a new
-    generator seeded with ``seed`` and writes into a new buffer, so that
-    repeated calls (finite differences) see the same negatives."""
-    return learner.triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
+    """The sampled loss and one ``learner.triplet_grad`` step, each drawing
+    its negatives from a new generator seeded with ``seed``, the step writing
+    into a new buffer, so that repeated calls (finite differences) see the
+    same negatives."""
+    grad = learner.triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
                                 np.zeros_like(theta), metric)
+    loss = sampled_triplet_loss(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
+                                metric)
+    return loss, grad
 
 
 def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:

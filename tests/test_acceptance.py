@@ -146,11 +146,11 @@ def test_criterion_4_min_norm_oracle():
 
     for _ in range(100):
         d1, d2 = rng.standard_normal(10), rng.standard_normal(10)
-        dev = agg.compute_deviations(pv(np.zeros(10)), [pv(d1), pv(d2)])
-        w = agg.min_norm_weights(dev, [1, 1])
+        _, gram = agg.compute_deviations(pv(np.zeros(10)), [pv(d1), pv(d2)])
+        p, _ = agg.min_norm_weights(gram, np.full(2, 1 / 2))
         q = float(np.clip(np.dot(d2 - d1, d2) / np.dot(d1 - d2, d1 - d2), 0.0, 1.0))
-        ok &= abs(w.p[0] - q) < 1e-9
-        ok &= w.pareto_gap <= 1e-6 * float(np.max(np.diag(dev.gram)))
+        ok &= abs(p[0] - q) < 1e-9
+        ok &= agg.pareto_gap(gram, p) <= 1e-6 * float(np.max(np.diag(gram)))
 
     steps = np.arange(0.0, 1.0005, 0.001)
     p1g, p2g = np.meshgrid(steps, steps, indexing="ij")
@@ -158,18 +158,17 @@ def test_criterion_4_min_norm_oracle():
     p1g, p2g = p1g[mask], p2g[mask]
     p3g = 1.0 - p1g - p2g
     for _ in range(20):
-        dev = agg.compute_deviations(
+        _, v = agg.compute_deviations(
             pv(np.zeros(10)), [pv(rng.standard_normal(10)) for _ in range(3)]
         )
-        v = dev.gram
         grid_min = float(np.min(
             v[0, 0] * p1g**2 + v[1, 1] * p2g**2 + v[2, 2] * p3g**2
             + 2 * v[0, 1] * p1g * p2g + 2 * v[0, 2] * p1g * p3g + 2 * v[1, 2] * p2g * p3g
         ))
-        w = agg.min_norm_weights(dev, [1, 1, 1])
-        achieved = float(w.p @ v @ w.p)
+        p, _ = agg.min_norm_weights(v, np.full(3, 1 / 3))
+        achieved = float(p @ v @ p)
         ok &= achieved <= grid_min + 1e-3
-        row = v @ w.p
+        row = v @ p
         ok &= bool(np.all(row >= achieved - 1e-6 * float(np.max(np.diag(v)))))
 
     elapsed = time.time() - t0
@@ -192,8 +191,8 @@ def test_criterion_5_fedavg_reduction():
     )
     drifts = []
 
-    def hook(t, before, locals_, weights, after):
-        direct = sum(w * loc for w, loc in zip(weights.p, locals_))
+    def hook(t, before, locals_, p, after):
+        direct = sum(w * loc for w, loc in zip(p, locals_))
         drifts.append(float(np.max(np.abs(after - direct))))
 
     run_experiment(cfg, "averaged", round_hook=hook)

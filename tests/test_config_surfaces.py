@@ -182,13 +182,14 @@ class TestSolverBudget:
     def test_budget_exhaustion_reports_honest_gap(self):
         rng = np.random.default_rng(6)
         deltas = [rng.standard_normal(12) for _ in range(6)]
-        dev = agg.compute_deviations(np.zeros(12), deltas)
-        w = agg.min_norm_weights(dev, [1] * 6, max_iters=1)
-        assert w.cu_iterations == 1
-        assert abs(float(np.sum(w.p)) - 1.0) < 1e-9
+        _, gram = agg.compute_deviations(np.zeros(12), deltas)
+        start = np.full(6, 1 / 6)
+        p, steps = agg.min_norm_weights(gram, start, max_iters=1)
+        assert steps == 1
+        assert abs(float(np.sum(p)) - 1.0) < 1e-9
         # one iteration cannot generally reach stationarity; the gap says so
-        full = agg.min_norm_weights(dev, [1] * 6)
-        assert full.pareto_gap <= w.pareto_gap + 1e-12
+        full, _ = agg.min_norm_weights(gram, start)
+        assert agg.pareto_gap(gram, full) <= agg.pareto_gap(gram, p) + 1e-12
 
 
 def test_default_client_count_is_twenty():
@@ -489,6 +490,19 @@ class TestConfigSections:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ValueError",
                        "message": f"config must be a JSON object, got {kind}"}
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_utf8"])
+    def test_malformed_json_names_file(self, tmp_path, capsys, damage):
+        # a truncated file, or one that is not UTF-8, names its path as
+        # every other file error does
+        config = tmp_path / "cfg.json"
+        text = json.dumps(small_config().to_dict(), indent=1).encode()
+        config.write_bytes(text[:40] if damage == "truncated" else b"\xff" + text)
+        assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{config}: config is not JSON: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section", ["dataset", "partition", "extractor", "triplet"])
     def test_missing_section_named(self, section):

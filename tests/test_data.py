@@ -305,10 +305,14 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError, match="header"):
             load_dataset(path)
 
-    def test_wrong_field_count_named(self, tmp_path):
+    # d = 1e11 would size a 745 GiB feature array: field counts come first
+    @pytest.mark.parametrize(
+        "text", ["1 3 2\n0.0 0.0 0\n", "1 100000000000 2\n0.5 0\n"], ids=["short", "huge_dim"]
+    )
+    def test_wrong_field_count_named(self, tmp_path, text):
         path = tmp_path / "data.txt"
-        path.write_text("1 3 2\n0.0 0.0 0\n")
-        with pytest.raises(DatasetFormatError, match="record 0"):
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=r"record 0 has \d+ fields"):
             load_dataset(path)
 
 

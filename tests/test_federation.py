@@ -85,7 +85,7 @@ class TestRunExperiment:
         cfg = tiny_config(rounds=1, clients=1)
         captured = {}
 
-        def hook(t, before, locals_, weights, after):
+        def hook(t, before, locals_, p, after):
             captured["client"] = locals_[0]
             captured["after"] = after
 
@@ -117,17 +117,29 @@ class TestRunExperiment:
             assert len(entry["p"]) == 4
             assert abs(sum(entry["p"]) - 1.0) < 1e-9
 
+    def test_averaged_weights_are_the_data_fractions(self):
+        # the averaging baseline: p_k = N_k / sum N every round, no solver
+        res = run_experiment(tiny_config(rounds=2), "averaged")
+        counts = np.array([shard.n_train for shard in res.shards], dtype=np.float64)
+        for entry in res.aggregation_log:
+            assert entry["p"] == [float(n) / float(counts.sum()) for n in counts]
+            assert abs(sum(entry["p"]) - 1.0) <= 1e-12
+            assert entry["cu_iterations"] == 0 and entry["pareto_gap"] is None
+
     @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
     @pytest.mark.parametrize("variant", [None, *VARIANTS])
     def test_conservation_each_round(self, variant, metric):
         # aggregation equals its definition theta + sum_k p_k Delta_k, summed
-        # here one client at a time, an order apart from aggregate's matmul
+        # here one client at a time, an order apart from aggregate's matmul,
+        # under weights on the probability simplex
         cfg = dataclasses.replace(tiny_config(rounds=3), metric=metric)
         checks = []
 
-        def hook(t, before, locals_, weights, after):
+        def hook(t, before, locals_, p, after):
+            assert abs(float(np.sum(p)) - 1.0) <= 1e-9
+            assert np.all(p >= 0)
             acc = before.copy()
-            for p_k, theta_k in zip(weights.p, locals_, strict=True):
+            for p_k, theta_k in zip(p, locals_, strict=True):
                 acc = acc + p_k * (theta_k - before)
             drift = float(np.max(np.abs(after - acc)))
             checks.append((drift, 1e-12 * max(1.0, float(np.max(np.abs(acc))))))
@@ -186,9 +198,10 @@ class TestClientIsolation:
                     theta, shards[k], protos, ext, tcfg, 2, 16, 0.3, seed=100 + k
                 )
             locals_ = [locals_by_k[k] for k in range(3)]
-            dev = agg.compute_deviations(theta, locals_)
-            w = agg.min_norm_weights(dev, [s.n_train for s in shards])
-            return agg.aggregate(theta, dev, w)
+            deltas, gram = agg.compute_deviations(theta, locals_)
+            counts = np.array([s.n_train for s in shards], dtype=np.float64)
+            p, _ = agg.min_norm_weights(gram, counts / counts.sum())
+            return agg.aggregate(theta, deltas, p)
 
         a = train_round([0, 1, 2])
         b = train_round([2, 0, 1])
@@ -299,7 +312,7 @@ class TestPflIsNextLocalUpdate:
                            alpha=alpha)
         after = []
         res = run_experiment(
-            cfg, variant, round_hook=lambda t, before, locals_, w, theta: after.append(theta)
+            cfg, variant, round_hook=lambda t, before, locals_, p, theta: after.append(theta)
         )
         scored = 0
         for t, rec in enumerate(res.records):
@@ -323,7 +336,7 @@ class TestPflIsNextLocalUpdate:
         seen = []
         res = run_experiment(
             cfg, variant,
-            round_hook=lambda t, before, locals_, w, theta: seen.append((before, locals_)),
+            round_hook=lambda t, before, locals_, p, theta: seen.append((before, locals_)),
         )
         for t, (before, locals_) in enumerate(seen):
             for k, (shard, protos) in enumerate(zip(res.shards, res.client_prototypes)):

@@ -6,14 +6,18 @@ metrics that BENCHMARK.json names, such as ``learner.triplet_grad.calls``.  A
 run that misses one of them is marked incorrect.  Checking the names here
 makes a refactor that drops or renames a traced function fail in pytest
 instead.  So does one that breaks the run's tiny-config check, which counts
-one ``learner.triplet_grad`` call per client SGD step.  This module only
-reads BENCHMARK.json, bench/tracer.py and bench/workloads.py.
+one ``learner.triplet_grad`` call per client SGD step.  One test runs
+bench/tracer.py itself on the tiny config, in a subprocess, as the traced
+benchmark run does.  This module only reads BENCHMARK.json, bench/tracer.py
+and bench/workloads.py.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +41,10 @@ MODULES = _bench_module("tracer").MODULES
 # constructions); other three-part names, like prototypes.tammes.iterations,
 # are figures derived from a function's result
 FUNCTION_METRICS = ("calls", "self_s", "constructions")
+# figures bench/run.py derives from aggregation.jsonl and wall times, not
+# from the tracer's statistics
+DERIVED = ("aggregation.min_norm_weights.iterations", "aggregation.min_norm_weights.budget_hits",
+           "aggregation.pareto_gap_max", "trace.run_s", "trace.overhead_s")
 
 
 def per_layer_names() -> list[str]:
@@ -98,3 +106,33 @@ def test_one_triplet_grad_call_per_sgd_step(monkeypatch):
     shards = [(s.n_train, s.test is not None and s.test.size > 0) for s in res.shards]
     assert len(shards) == workloads.TINY["partition"]["num_clients"]
     assert calls == workloads.expected_sgd_steps(workloads.TINY, shards) > 0
+
+
+def test_traced_tiny_run_reports_every_layer(tmp_path):
+    # bench/tracer.py on the tiny config, as the traced benchmark run starts
+    # it: every per-layer function, count and module total is in its
+    # statistics, and the solver budget is read from min_norm_weights
+    workloads = _bench_module("workloads")
+    config, stats_path, out = tmp_path / "tiny.json", tmp_path / "stats.json", tmp_path / "out"
+    config.write_text(json.dumps(workloads.TINY), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(ROOT / "src"), str(stats_path),
+         "run", "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    assert stats["min_norm_budget"] == 500
+    functions, counts, modules = stats["functions"], stats["counts"], stats["modules"]
+    missing = []
+    for name in per_layer_names():
+        head, _, last = name.rpartition(".")
+        if head in functions and last in FUNCTION_METRICS:
+            assert functions[head]["calls"] > 0, name
+        elif last == "self_s" and head in modules or name in counts or name in DERIVED:
+            continue
+        else:
+            missing.append(name)
+    assert not missing
+    entry = json.loads((out / "aggregation.jsonl").read_text().splitlines()[0])
+    assert {"cu_iterations", "pareto_gap"} <= set(entry)
