@@ -186,12 +186,17 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec, seed: int) -> l
     Per class a Dir(alpha) draw (normalized Gamma variates) fixes the client
     proportions (all draws from ``seed``); largest-remainder rounding turns
     them into counts.  Empty clients are repaired by stealing one instance
-    from the currently largest shard so that every client can train (logged);
-    when no shard has one to spare the partition fails at that client.
+    from the currently largest shard so that every client can train, and
+    logged in one warning.  Fewer instances than clients fail before any is
+    dealt; with no fewer, an empty client leaves its k - 1 peers at least k
+    instances, so the largest shard always has one to spare.
     """
     if seed < 0:
         raise ValueError(f"partition seed must be nonnegative, got {seed}")
     k = spec.num_clients
+    if k > ds.size:
+        raise ValueError(f"partition.num_clients must be at most the {ds.size} instances "
+                         f"to deal out, got {k}")
     rng = np.random.default_rng(seed)
     assigned: list[list[int]] = [[] for _ in range(k)]
     for c in range(ds.num_classes):
@@ -207,16 +212,15 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec, seed: int) -> l
         for client, cnt in enumerate(counts):
             assigned[client].extend(idx[start : start + cnt].tolist())
             start += cnt
+    moved = []
     for client in range(k):
-        if assigned[client]:
-            continue
-        sizes = [len(a) for a in assigned]
-        donor = int(np.argmax(sizes))
-        if sizes[donor] < 2:
-            raise ValueError(f"client {client} has no data and no client has an instance to "
-                             f"spare ({ds.size} instances for {k} clients)")
-        assigned[client].append(assigned[donor].pop())
-        log.warning("client %d was empty; moved one instance from client %d", client, donor)
+        if not assigned[client]:
+            donor = int(np.argmax([len(a) for a in assigned]))
+            assigned[client].append(assigned[donor].pop())
+            moved.append((client, donor))
+    if moved:
+        log.warning("%d empty clients each took one instance from the largest shard, "
+                    "as (client, donor): %s", len(moved), moved)
     return [ds.subset(np.array(sorted(a), dtype=np.int64)) for a in assigned]
 
 
@@ -252,10 +256,9 @@ def split_local(
 
     The train share is round(train_fraction * N), clamped so that both
     splits are nonempty whenever N >= 2.  A single-instance pool goes
-    entirely to train with an empty (None) test split, flagged in the log.
+    entirely to train with an empty (None) test split.
     """
     if pool.size == 1:
-        log.warning("client %d has a single instance; no local test split", client_id)
         return ClientShard(client_id=client_id, train=pool, test=None)
     train, test = _stratified_split(pool, train_fraction, seed)
     return ClientShard(client_id=client_id, train=train, test=test)
@@ -292,7 +295,10 @@ class DatasetFormatError(ValueError):
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DatasetFormatError(f"{path}: empty file")

@@ -21,10 +21,12 @@ again, so each client trains once per round after round 0.  A run is named by
 its config, its variant and its master ``seed``: every random choice draws
 ``derive_seed(seed, tag, ...)``, so one config and seed reproduce bit-for-bit.
 
-The round's K client models are the rows of one (K, P) block.  Each client
-trains on its own, but the loss metric and the P-FL accuracy score every
-group of clients whose split has one size in one stacked call; equal shapes
-stack bit-exactly, so the bytes are those of one call per client.
+The round's K client models are the rows of one (K, P) block.  ``_train``
+trains both the local updates and the finetunes, each client on its own;
+``evaluate_pfl`` only scores.  Any failure inside a round names the round.
+The loss metric and the P-FL accuracy score every group of clients whose
+split has one size in one stacked call; equal shapes stack bit-exactly, so
+the bytes are those of one call per client.
 
 The four ablation variants each toggle exactly one mechanism:
 
@@ -272,44 +274,32 @@ def _size_groups(datasets: list[LabeledDataset | None], protos: list[PrototypeSe
         yield ks, *(a[0][None] if len(ks) == 1 else np.stack(a) for a in parts)
 
 
-def evaluate_pfl(
-    global_params: np.ndarray,
-    shards: list[ClientShard],
-    protos: list[PrototypeSet],
-    ext: ExtractorConfig,
-    tcfg: TripletConfig,
-    lr: float,
-    batch_size: int,
-    seeds: list[int | None],
-    finetune_epochs: int = 5,
-    metric: str = "geodesic",
-) -> tuple[list[float | None], np.ndarray]:
-    """Per-client accuracy after finetuning a copy of the global model.
-
-    Each client receives its own copy, finetunes on the local train split
-    against its prototype set in ``protos`` for ``finetune_epochs`` epochs
-    with its seed in ``seeds`` (one of each per shard), one client after the
-    other, and is scored on the local test split; clients whose test splits
-    have one size are scored in one stacked call.  Returns the accuracies
-    and the (K, P) block of tuned models.  Clients without a test split are
-    skipped and their seed (None) unread: their accuracy is None and their
-    row NaN.  The global parameters are never mutated.
+def evaluate_pfl(tuned: np.ndarray, shards: list[ClientShard], protos: list[PrototypeSet],
+                 ext: ExtractorConfig, metric: str = "geodesic") -> list[float | None]:
+    """Per-client accuracy of the finetuned models, row k of the (K, P)
+    block ``tuned`` scored on client k's local test split against its
+    prototype set in ``protos``; clients whose test splits have one size are
+    scored in one stacked call.  A client without a test split scores None
+    and its row is never read.
     """
-    tuned = np.full((len(shards), global_params.size), np.nan)
-    for k, (shard, proto_k, seed) in enumerate(zip(shards, protos, seeds, strict=True)):
-        if shard.test is None:
-            log.debug("client %d has no local test split; skipped in P-FL", shard.client_id)
-            continue
-        tuned[k] = learner.local_train(
-            global_params, shard, proto_k, ext, tcfg,
-            epochs=finetune_epochs, batch_size=batch_size, lr=lr, seed=seed, metric=metric,
-        )
     accs: list[float | None] = [None] * len(shards)
     for ks, x, y, w, w2 in _size_groups([shard.test for shard in shards], protos):
         pred = learner.predict_batch(tuned[ks], ext, w, w2, x, metric)
         for k, acc in zip(ks, np.mean(pred == y, axis=-1)):
             accs[k] = float(acc)
-    return accs, tuned
+    return accs
+
+
+def _train(cfg: ExperimentConfig, theta: np.ndarray, shards: list[ClientShard],
+           protos: list[PrototypeSet], t: int, epochs: int, ks, out: np.ndarray) -> None:
+    """Train client k from ``theta`` for ``epochs`` epochs with the round-t
+    seed ``derive_seed(cfg.seed, "train", t, k)`` into ``out[k]``, for each k in ``ks``."""
+    for k in ks:
+        out[k] = learner.local_train(
+            theta, shards[k], protos[k], cfg.extractor, cfg.triplet, epochs=epochs,
+            batch_size=cfg.batch_size, lr=cfg.lr, seed=derive_seed(cfg.seed, "train", t, k),
+            metric=cfg.metric,
+        )
 
 
 def _build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -372,6 +362,11 @@ def run_experiment(
     server_protos, client_protos, tammes_report = _round_prototypes(
         cfg, variant, ds.num_classes, 0, len(shards)
     )
+    tested = [k for k, shard in enumerate(shards) if shard.test is not None]
+    untested = [k for k, shard in enumerate(shards) if shard.test is None]
+    if untested:
+        log.warning("%d clients hold one instance each, so no local test split and no P-FL "
+                    "score: %s", len(untested), untested)
     # a P-FL finetune is the client's next local update when both run the
     # same epochs against the same prototype set
     carry = variant != "shared_only" and cfg.finetune_epochs == cfg.local_epochs
@@ -389,71 +384,53 @@ def run_experiment(
             server_protos, client_protos, _ = _round_prototypes(
                 cfg, variant, ds.num_classes, t, len(shards)
             )
-        models = np.empty((len(shards), theta.size)) if tuned is None else tuned
-        for k, shard in enumerate(shards):
-            if tuned is not None and shard.test is not None:
-                continue  # carried over from last round's P-FL finetune
-            try:
-                models[k] = learner.local_train(
-                    theta, shard, client_protos[k], ext, cfg.triplet,
-                    epochs=cfg.local_epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-                    seed=derive_seed(cfg.seed, "train", t, k), metric=cfg.metric,
-                )
-            except ValueError as err:  # local training diverged
-                raise ValueError(f"round {t}: {err}") from err
-        losses = np.empty(len(shards))
-        for ks, x, y, w, w2 in _size_groups([shard.train for shard in shards], client_protos):
-            losses[ks] = learner.mean_triplet_loss(
-                models[ks], ext, x, y, w, w2, cfg.triplet.margin, cfg.metric
-            )
-        deltas, gram = agg.compute_deviations(theta, models)
-        if variant == "averaged":
-            p, steps, gap = fractions, 0, None
-        else:
-            p, steps = agg.min_norm_weights(gram, fractions)
-            gap = agg.pareto_gap(gram, p)
-        theta_before, theta = theta, agg.aggregate(theta, deltas, p)
-        if round_hook is not None:
-            round_hook(t, theta_before, models, p, theta)
-
-        agg_log.append(
-            {
-                "round": t,
-                "p": [float(v) for v in p],
-                "cu_iterations": steps,
-                "pareto_gap": gap,
-                "gram_diagonal": [float(v) for v in np.diag(gram)],
-            }
-        )
-        # free round t's models so that the tuned ones do not raise peak
-        # memory; the last round's models are the client checkpoints
-        del deltas, gram
-        tuned = None
-        if t < cfg.rounds - 1:
-            del models
-
-        gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
         try:
-            pfl, tuned = evaluate_pfl(
-                theta, shards, client_protos, ext, cfg.triplet, cfg.lr, cfg.batch_size,
-                [None if shard.test is None else derive_seed(cfg.seed, "train", t + 1, k)
-                 for k, shard in enumerate(shards)],
-                finetune_epochs=cfg.finetune_epochs, metric=cfg.metric,
-            )
-        except ValueError as err:  # finetuning diverged
+            # the tested clients' models are carried over from last round's finetune
+            models = np.empty((len(shards), theta.size)) if tuned is None else tuned
+            _train(cfg, theta, shards, client_protos, t, cfg.local_epochs,
+                   range(len(shards)) if tuned is None else untested, models)
+            losses = np.empty(len(shards))
+            for ks, x, y, w, w2 in _size_groups([shard.train for shard in shards], client_protos):
+                losses[ks] = learner.mean_triplet_loss(
+                    models[ks], ext, x, y, w, w2, cfg.triplet.margin, cfg.metric
+                )
+            deltas, gram = agg.compute_deviations(theta, models)
+            if variant == "averaged":
+                p, steps, gap = fractions, 0, None
+            else:
+                p, steps = agg.min_norm_weights(gram, fractions)
+                gap = agg.pareto_gap(gram, p)
+            theta_before, theta = theta, agg.aggregate(theta, deltas, p)
+            if round_hook is not None:
+                round_hook(t, theta_before, models, p, theta)
+
+            agg_log.append({"round": t, "p": [float(v) for v in p], "cu_iterations": steps,
+                            "pareto_gap": gap, "gram_diagonal": [float(v) for v in np.diag(gram)]})
+            # free round t's models so that the tuned ones do not raise peak
+            # memory; the last round's models are the client checkpoints
+            del deltas, gram
+            tuned = None
+            if t < cfg.rounds - 1:
+                del models
+
+            gfl = evaluate_gfl(theta, ext, server_protos, global_test, cfg.metric)
+            # a fresh block each round: a round hook may keep the last one
+            tuned = np.empty((len(shards), theta.size))
+            _train(cfg, theta, shards, client_protos, t + 1, cfg.finetune_epochs, tested, tuned)
+            pfl = evaluate_pfl(tuned, shards, client_protos, ext, cfg.metric)
+        except ValueError as err:  # training, finetuning or aggregation failed
             raise ValueError(f"round {t}: {err}") from err
         if not carry:
             tuned = None
         scored = [a for a in pfl if a is not None]
-        record = RoundRecord(
+        records.append(RoundRecord(
             round=t,
             gfl_accuracy=gfl,
             pfl_accuracy_mean=float(np.mean(scored)) if scored else 0.0,
             pfl_accuracies=pfl,
             train_loss_mean=float(np.mean(losses)),
             wall_time_sec=time.perf_counter() - t0,
-        )
-        records.append(record)
+        ))
 
     result = ExperimentResult(
         config=cfg,

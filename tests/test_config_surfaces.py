@@ -129,9 +129,9 @@ class TestStepGranularFinetune:
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         theta = learner.init_params(ext, 1)
-        untuned, _ = evaluate_pfl(theta, [shard], [protos], ext, TripletConfig(),
-                                  lr=0.3, batch_size=16, seeds=[derive_seed(0, "pfl", 0)],
-                                  finetune_epochs=0)
+        tuned = learner.local_train(theta, shard, protos, ext, TripletConfig(), 0, 16, lr=0.3,
+                                    seed=derive_seed(0, "pfl", 0))
+        untuned = evaluate_pfl(tuned[None], [shard], [protos], ext)
         pred = learner.predict_batch(theta, ext, protos.weights, protos.sq_norms,
                                      shard.test.features)
         assert untuned == [float(np.mean(pred == shard.test.labels))]

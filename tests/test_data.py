@@ -105,9 +105,17 @@ class TestDirichletPartition:
         # 3 instances over 5 clients: one error, naming the client and the
         # cause, and no warning about the same client before it
         ds = make_synthetic(3, 2, per_class=1, spread=0.1, seed=0)
-        with pytest.raises(ValueError, match=r"client \d+ has no data .*3 instances for 5 clients"):
+        with pytest.raises(ValueError, match=r"partition\.num_clients .* 3 instances .*got 5"):
             dirichlet_partition(ds, PartitionSpec(num_clients=5, alpha=0.5), 0)
         assert not any("left empty" in r.getMessage() for r in caplog.records)
+
+    def test_more_clients_than_instances_fail_before_dealing(self):
+        # a million clients over 60 instances: refused up front, without a
+        # list per client or a million Gamma variates per class
+        ds = make_synthetic(3, 2, per_class=20, spread=0.1, seed=0)
+        want = r"partition\.num_clients .* 60 instances .*got 1000000"
+        with pytest.raises(ValueError, match=want):
+            dirichlet_partition(ds, PartitionSpec(num_clients=10**6, alpha=0.5), 0)
 
     def test_dirichlet_mean_is_symmetric(self):
         # alpha = 0.5, K = 2: mean share of each class at client 0 is 1/2
@@ -298,6 +306,13 @@ class TestDatasetFile:
         path.write_text("2 2 2\n0.0 inf 0\n1.0 1.0 1\n")
         with pytest.raises(DatasetFormatError, match="record 0"):
             load_dataset(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"\xff2 2 2\n0.0 0.0 0\n1.0 1.0 1\n")
+        with pytest.raises(DatasetFormatError, match="not UTF-8 text") as err:
+            load_dataset(path)
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "data.txt"

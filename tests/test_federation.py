@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from hyperfl import aggregation as agg
-from hyperfl import learner
+from hyperfl import federation, learner
 from hyperfl.cli import main as cli_main
 from hyperfl.data import (
     LabeledDataset,
@@ -175,6 +176,25 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert "round 0" in str(err.value) and "client" in str(err.value)
 
+    def test_aggregation_failure_names_round(self, monkeypatch):
+        def fail(theta, deltas, p):
+            raise ValueError("aggregated parameters are not finite")
+
+        monkeypatch.setattr(agg, "aggregate", fail)
+        with pytest.raises(ValueError, match="^round 0: aggregated parameters are not finite$"):
+            run_experiment(tiny_config(rounds=1))
+
+    def test_partition_notes_one_warning_per_kind(self, caplog):
+        # 40 clients over 144 instances at alpha 0.05: empty clients are
+        # repaired and single-instance clients have no local test split
+        with caplog.at_level(logging.WARNING):
+            res = run_experiment(tiny_config(rounds=1, clients=40, alpha=0.05))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) <= 2
+        untested = [k for k, shard in enumerate(res.shards) if shard.test is None]
+        assert any(str(untested) in w for w in warnings)
+        assert any("empty clients" in w for w in warnings)
+
 
 class TestClientIsolation:
     def test_round_result_independent_of_completion_order(self):
@@ -234,10 +254,9 @@ class TestEvaluate:
         shards = [split_local(ds, 0, seed=0)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
-        tcfg = TripletConfig(margin=3.0)
         theta = learner.init_params(ext, 1)
-        accs, _ = evaluate_pfl(theta, shards, [protos], ext, tcfg, lr=0.3, batch_size=16,
-                               seeds=[derive_seed(0, "pfl", 0)], finetune_epochs=0)
+        tuned = finetune(theta, shards, [protos], ext, TripletConfig(margin=3.0), epochs=0)
+        accs = evaluate_pfl(tuned, shards, [protos], ext)
         direct = evaluate_gfl(theta, ext, protos, shards[0].test)
         assert accs[0] == pytest.approx(direct, abs=1e-12)
 
@@ -248,20 +267,34 @@ class TestEvaluate:
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         theta = learner.init_params(ext, 1)
         digest = hashlib.sha256(theta.tobytes()).hexdigest()
-        evaluate_pfl(theta, shards, [protos], ext, TripletConfig(), lr=0.3,
-                     batch_size=16, seeds=[derive_seed(1, "pfl", 0)], finetune_epochs=2)
+        tuned = finetune(theta, shards, [protos], ext, TripletConfig(), epochs=2)
+        evaluate_pfl(tuned, shards, [protos], ext)
         assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
+        assert not np.array_equal(tuned[0], theta)
 
     def test_pfl_skips_clients_without_test_split(self):
         ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
         shard = split_local(ds, 0, seed=0)  # single instance: no test split
         protos, _ = build_prototypes(2, 2, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2)
-        accs, tuned = evaluate_pfl(learner.init_params(ext, 0), [shard], [protos], ext,
-                                   TripletConfig(), lr=0.1, batch_size=4,
-                                   seeds=[derive_seed(0, "pfl", 0)])
-        assert accs == [None]
-        assert tuned.shape == (1, learner.init_params(ext, 0).size) and np.isnan(tuned).all()
+        tuned = learner.local_train(learner.init_params(ext, 0), shard, protos, ext,
+                                    TripletConfig(), 5, 4, 0.1, seed=derive_seed(0, "pfl", 0))
+        assert evaluate_pfl(tuned[None], [shard], [protos], ext) == [None]
+
+    def test_pfl_never_reads_an_untested_row(self):
+        # clients 0 and 2 share a test size and are scored in one stacked
+        # call around client 1, which has no test split
+        ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=5)
+        shards = [split_local(ds, 0, seed=0), split_local(ds.subset(np.arange(1)), 1),
+                  split_local(ds, 2, seed=1)]
+        protos = [build_prototypes(3, 3, 0.9, seed=0)[0]] * 3
+        ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
+        tuned = finetune(learner.init_params(ext, 1), shards, protos, ext,
+                         TripletConfig(margin=3.0), epochs=1)
+        accs = evaluate_pfl(tuned, shards, protos, ext)
+        assert accs[1] is None and None not in (accs[0], accs[2])
+        tuned[1] = np.nan
+        assert evaluate_pfl(tuned, shards, protos, ext) == accs
 
     def test_pfl_finetune_helps_single_class_client(self):
         # a client holding one class: finetuning on it should not hurt local
@@ -278,10 +311,19 @@ class TestEvaluate:
                 ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3), seed
             )
             before = evaluate_gfl(theta, ext, protos, shard.test)
-            after = evaluate_pfl(theta, [shard], [protos], ext, tcfg, lr=0.3, batch_size=16,
-                                 seeds=[derive_seed(seed, "pfl", 0)], finetune_epochs=5)[0][0]
+            tuned = learner.local_train(theta, shard, protos, ext, tcfg, 5, 16, 0.3,
+                                        seed=derive_seed(seed, "pfl", 0))
+            after = evaluate_pfl(tuned[None], [shard], [protos], ext)[0]
             wins += after >= before
         assert wins >= 9
+
+
+def finetune(theta, shards, protos, ext, tcfg, epochs):
+    """Every client's P-FL finetune from ``theta``, trained as a round trains it."""
+    cfg = dataclasses.replace(tiny_config(), extractor=ext, triplet=tcfg, batch_size=16)
+    tuned = np.empty((len(shards), theta.size))
+    federation._train(cfg, theta, shards, protos, 1, epochs, range(len(shards)), tuned)
+    return tuned
 
 
 def carry_config(local_epochs=2, finetune_epochs=2, **kwargs):
