@@ -47,6 +47,9 @@ CONFIGS = {
     "tiny": (TINY, None),
     **{f"tiny_{v}": (TINY, v) for v in VARIANTS},
     "tiny_euclidean": ({**TINY, "metric": "euclidean"}, None),
+    # the other activations: each keeps the bytes of its forward and backward pass
+    **{f"tiny_{act}": ({**TINY, "extractor": {**TINY["extractor"], "activation": act}}, None)
+       for act in ("relu", "identity")},
     # 40 clients over 90 samples: many one-sample pools, which get no test split
     "many_clients": ({
         **TINY,
