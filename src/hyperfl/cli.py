@@ -53,10 +53,10 @@ def _cmd_run(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     protos = prototypes.load_prototypes(args.protos)
-    ds = data_mod.load_dataset(args.data)
     if protos.sha256() != params.prototypes_sha256:
         raise ValueError(f"{args.protos}: sha256 differs from 'model.prototypes_sha256' "
                          f"in {args.checkpoint}")
+    ds = data_mod.load_dataset(args.data)
     ext = params.extractor
     if ds.dim != ext.input_dim:
         raise ValueError(f"{args.data}: dimension {ds.dim} != 'model.input_dim' {ext.input_dim}")

@@ -104,9 +104,9 @@ class LabeledDataset:
 @dataclass(frozen=True)
 class ClientShard:
     """One client's local data; ``test`` is None when the pool was too small
-    to hold anything back (flagged at split time)."""
+    to hold anything back (flagged at split time).  A client is its index k
+    in the run's shard list, which picks its seeds, checkpoint and P-FL entry."""
 
-    client_id: int
     train: LabeledDataset
     test: LabeledDataset | None
 
@@ -205,9 +205,13 @@ def dirichlet_partition(ds: LabeledDataset, spec: PartitionSpec, seed: int) -> l
             continue
         idx = rng.permutation(idx)
         gamma = rng.gamma(spec.alpha, 1.0, size=k)
-        if gamma.sum() <= 0:  # underflow guard for very small alpha
-            gamma = np.ones(k)
-        counts = _largest_remainder(gamma / gamma.sum() * idx.size, idx.size)
+        with np.errstate(over="ignore"):
+            total = gamma.sum()
+        # a tiny alpha underflows the sum and a huge one overflows it; equal
+        # shares are the alpha -> inf limit of Dir(alpha)
+        if not 0 < total < np.inf:
+            gamma, total = np.ones(k), k
+        counts = _largest_remainder(gamma / total * idx.size, idx.size)
         start = 0
         for client, cnt in enumerate(counts):
             assigned[client].extend(idx[start : start + cnt].tolist())
@@ -247,21 +251,18 @@ def _stratified_split(
 
 
 def split_local(
-    pool: LabeledDataset,
-    client_id: int,
-    train_fraction: float = 0.75,
-    seed: int = 0,
+    pool: LabeledDataset, *, train_fraction: float = 0.75, seed: int = 0
 ) -> ClientShard:
     """Stratified-where-possible random split of a client pool.
 
     The train share is round(train_fraction * N), clamped so that both
     splits are nonempty whenever N >= 2.  A single-instance pool goes
-    entirely to train with an empty (None) test split.
+    entirely to train with an empty (None) test split.  The shard does not
+    know its client; the caller's list position names it.
     """
     if pool.size == 1:
-        return ClientShard(client_id=client_id, train=pool, test=None)
-    train, test = _stratified_split(pool, train_fraction, seed)
-    return ClientShard(client_id=client_id, train=train, test=test)
+        return ClientShard(train=pool, test=None)
+    return ClientShard(*_stratified_split(pool, train_fraction, seed))
 
 
 def stratified_holdout(

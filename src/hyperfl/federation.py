@@ -23,7 +23,8 @@ its config, its variant and its master ``seed``: every random choice draws
 
 The round's K client models are the rows of one (K, P) block.  ``_train``
 trains both the local updates and the finetunes, each client on its own;
-``evaluate_pfl`` only scores.  Any failure inside a round names the round.
+``evaluate_pfl`` only scores.  Any failure inside a round names the round,
+and a training failure also names the client by its index k.
 The loss metric and the P-FL accuracy score every group of clients whose
 split has one size in one stacked call; equal shapes stack bit-exactly, so
 the bytes are those of one call per client.
@@ -116,9 +117,6 @@ class ExperimentConfig:
             raise ValueError(f"dataset must be a SyntheticSpec or a file path, "
                              f"got {self.dataset!r}")
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
-        if self.extractor.output_dim < 2:
-            raise ValueError("extractor.output_dim must be at least 2, got "
-                             f"{self.extractor.output_dim}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -292,14 +290,18 @@ def evaluate_pfl(tuned: np.ndarray, shards: list[ClientShard], protos: list[Prot
 
 def _train(cfg: ExperimentConfig, theta: np.ndarray, shards: list[ClientShard],
            protos: list[PrototypeSet], t: int, epochs: int, ks, out: np.ndarray) -> None:
-    """Train client k from ``theta`` for ``epochs`` epochs with the round-t
-    seed ``derive_seed(cfg.seed, "train", t, k)`` into ``out[k]``, for each k in ``ks``."""
+    """Train client k from ``theta`` on its train split for ``epochs`` epochs
+    with the round-t seed ``derive_seed(cfg.seed, "train", t, k)`` into
+    ``out[k]``, for each k in ``ks``; a failure names the client k."""
     for k in ks:
-        out[k] = learner.local_train(
-            theta, shards[k], protos[k], cfg.extractor, cfg.triplet, epochs=epochs,
-            batch_size=cfg.batch_size, lr=cfg.lr, seed=derive_seed(cfg.seed, "train", t, k),
-            metric=cfg.metric,
-        )
+        try:
+            out[k] = learner.local_train(
+                theta, shards[k].train, protos[k], cfg.extractor, cfg.triplet, epochs=epochs,
+                batch_size=cfg.batch_size, lr=cfg.lr, seed=derive_seed(cfg.seed, "train", t, k),
+                metric=cfg.metric,
+            )
+        except ValueError as err:
+            raise ValueError(f"client {k}: {err}") from err
 
 
 def _build_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -342,6 +344,8 @@ def run_experiment(
     """
     if variant is not None and variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if out_dir is not None:  # an unusable path fails before any work
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     ds = _build_dataset(cfg)
     ext = cfg.extractor
     if ext.input_dim != ds.dim:
@@ -353,10 +357,8 @@ def run_experiment(
     # the trailing 0 of the partition and init tags keeps the bytes of earlier runs
     partition_seed = derive_seed(cfg.seed, "partition", 0)
     pools = dirichlet_partition(pool, cfg.partition, partition_seed)
-    shards = [
-        split_local(pool_k, k, cfg.train_fraction, seed=derive_seed(cfg.seed, "split", k))
-        for k, pool_k in enumerate(pools)
-    ]
+    shards = [split_local(pool_k, train_fraction=cfg.train_fraction,
+                          seed=derive_seed(cfg.seed, "split", k)) for k, pool_k in enumerate(pools)]
     manifest = partition_manifest(pools, cfg.partition, partition_seed)
 
     server_protos, client_protos, tammes_report = _round_prototypes(

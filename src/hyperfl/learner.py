@@ -34,10 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hyperfl import poincare
-from hyperfl.data import ClientShard, check_fields
+from hyperfl.data import LabeledDataset, check_fields
 from hyperfl.prototypes import PrototypeSet
 
-_ACTIVATIONS = ("tanh", "relu", "identity")
+# name -> (activation, its derivative expressed through the activation's output)
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda h: 1.0 - h * h),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda h: (h > 0).astype(np.float64)),
+    "identity": (lambda a: a, np.ones_like),
+}
 
 
 @dataclass(frozen=True)
@@ -46,19 +51,25 @@ class ExtractorConfig:
 
     input_dim: int = field(metadata={"kind": "int", "min": 1})
     hidden: tuple[int, ...] = field(metadata={"kind": "ints", "min": 1})
-    output_dim: int = field(metadata={"kind": "int", "min": 1})
+    # at least 2: the prototypes need two dimensions to lie apart
+    output_dim: int = field(metadata={"kind": "int", "min": 2})
     activation: str = "tanh"
 
     def __post_init__(self):
         check_fields(self, "extractor")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"extractor.activation must be one of {_ACTIVATIONS}, "
+            raise ValueError(f"extractor.activation must be one of {tuple(_ACTIVATIONS)}, "
                              f"got {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden, self.output_dim)
+
+    @property
+    def num_params(self) -> int:
+        """P, the length of the flat parameter vector theta."""
+        return _spans(self)[-1][1]
 
 
 @dataclass(frozen=True)
@@ -92,19 +103,18 @@ def _spans(cfg: ExtractorConfig) -> tuple[tuple[int, int, tuple[int, ...]], ...]
 def _layers(theta: np.ndarray, cfg: ExtractorConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-layer (W, b) views into ``theta``, in ``layout_for`` order: a flat
     (P,) vector, or a (..., P) block whose leading axes lead every view."""
-    spans = _spans(cfg)
-    if spans[-1][1] != theta.shape[-1]:
+    if cfg.num_params != theta.shape[-1]:
         raise ValueError(f"parameter vector has {theta.shape[-1]} values, "
-                         f"layout expects {spans[-1][1]}")
+                         f"layout expects {cfg.num_params}")
     lead = theta.shape[:-1]
-    views = [theta[..., start:stop].reshape(lead + shape) for start, stop, shape in spans]
+    views = [theta[..., start:stop].reshape(lead + shape) for start, stop, shape in _spans(cfg)]
     return list(zip(views[::2], views[1::2]))
 
 
 def init_params(cfg: ExtractorConfig, seed: int) -> np.ndarray:
     """Glorot-uniform weights drawn from ``seed``, zero biases."""
     rng = np.random.default_rng(seed)
-    theta = np.zeros(sum(math.prod(shape) for _, shape in layout_for(cfg)))
+    theta = np.zeros(cfg.num_params)
     for w, _ in _layers(theta, cfg):
         fan_out, fan_in = w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -112,29 +122,13 @@ def init_params(cfg: ExtractorConfig, seed: int) -> np.ndarray:
     return theta
 
 
-def _act(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(a)
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    return a
-
-
-def _act_prime_from_output(h: np.ndarray, kind: str) -> np.ndarray:
-    # derivative expressed through the post-activation value
-    if kind == "tanh":
-        return 1.0 - h * h
-    if kind == "relu":
-        return (h > 0).astype(np.float64)
-    return np.ones_like(h)
-
-
 def _forward_cached(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
     layers = _layers(theta, cfg)
+    act = _ACTIVATIONS[cfg.activation][0]
     acts = [x]
     for i, (w, b) in enumerate(layers):
         a = acts[-1] @ w.mT + b[..., None, :]
-        acts.append(_act(a, cfg.activation) if i < len(layers) - 1 else a)
+        acts.append(act(a) if i < len(layers) - 1 else a)
     return acts[-1], acts, layers
 
 
@@ -152,11 +146,12 @@ def _ball_points(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
 
 def _backward(cfg: ExtractorConfig, acts, layers, delta: np.ndarray, grads) -> None:
     """Write each layer's gradient into its (W, b) views in ``grads``."""
+    act_prime = _ACTIVATIONS[cfg.activation][1]
     for i in reversed(range(len(layers))):
         np.matmul(delta.T, acts[i], out=grads[i][0])
         np.add.reduce(delta, axis=0, out=grads[i][1])
         if i > 0:
-            delta = (delta @ layers[i][0]) * _act_prime_from_output(acts[i], cfg.activation)
+            delta = (delta @ layers[i][0]) * act_prime(acts[i])
 
 
 def _distances_at(
@@ -290,7 +285,7 @@ def mean_triplet_loss(
 
 def local_train(
     theta_in: np.ndarray,
-    shard: ClientShard,
+    train: LabeledDataset,
     protos: PrototypeSet,
     cfg: ExtractorConfig,
     tcfg: TripletConfig,
@@ -300,7 +295,7 @@ def local_train(
     seed: int = 0,
     metric: str = "geodesic",
 ) -> np.ndarray:
-    """Mini-batch SGD on the local training split.
+    """Mini-batch SGD on a client's local training split ``train``.
 
     One RNG (from ``seed``) drives both the per-epoch shuffle and the
     negative sampling, so a run is reproducible bit-for-bit.
@@ -309,28 +304,24 @@ def local_train(
     buffer allocated here and reused for every step; a non-finite gradient
     raises ValueError, and so do non-finite parameters after the last step
     (a finite gradient times a huge lr can still overflow the update).
-    Every such error names the client.
+    The caller, which knows the client, names it.
     """
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
-    train = shard.train
     n = train.size
     grad = np.zeros_like(theta)
-    try:
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                triplet_grad(
-                    theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
-                    rng, grad, metric,
-                )
-                grad *= lr
-                theta -= grad
-        if not np.isfinite(theta).all():
-            raise ValueError("local training diverged (parameters not finite)")
-    except ValueError as err:
-        raise ValueError(f"client {shard.client_id}: {err}") from err
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            triplet_grad(
+                theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
+                rng, grad, metric,
+            )
+            grad *= lr
+            theta -= grad
+    if not np.isfinite(theta).all():
+        raise ValueError("local training diverged (parameters not finite)")
     return theta
 
 

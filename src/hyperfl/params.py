@@ -5,29 +5,28 @@ layout only ``learner`` knows.  A ParamVector is the whole checkpoint
 record: those values, the extractor they belong to, the distance ``metric``
 the model was trained under and the ``prototypes_sha256`` of the prototype
 file it is scored against.  It is checked on construction: a known metric,
-the size ``learner.layout_for(extractor)`` implies, finite values.
+the size ``extractor.num_params``, finite values.
 
 Checkpoint format: magic, one UTF-8 JSON header line, then the raw values
 as little-endian float64 in ``learner.layout_for`` order.  The header object
-holds ``model``: the extractor architecture (``input_dim``, ``hidden``,
-``output_dim``, ``activation``), ``metric`` and ``prototypes_sha256``.  A
-checkpoint so names everything needed to score it.  A header missing any of
-it is rejected with an error naming the file and field, and a payload of
-another size than the architecture implies with one naming the file and
-both sizes.  Any other header key, such as the ``layout`` that older
-checkpoints stored, is ignored.
+holds ``model``: the fields of ``ExtractorConfig`` (``input_dim``,
+``hidden``, ``output_dim``, ``activation``), ``metric`` and
+``prototypes_sha256``.  A checkpoint so names everything needed to score
+it.  A header missing any of it is rejected with an error naming the file
+and field, and a payload of another size than the architecture implies
+with one naming the file and both sizes.  Any other header key, such as
+the ``layout`` that older checkpoints stored, is ignored.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from hyperfl import learner, poincare
+from hyperfl import poincare
 from hyperfl.learner import ExtractorConfig
 
 _CKPT_MAGIC = b"HFPARAM1\n"
@@ -43,7 +42,7 @@ class ParamVector:
     def __post_init__(self):
         poincare.metric_kernels(self.metric)  # raises on an unknown metric
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        expected = _size(self.extractor)
+        expected = self.extractor.num_params
         if self.values.size != expected:
             raise ValueError(f"layout expects {expected} values, got {self.values.size}")
         if not np.isfinite(self.values).all():
@@ -55,16 +54,10 @@ _MODEL_FIELDS = {"input_dim": int, "hidden": list, "output_dim": int, "activatio
                  "metric": str, "prototypes_sha256": str}
 
 
-def _size(ext: ExtractorConfig) -> int:
-    return sum(math.prod(shape) for _, shape in learner.layout_for(ext))
-
-
 def save_params(params: ParamVector, path: str | Path) -> None:
     """Write ``params`` as a checkpoint (format in the module docstring)."""
-    ext = params.extractor
-    model = {"input_dim": ext.input_dim, "hidden": list(ext.hidden),
-             "output_dim": ext.output_dim, "activation": ext.activation,
-             "metric": params.metric, "prototypes_sha256": params.prototypes_sha256}
+    model = {**asdict(params.extractor), "metric": params.metric,
+             "prototypes_sha256": params.prototypes_sha256}
     header = json.dumps({"model": model}).encode()
     body = params.values.astype("<f8").tobytes()
     Path(path).write_bytes(_CKPT_MAGIC + header + b"\n" + body)
@@ -96,8 +89,7 @@ def load_params(path: str | Path) -> ParamVector:
                 f"{path}: header field 'model.{name}' is missing or not a {kind.__name__}"
             )
     try:
-        ext = ExtractorConfig(model["input_dim"], model["hidden"], model["output_dim"],
-                              model["activation"])
+        ext = ExtractorConfig(**{f.name: model[f.name] for f in fields(ExtractorConfig)})
     except ValueError as err:
         raise ValueError(f"{path}: header field 'model': {err}") from None
     try:
@@ -105,8 +97,8 @@ def load_params(path: str | Path) -> ParamVector:
     except ValueError as err:
         raise ValueError(f"{path}: header field 'model.metric': {err}") from None
     body = rest[newline + 1 :]
-    if len(body) != 8 * _size(ext):
-        raise ValueError(f"{path}: expected {8 * _size(ext)} payload bytes, found {len(body)}")
+    if len(body) != 8 * ext.num_params:
+        raise ValueError(f"{path}: expected {8 * ext.num_params} payload bytes, found {len(body)}")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:
         return ParamVector(values, ext, model["metric"], model["prototypes_sha256"])

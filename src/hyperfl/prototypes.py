@@ -30,6 +30,11 @@ from hyperfl.poincare import EPS_BALL
 _PROTO_MAGIC = b"HFPROTO1"
 
 
+def _check_slope(slope: float) -> None:
+    if not 0.0 < slope <= 1.0 - EPS_BALL:  # NaN fails too
+        raise ValueError(f"slope must be in (0, {1.0 - EPS_BALL}], got {slope}")
+
+
 @dataclass(frozen=True)
 class PrototypeSet:
     """C >= 2 fixed class prototypes of dimension n, every row at norm
@@ -45,8 +50,7 @@ class PrototypeSet:
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 2:
             raise ValueError("prototype matrix must be (C, n) with C >= 2")
-        if not 0.0 < self.slope <= 1.0 - EPS_BALL:  # NaN fails too
-            raise ValueError(f"slope must be in (0, {1.0 - EPS_BALL}], got {self.slope}")
+        _check_slope(self.slope)
         norms = np.linalg.norm(w, axis=1)
         if not np.all(np.abs(norms - self.slope) <= 1e-9):  # NaN fails too
             raise ValueError("every prototype row must have norm equal to slope")
@@ -205,7 +209,8 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
 
 def build_prototypes(c: int, n: int, slope: float, seed: int) -> tuple[PrototypeSet, TammesReport]:
     """Optimize a uniform unit configuration and contract it radially by
-    ``slope``, which PrototypeSet checks; scaling keeps every pairwise cosine."""
+    ``slope``, which is checked first; scaling keeps every pairwise cosine."""
+    _check_slope(slope)
     w_unit, report = optimize_prototypes(c, n, seed)
     return PrototypeSet(weights=slope * w_unit, slope=slope, seed=seed), report
 

@@ -125,12 +125,12 @@ class TestStepGranularFinetune:
 
     def test_zero_steps_scores_global_model(self):
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=1)
-        shard = split_local(ds, 0, seed=0)
+        shard = split_local(ds, seed=0)
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         theta = learner.init_params(ext, 1)
-        tuned = learner.local_train(theta, shard, protos, ext, TripletConfig(), 0, 16, lr=0.3,
-                                    seed=derive_seed(0, "pfl", 0))
+        tuned = learner.local_train(theta, shard.train, protos, ext, TripletConfig(), 0, 16,
+                                    lr=0.3, seed=derive_seed(0, "pfl", 0))
         untuned = evaluate_pfl(tuned[None], [shard], [protos], ext)
         pred = learner.predict_batch(theta, ext, protos.weights, protos.sq_norms,
                                      shard.test.features)

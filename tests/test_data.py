@@ -77,6 +77,15 @@ class TestDirichletPartition:
         fracs = np.array(fracs)
         assert np.all(np.abs(fracs - 0.25) < 0.02)
 
+    def test_alpha_overflowing_the_gamma_sum_deals_every_instance_once(self):
+        # at alpha 1e308 each class's Gamma draws sum to inf; the shares fall
+        # back to equal ones, the alpha -> inf limit
+        ds = make_synthetic(3, 4, per_class=16, spread=0.2, seed=0)
+        pools = dirichlet_partition(ds, PartitionSpec(num_clients=3, alpha=1e308), 0)
+        merged = sorted(sum((row_multiset(p) for p in pools), []))
+        assert merged == row_multiset(ds)
+        assert [p.class_counts().tolist() for p in pools] == [[6] * 3, [5] * 3, [5] * 3]
+
     def test_low_alpha_produces_missing_classes(self):
         ds = make_synthetic(10, 4, per_class=100, spread=0.2, seed=5)
         hits = 0
@@ -145,45 +154,45 @@ class TestDirichletPartition:
 class TestSplitLocal:
     def test_hundred_instances_split_75_25(self):
         ds = make_synthetic(4, 3, per_class=25, spread=0.2, seed=0)
-        shard = split_local(ds, client_id=0, seed=1)
+        shard = split_local(ds, seed=1)
         assert shard.train.size == 75
         assert shard.test.size == 25
 
     def test_single_class_pool(self):
         ds = make_synthetic(2, 2, per_class=20, spread=0.1, seed=1)
         only = ds.subset(np.flatnonzero(ds.labels == 0))
-        shard = split_local(only, client_id=0, seed=2)
+        shard = split_local(only, seed=2)
         assert shard.train.size == 15
         assert shard.test.size == 5
 
     def test_deterministic(self):
         ds = make_synthetic(3, 3, per_class=30, spread=0.2, seed=2)
-        a = split_local(ds, 0, seed=5)
-        b = split_local(ds, 0, seed=5)
+        a = split_local(ds, seed=5)
+        b = split_local(ds, seed=5)
         assert np.array_equal(a.train.features, b.train.features)
         assert np.array_equal(a.test.features, b.test.features)
 
     def test_disjoint_and_complete(self):
         ds = make_synthetic(3, 3, per_class=21, spread=0.2, seed=3)
-        shard = split_local(ds, 0, seed=4)
+        shard = split_local(ds, seed=4)
         merged = sorted(row_multiset(shard.train) + row_multiset(shard.test))
         assert merged == row_multiset(ds)
 
     def test_single_instance_pool_flagged(self):
         ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
-        shard = split_local(ds, client_id=3, seed=0)
+        shard = split_local(ds, seed=0)
         assert shard.train.size == 1
         assert shard.test is None
 
     def test_two_instances_keep_nonempty_test(self):
         ds = LabeledDataset(np.ones((2, 2)), np.zeros(2, dtype=int), 2)
-        shard = split_local(ds, 0, seed=0)
+        shard = split_local(ds, seed=0)
         assert shard.train.size == 1
         assert shard.test.size == 1
 
     def test_stratified_when_possible(self):
         ds = make_synthetic(4, 2, per_class=40, spread=0.2, seed=4)
-        shard = split_local(ds, 0, seed=6)
+        shard = split_local(ds, seed=6)
         assert np.array_equal(shard.train.class_counts(), [30, 30, 30, 30])
 
 
@@ -243,7 +252,7 @@ class TestLargestRemainder:
             kept, rest = stratified_holdout(ds, 1.0 - frac, seed=seed)
             keep = 1.0 - (1.0 - frac)  # the kept fraction, rounded as the split rounds it
         else:
-            shard = split_local(ds, 0, train_fraction=frac, seed=seed)
+            shard = split_local(ds, train_fraction=frac, seed=seed)
             kept, rest, keep = shard.train, shard.test, frac
         target = min(max(int(np.floor(keep * n + 0.5)), 1), n - 1)
         sizes = ds.class_counts()

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from hyperfl import aggregation as agg
+from hyperfl import data as data_mod
 from hyperfl import federation, learner
+from hyperfl import prototypes as prototypes_mod
 from hyperfl.cli import main as cli_main
 from hyperfl.data import (
     LabeledDataset,
@@ -29,7 +31,12 @@ from hyperfl.federation import (
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.params import load_params, save_params
-from hyperfl.prototypes import build_prototypes, load_prototypes, save_prototypes
+from hyperfl.prototypes import (
+    build_prototypes,
+    load_prototypes,
+    random_prototypes,
+    save_prototypes,
+)
 from oracles import log0
 
 
@@ -174,7 +181,29 @@ class TestRunExperiment:
         cfg = tiny_config(rounds=1, lr=float(np.finfo(np.float64).max))
         with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
             run_experiment(cfg)
-        assert "round 0" in str(err.value) and "client" in str(err.value)
+        assert err.match(r"^round 0: client \d+: ")
+
+    def test_failing_client_is_named_by_its_index(self, monkeypatch):
+        # one shard object at indices 0, 2 and 3 of a hand-built list fails
+        # to train: the error names the first index trained, which only the
+        # list knows
+        ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=0)
+        good, bad = split_local(ds, seed=0), split_local(ds, seed=1)
+        train = learner.local_train
+
+        def failing(theta, split, *args, **kwargs):
+            if split is bad.train:
+                raise ValueError("training diverged")
+            return train(theta, split, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "local_train", failing)
+        cfg = tiny_config(rounds=1)
+        protos = [build_prototypes(3, 3, 0.9, seed=0)[0]] * 4
+        theta = learner.init_params(cfg.extractor, 0)
+        out = np.zeros((4, theta.size))
+        with pytest.raises(ValueError, match="^client 2: training diverged$"):
+            federation._train(cfg, theta, [bad, good, bad, bad], protos, 0, 1, [1, 2, 3], out)
+        assert out[1].any() and not out[2:].any()
 
     def test_aggregation_failure_names_round(self, monkeypatch):
         def fail(theta, deltas, p):
@@ -205,7 +234,7 @@ class TestClientIsolation:
         from hyperfl.data import dirichlet_partition
 
         pools = dirichlet_partition(ds, pools_spec, 4)
-        shards = [split_local(pools[k], k, seed=k) for k in range(3)]
+        shards = [split_local(pools[k], seed=k) for k in range(3)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=1)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         tcfg = TripletConfig(margin=3.0)
@@ -215,7 +244,7 @@ class TestClientIsolation:
             locals_by_k = {}
             for k in order:
                 locals_by_k[k] = learner.local_train(
-                    theta, shards[k], protos, ext, tcfg, 2, 16, 0.3, seed=100 + k
+                    theta, shards[k].train, protos, ext, tcfg, 2, 16, 0.3, seed=100 + k
                 )
             locals_ = [locals_by_k[k] for k in range(3)]
             deltas, gram = agg.compute_deviations(theta, locals_)
@@ -251,7 +280,7 @@ class TestEvaluate:
 
     def test_pfl_zero_finetune_scores_global_model(self):
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=3)
-        shards = [split_local(ds, 0, seed=0)]
+        shards = [split_local(ds, seed=0)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         theta = learner.init_params(ext, 1)
@@ -262,7 +291,7 @@ class TestEvaluate:
 
     def test_pfl_leaves_global_untouched(self):
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=4)
-        shards = [split_local(ds, 0, seed=0)]
+        shards = [split_local(ds, seed=0)]
         protos, _ = build_prototypes(3, 3, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         theta = learner.init_params(ext, 1)
@@ -274,10 +303,10 @@ class TestEvaluate:
 
     def test_pfl_skips_clients_without_test_split(self):
         ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
-        shard = split_local(ds, 0, seed=0)  # single instance: no test split
+        shard = split_local(ds, seed=0)  # single instance: no test split
         protos, _ = build_prototypes(2, 2, 0.9, seed=0)
         ext = ExtractorConfig(input_dim=2, hidden=(), output_dim=2)
-        tuned = learner.local_train(learner.init_params(ext, 0), shard, protos, ext,
+        tuned = learner.local_train(learner.init_params(ext, 0), shard.train, protos, ext,
                                     TripletConfig(), 5, 4, 0.1, seed=derive_seed(0, "pfl", 0))
         assert evaluate_pfl(tuned[None], [shard], [protos], ext) == [None]
 
@@ -285,8 +314,8 @@ class TestEvaluate:
         # clients 0 and 2 share a test size and are scored in one stacked
         # call around client 1, which has no test split
         ds = make_synthetic(3, 6, per_class=40, spread=0.2, seed=5)
-        shards = [split_local(ds, 0, seed=0), split_local(ds.subset(np.arange(1)), 1),
-                  split_local(ds, 2, seed=1)]
+        shards = [split_local(ds, seed=0), split_local(ds.subset(np.arange(1))),
+                  split_local(ds, seed=1)]
         protos = [build_prototypes(3, 3, 0.9, seed=0)[0]] * 3
         ext = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
         tuned = finetune(learner.init_params(ext, 1), shards, protos, ext,
@@ -306,12 +335,12 @@ class TestEvaluate:
         for seed in range(10):
             ds = make_synthetic(3, 6, per_class=40, spread=0.3, seed=seed)
             only = ds.subset(np.flatnonzero(ds.labels == 1))
-            shard = split_local(only, 0, seed=seed)
+            shard = split_local(only, seed=seed)
             theta = learner.init_params(
                 ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3), seed
             )
             before = evaluate_gfl(theta, ext, protos, shard.test)
-            tuned = learner.local_train(theta, shard, protos, ext, tcfg, 5, 16, 0.3,
+            tuned = learner.local_train(theta, shard.train, protos, ext, tcfg, 5, 16, 0.3,
                                         seed=derive_seed(seed, "pfl", 0))
             after = evaluate_pfl(tuned[None], [shard], [protos], ext)[0]
             wins += after >= before
@@ -334,7 +363,7 @@ def carry_config(local_epochs=2, finetune_epochs=2, **kwargs):
 
 def fresh_local_train(cfg, theta, shard, protos, epochs, t, k):
     return learner.local_train(
-        theta, shard, protos, cfg.extractor, cfg.triplet, epochs=epochs,
+        theta, shard.train, protos, cfg.extractor, cfg.triplet, epochs=epochs,
         batch_size=cfg.batch_size, lr=cfg.lr, seed=derive_seed(cfg.seed, "train", t, k),
         metric=cfg.metric,
     )
@@ -640,6 +669,20 @@ class TestEvalReadsHeader:
         save_prototypes(res.client_prototypes[0], tmp_path / "client_000.bin")
         assert cli_main(eval_argv(client, tmp_path / "test.txt", tmp_path / "client_000.bin")) == 0
 
+    def test_compares_prototypes_before_reading_the_dataset(self, relu_run, tmp_path, capsys,
+                                                            monkeypatch):
+        _, out = relu_run
+        save_prototypes(random_prototypes(3, 3, 0.9, 7), tmp_path / "other.bin")
+
+        def never(path):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr(data_mod, "load_dataset", never)
+        rc = cli_main(eval_argv(out / "run" / "global.params", out / "test.txt",
+                                tmp_path / "other.bin"))
+        assert rc == 1
+        assert "prototypes_sha256" in json.loads(capsys.readouterr().err)["message"]
+
     def test_takes_exactly_three_required_flags(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "200")  # keep the usage on one line
         with pytest.raises(SystemExit):
@@ -678,6 +721,19 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "seed" in err["message"]
+        assert not out.exists()
+
+    def test_protos_refuses_slope_before_optimizing(self, tmp_path, capsys, monkeypatch):
+        def never(c, n, seed):
+            raise AssertionError("the optimizer ran")
+
+        monkeypatch.setattr(prototypes_mod, "optimize_prototypes", never)
+        out = tmp_path / "p.bin"
+        rc = cli_main(["protos", "--classes", "300", "--dim", "16", "--slope", "1.5",
+                       "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "slope must be in" in err["message"]
         assert not out.exists()
 
     def test_partition_command(self, tmp_path):
@@ -723,6 +779,23 @@ class TestCli:
         assert rc == 0
         result = json.loads(capsys.readouterr().out)
         assert 0.0 <= result["accuracy"] <= 1.0
+
+    def test_run_refuses_out_under_a_file_before_training(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        train = learner.local_train
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(learner, "local_train", counted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(rounds=2).to_dict()))
+        (tmp_path / "file").write_text("")
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "file" / "run")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NotADirectoryError"
+        assert calls == []
 
     def test_run_seed_override_changes_stream(self, tmp_path):
         cfg = tiny_config(rounds=2)

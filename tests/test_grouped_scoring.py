@@ -58,8 +58,8 @@ def test_grouped_scoring_equals_per_client_calls(sizes, metric, activation, hidd
                                                  per_client_sets, seed):
     rng = np.random.default_rng(seed)
     cfg = ExtractorConfig(input_dim=DIM, hidden=hidden, output_dim=2, activation=activation)
-    shards = [ClientShard(k, dataset(rng, n), None if m is None else dataset(rng, m))
-              for k, (n, m) in enumerate(sizes)]
+    shards = [ClientShard(dataset(rng, n), None if m is None else dataset(rng, m))
+              for n, m in sizes]
     shared = random_prototypes(NUM_CLASSES, 2, 0.9, seed)
     protos = ([random_prototypes(NUM_CLASSES, 2, 0.9, seed + 1 + k) for k in range(len(shards))]
               if per_client_sets else [shared] * len(shards))
@@ -93,8 +93,9 @@ def test_grouped_scoring_equals_per_client_calls(sizes, metric, activation, hidd
             assert np.array_equal(pred, np.argmin(distances(p, protos[k].weights, metric), axis=1))
 
     tcfg = TripletConfig(margin=margin)
-    tuned = np.stack([learner.local_train(theta, shard, protos[k], cfg, tcfg, 1, 2, 0.3, seed=k,
-                                          metric=metric) for k, shard in enumerate(shards)])
+    tuned = np.stack([learner.local_train(theta, shard.train, protos[k], cfg, tcfg, 1, 2, 0.3,
+                                          seed=k, metric=metric)
+                      for k, shard in enumerate(shards)])
     accs = evaluate_pfl(tuned, shards, protos, cfg, metric)
     for k, shard in enumerate(shards):
         if shard.test is None:
@@ -107,7 +108,7 @@ def test_grouped_scoring_equals_per_client_calls(sizes, metric, activation, hidd
 
 def test_group_of_one_stacks_views():
     rng = np.random.default_rng(0)
-    shards = [ClientShard(0, dataset(rng, 3), None), ClientShard(1, dataset(rng, 4), None)]
+    shards = [ClientShard(dataset(rng, 3), None), ClientShard(dataset(rng, 4), None)]
     protos = [random_prototypes(NUM_CLASSES, 2, 0.9, 1)] * 2
     for ks, x, y, w, w2 in federation._size_groups([s.train for s in shards], protos):
         (k,) = ks

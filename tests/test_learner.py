@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperfl import learner, poincare
-from hyperfl.data import ClientShard, LabeledDataset, make_synthetic, split_local
+from hyperfl import federation, learner, poincare
+from hyperfl.data import ClientShard, LabeledDataset, PartitionSpec, make_synthetic, split_local
 from hyperfl.learner import (
     ExtractorConfig,
     TripletConfig,
@@ -78,7 +78,7 @@ class TestExtract:
             part = theta[offset : offset + int(np.prod(shape))]
             offset += part.size
             assert part.any() == name.startswith("w"), name
-        assert offset == theta.size
+        assert offset == theta.size == cfg.num_params
 
     def test_dimension_checked(self):
         cfg = linear_cfg(3, 2)
@@ -248,7 +248,7 @@ class TestSampleNegative:
 
 def make_blob_shard(seed=0):
     ds = make_synthetic(num_classes=2, dim=2, per_class=60, spread=0.2, hierarchy_depth=0, seed=seed)
-    return split_local(ds, client_id=0, seed=seed)
+    return split_local(ds, seed=seed)
 
 
 class TestLocalTrain:
@@ -260,13 +260,13 @@ class TestLocalTrain:
     def test_zero_lr_is_identity(self):
         shard = make_blob_shard()
         theta = init_params(self.cfg, 0)
-        out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 3, 16, lr=0.0, seed=1)
+        out = local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 3, 16, lr=0.0, seed=1)
         assert np.array_equal(out, theta)
 
     def test_zero_epochs_is_identity(self):
         shard = make_blob_shard()
         theta = init_params(self.cfg, 0)
-        out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 0, 16, lr=0.3, seed=1)
+        out = local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 0, 16, lr=0.3, seed=1)
         assert np.array_equal(out, theta)
 
     def test_loss_decreases_on_separable_blobs(self):
@@ -274,7 +274,7 @@ class TestLocalTrain:
         theta = init_params(self.cfg, 0)
         before = mean_triplet_loss(theta, self.cfg, shard.train.features, shard.train.labels,
                                    self.ps.weights, self.ps.sq_norms, margin=3.0)
-        out = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 5, 16, lr=0.3, seed=1)
+        out = local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 5, 16, lr=0.3, seed=1)
         after = mean_triplet_loss(out, self.cfg, shard.train.features, shard.train.labels,
                                   self.ps.weights, self.ps.sq_norms, margin=3.0)
         assert after < before
@@ -282,15 +282,15 @@ class TestLocalTrain:
     def test_bitwise_reproducible(self):
         shard = make_blob_shard(seed=4)
         theta = init_params(self.cfg, 0)
-        a = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
-        b = local_train(theta, shard, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
+        a = local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
+        b = local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 4, 16, lr=0.3, seed=9)
         assert np.array_equal(a, b)
 
     def test_input_params_not_mutated(self):
         shard = make_blob_shard(seed=5)
         theta = init_params(self.cfg, 0)
         snapshot = theta.copy()
-        local_train(theta, shard, self.ps, self.cfg, self.tcfg, 2, 16, lr=0.3, seed=2)
+        local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 2, 16, lr=0.3, seed=2)
         assert np.array_equal(theta, snapshot)
 
 
@@ -348,14 +348,21 @@ def test_single_instance_shard_still_trains():
     ps = antipodal_protos()
     cfg = linear_cfg(2, 2)
     ds = LabeledDataset(np.ones((1, 2)), np.zeros(1, dtype=int), 2)
-    shard = ClientShard(client_id=0, train=ds, test=None)
-    out = local_train(init_params(cfg, 0), shard, ps, cfg, TripletConfig(), 1, 4, 0.1, seed=0)
+    out = local_train(init_params(cfg, 0), ds, ps, cfg, TripletConfig(), 1, 4, 0.1, seed=0)
     assert out.shape == init_params(cfg, 0).shape
 
 
 def random_protos(num_classes, dim, seed, slope=0.9):
     w = np.random.default_rng(seed).standard_normal((num_classes, dim))
     return PrototypeSet(weights=slope * w / np.linalg.norm(w, axis=1, keepdims=True), slope=slope)
+
+
+# each activation's derivative, expressed through the activation's output
+REFERENCE_ACT_PRIME = {
+    "tanh": lambda h: 1.0 - h * h,
+    "relu": lambda h: (h > 0).astype(np.float64),
+    "identity": np.ones_like,
+}
 
 
 def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
@@ -390,23 +397,21 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
     for i in reversed(range(len(layers))):
         grads[:0] = [delta.T @ acts[i], delta.sum(axis=0)]
         if i > 0:
-            delta = (delta @ layers[i][0]) * learner._act_prime_from_output(
-                acts[i], cfg.activation
-            )
+            delta = (delta @ layers[i][0]) * REFERENCE_ACT_PRIME[cfg.activation](acts[i])
     return float(np.sum(loss_acc) * scale), flat(*grads)
 
 
-def reference_local_train(theta_in, shard, protos, cfg, tcfg, epochs, batch_size, lr,
+def reference_local_train(theta_in, train, protos, cfg, tcfg, epochs, batch_size, lr,
                           seed, metric="geodesic"):
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
-    n = shard.train.size
+    n = train.size
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             _, grad = reference_triplet_grad(
-                theta, cfg, shard.train.features[idx], shard.train.labels[idx], protos,
+                theta, cfg, train.features[idx], train.labels[idx], protos,
                 tcfg, rng, metric,
             )
             theta -= lr * grad
@@ -426,11 +431,10 @@ class TestBitExactAgainstReference:
         # 37 samples in batches of 8 leave a ragged last batch of 5
         ds = LabeledDataset(rng.standard_normal((37, 6)), rng.integers(0, num_classes, 37),
                             num_classes)
-        shard = ClientShard(client_id=0, train=ds, test=None)
         cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=dim)
         tcfg = TripletConfig(margin=3.0, negatives_per_sample=negatives)
         theta = init_params(cfg, 1)
-        args = (theta, shard, protos, cfg, tcfg, epochs, 8, 0.3)
+        args = (theta, ds, protos, cfg, tcfg, epochs, 8, 0.3)
         got = local_train(*args, seed=11)
         want = reference_local_train(*args, seed=11)
         assert not np.array_equal(got, theta)
@@ -512,7 +516,7 @@ class TestStepMatchesReference:
     @given(
         b=st.integers(1, 40),
         c=st.integers(2, 60),
-        n=st.integers(1, 12),
+        n=st.integers(2, 12),
         rounds=st.integers(1, 5),
         activation=st.sampled_from(["tanh", "relu", "identity"]),
         metric=st.sampled_from(["geodesic", "euclidean"]),
@@ -569,10 +573,10 @@ class TestMixedSteps:
         # have no active hinge, some do
         ds = make_synthetic(num_classes=4, dim=6, per_class=40, spread=0.15, hierarchy_depth=1,
                             seed=0)
-        shard = split_local(ds, 0, seed=0)
+        train = split_local(ds, seed=0).train
         protos = random_protos(4, 3, seed=1)
         cfg = ExtractorConfig(input_dim=6, hidden=(8,), output_dim=3)
-        trained = local_train(init_params(cfg, 1), shard, protos, cfg, TripletConfig(margin=3.0),
+        trained = local_train(init_params(cfg, 1), train, protos, cfg, TripletConfig(margin=3.0),
                               10, 16, 0.3, seed=0)
         active = []  # per step: whether any hinge was active (a nonzero gradient)
         step = learner.triplet_grad
@@ -584,7 +588,7 @@ class TestMixedSteps:
 
         monkeypatch.setattr(learner, "triplet_grad", recorded)
         tcfg = TripletConfig(margin=0.5, negatives_per_sample=2)
-        args = (trained, shard, protos, cfg, tcfg, 4, 8, 0.3)
+        args = (trained, train, protos, cfg, tcfg, 4, 8, 0.3)
         got = local_train(*args, seed=5)
         want = reference_local_train(*args, seed=5)
         assert got.tobytes() == want.tobytes()
@@ -727,9 +731,8 @@ class TestDivergenceFailsFast:
         cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2)
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.standard_normal((20, 2)), rng.integers(0, 2, 20), 2)
-        shard = ClientShard(client_id=0, train=ds, test=None)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            local_train(init_params(cfg, 0), shard, ps, cfg, TripletConfig(), 3, 8, 1e200)
+            local_train(init_params(cfg, 0), ds, ps, cfg, TripletConfig(), 3, 8, 1e200)
 
     def test_overflowing_update_raises_naming_client(self):
         # the one step's gradient is finite (its largest entry is about 1.4),
@@ -738,7 +741,13 @@ class TestDivergenceFailsFast:
         cfg = ExtractorConfig(input_dim=2, hidden=(8,), output_dim=2)
         rng = np.random.default_rng(1)
         ds = LabeledDataset(100.0 * rng.standard_normal((12, 2)), rng.integers(0, 2, 12), 2)
-        shard = ClientShard(client_id=7, train=ds, test=None)
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="client 7"):
-            local_train(init_params(cfg, 0), shard, ps, cfg, TripletConfig(), 1, 16,
-                        np.finfo(np.float64).max)
+        # the client is its index in the shard list: only index 7 is trained
+        shards = [None] * 7 + [ClientShard(train=ds, test=None)]
+        run = federation.ExperimentConfig(
+            dataset="unused.txt", partition=PartitionSpec(alpha=1.0), extractor=cfg,
+            triplet=TripletConfig(), rounds=1, batch_size=16,
+            lr=float(np.finfo(np.float64).max),
+        )
+        out = np.empty((8, cfg.num_params))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="^client 7: "):
+            federation._train(run, init_params(cfg, 0), shards, [ps] * 8, 0, 1, [7], out)

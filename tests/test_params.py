@@ -108,6 +108,9 @@ def header_line(header) -> bytes:
          "'model'"),
         (header_line({"layout": LAYOUT_JSON, "model": {**MODEL, "metric": "cosine"}}),
          "'model.metric'"),
+        # the extractor's own rule refuses it, before the payload size is compared
+        (header_line({"model": {**MODEL, "output_dim": 1}}),
+         "'model': extractor.output_dim must be at least 2, got 1"),
         # the payload holds EXT's 8 values; the size ties them to the architecture
         (header_line({"model": {**MODEL, "input_dim": 2}}), "expected 48 payload bytes, found 64"),
         (header_line({"model": {**MODEL, "output_dim": 3}}), "expected 96 payload bytes, found 64"),
