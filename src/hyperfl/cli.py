@@ -69,10 +69,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_protos(args) -> int:
+    out = Path(args.out)
+    # an unusable path fails before the optimizer runs
+    if not out.parent.is_dir():
+        raise NotADirectoryError(f"{out}: {out.parent} is not an existing directory")
+    if out.is_dir():
+        raise IsADirectoryError(f"{out} is a directory")
     protos, report = prototypes.build_prototypes(
         c=args.classes, n=args.dim, slope=args.slope, seed=args.seed
     )
-    prototypes.save_prototypes(protos, args.out)
+    prototypes.save_prototypes(protos, out)
     print(
         json.dumps(
             {
@@ -89,10 +95,15 @@ def _cmd_protos(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    out = Path(args.out)
+    # an unusable path fails before any work: the nearest of out and its
+    # ancestors that exists must be a directory
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"{out}: {nearest} is not a directory")
     ds = data_mod.load_dataset(args.data)
     spec = data_mod.PartitionSpec(num_clients=args.clients, alpha=args.alpha)
     pools = data_mod.dirichlet_partition(ds, spec, args.seed)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for k, pool in enumerate(pools):
         data_mod.save_dataset(pool, out / f"client_{k:03d}.txt")

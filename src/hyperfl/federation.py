@@ -220,7 +220,7 @@ class ExperimentResult:
     config: ExperimentConfig
     variant: str | None
     records: list[RoundRecord]
-    global_params: np.ndarray  # flat, in learner.layout_for(config.extractor) order
+    global_params: np.ndarray  # flat, in config.extractor.spans order
     client_params: np.ndarray  # (K, P): the final round's client models, one per row
     prototypes: PrototypeSet
     client_prototypes: list[PrototypeSet]  # the final round's set of each client
@@ -351,6 +351,9 @@ def run_experiment(
     if ext.input_dim != ds.dim:
         raise ValueError(f"extractor input_dim {ext.input_dim} != dataset dim {ds.dim}")
 
+    if ds.size < 2:  # the holdout keeps at least one instance on each side
+        raise ValueError(f"global_test_fraction: the global holdout needs at least 2 "
+                         f"instances, the dataset has {ds.size}")
     pool, global_test = stratified_holdout(
         ds, cfg.global_test_fraction, seed=derive_seed(cfg.seed, "holdout")
     )

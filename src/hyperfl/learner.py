@@ -17,7 +17,7 @@ All gradients are analytic (chain rule through the exp map and the distance
 formula); the optimizer is plain SGD.  The prototypes are frozen, so every
 trainable parameter lives in flat Euclidean space and no manifold-aware
 update is needed.  The parameters theta are one flat float64 array; only
-this module reads its per-layer layout, ``layout_for``.
+this module reads its per-layer layout, ``ExtractorConfig.spans``.
 
 The scoring functions ``mean_triplet_loss`` and ``predict_batch`` also take
 a (G, P) block of G models with inputs stacked the same way, (G, B, d);
@@ -62,14 +62,22 @@ class ExtractorConfig:
                              f"got {self.activation!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden, self.output_dim)
+    @functools.cached_property
+    def spans(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(start, stop, shape) in theta of w0, b0, w1, b1, ...: per layer its
+        (fan_out, fan_in) weight, then its (fan_out,) bias."""
+        dims = (self.input_dim, *self.hidden, self.output_dim)
+        spans, offset = [], 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            for shape in ((fan_out, fan_in), (fan_out,)):
+                spans.append((offset, offset + math.prod(shape), shape))
+                offset += math.prod(shape)
+        return tuple(spans)
 
     @property
     def num_params(self) -> int:
         """P, the length of the flat parameter vector theta."""
-        return _spans(self)[-1][1]
+        return self.spans[-1][1]
 
 
 @dataclass(frozen=True)
@@ -81,33 +89,15 @@ class TripletConfig:
         check_fields(self, "triplet")
 
 
-@functools.cache
-def layout_for(cfg: ExtractorConfig):
-    """(name, shape) of the tensors packed into theta: w{i}, b{i} per layer."""
-    layout = []
-    for i, (fan_in, fan_out) in enumerate(zip(cfg.dims, cfg.dims[1:])):
-        layout += [(f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
-    return tuple(layout)
-
-
-@functools.cache
-def _spans(cfg: ExtractorConfig) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(start, stop, shape) in theta of each tensor of ``layout_for(cfg)``."""
-    spans, offset = [], 0
-    for _, shape in layout_for(cfg):
-        spans.append((offset, offset + math.prod(shape), shape))
-        offset += math.prod(shape)
-    return tuple(spans)
-
-
 def _layers(theta: np.ndarray, cfg: ExtractorConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (W, b) views into ``theta``, in ``layout_for`` order: a flat
-    (P,) vector, or a (..., P) block whose leading axes lead every view."""
+    """Per-layer (W, b) views into ``theta``, in ``ExtractorConfig.spans``
+    order: a flat (P,) vector, or a (..., P) block whose leading axes lead
+    every view."""
     if cfg.num_params != theta.shape[-1]:
         raise ValueError(f"parameter vector has {theta.shape[-1]} values, "
                          f"layout expects {cfg.num_params}")
     lead = theta.shape[:-1]
-    views = [theta[..., start:stop].reshape(lead + shape) for start, stop, shape in _spans(cfg)]
+    views = [theta[..., start:stop].reshape(lead + shape) for start, stop, shape in cfg.spans]
     return list(zip(views[::2], views[1::2]))
 
 

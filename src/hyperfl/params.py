@@ -8,8 +8,8 @@ file it is scored against.  It is checked on construction: a known metric,
 the size ``extractor.num_params``, finite values.
 
 Checkpoint format: magic, one UTF-8 JSON header line, then the raw values
-as little-endian float64 in ``learner.layout_for`` order.  The header object
-holds ``model``: the fields of ``ExtractorConfig`` (``input_dim``,
+as little-endian float64 in ``ExtractorConfig.spans`` order.  The header
+object holds ``model``: the fields of ``ExtractorConfig`` (``input_dim``,
 ``hidden``, ``output_dim``, ``activation``), ``metric`` and
 ``prototypes_sha256``.  A checkpoint so names everything needed to score
 it.  A header missing any of it is rejected with an error naming the file
@@ -34,7 +34,7 @@ _CKPT_MAGIC = b"HFPARAM1\n"
 
 @dataclass
 class ParamVector:
-    values: np.ndarray  # flat float64, in learner.layout_for(extractor) order
+    values: np.ndarray  # flat float64, in extractor.spans order
     extractor: ExtractorConfig
     metric: str
     prototypes_sha256: str

@@ -170,8 +170,10 @@ def optimize_prototypes(c: int, n: int, seed: int) -> tuple[np.ndarray, TammesRe
     loss is still moving reports converged=False with the best-so-far
     result.
     """
-    if c < 2 or n < 2:
-        raise ValueError("need at least 2 classes and 2 dimensions")
+    if c < 2:
+        raise ValueError(f"need at least 2 classes, got {c}")
+    if n < 2:
+        raise ValueError(f"need at least 2 dimensions, got {n}")
     if not 0 <= seed < 2**63:  # the prototype file stores it as an int64
         raise ValueError(f"seed must be in [0, 2**63), got {seed}")
     rng = np.random.default_rng(seed)

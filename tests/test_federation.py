@@ -625,7 +625,8 @@ class TestEvalReadsHeader:
         res, out = relu_run
         raw = (out / "run" / "global.params").read_bytes()
         magic, _, body = raw.split(b"\n", 2)
-        layout = [[name, list(shape)] for name, shape in learner.layout_for(res.config.extractor)]
+        layout = [[f"{'wb'[i % 2]}{i // 2}", list(shape)]
+                  for i, (_, _, shape) in enumerate(res.config.extractor.spans)]
         layout_only = json.dumps({"layout": layout}).encode()
         old = tmp_path / "old.params"
         old.write_bytes(magic + b"\n" + layout_only + b"\n" + body)
@@ -736,6 +737,32 @@ class TestCli:
         assert err["error"] == "ValueError" and "slope must be in" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("out, error", [("file/p.bin", "NotADirectoryError"),
+                                            ("missing/p.bin", "NotADirectoryError"),
+                                            ("dir", "IsADirectoryError")])
+    def test_protos_refuses_an_unusable_out_before_optimizing(self, tmp_path, capsys,
+                                                              monkeypatch, out, error):
+        calls = []
+        monkeypatch.setattr(prototypes_mod, "optimize_prototypes",
+                            lambda *args: calls.append(args))
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir").mkdir()
+        rc = cli_main(["protos", "--classes", "200", "--dim", "16",
+                       "--out", str(tmp_path / out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert calls == []
+
+    @pytest.mark.parametrize("flag, words", [("--classes", "2 classes, got 1"),
+                                             ("--dim", "2 dimensions, got 1")])
+    def test_protos_names_the_size_below_two(self, tmp_path, capsys, flag, words):
+        flags = {"--classes": "3", "--dim": "2", flag: "1"}
+        argv = ["protos", "--out", str(tmp_path / "p.bin")]
+        assert cli_main(argv + [x for item in flags.items() for x in item]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and err["message"] == f"need at least {words}"
+        assert not (tmp_path / "p.bin").exists()
+
     def test_partition_command(self, tmp_path):
         ds = make_synthetic(3, 4, per_class=30, spread=0.2, seed=0)
         data_path = tmp_path / "ds.txt"
@@ -758,6 +785,34 @@ class TestCli:
         assert err["error"] == "ValueError"
         assert "partition seed must be nonnegative" in err["message"]
         assert not (tmp_path / "parts").exists()
+
+    @pytest.mark.parametrize("out", ["file/parts", "file"])
+    def test_partition_refuses_out_under_a_file_before_partitioning(self, tmp_path, capsys,
+                                                                    monkeypatch, out):
+        calls = []
+        monkeypatch.setattr(data_mod, "dirichlet_partition", lambda *args: calls.append(args))
+        data_path = tmp_path / "ds.txt"
+        save_dataset(make_synthetic(3, 4, per_class=30, spread=0.2, seed=0), data_path)
+        (tmp_path / "file").write_text("")
+        rc = cli_main(["partition", "--data", str(data_path), "--clients", "3",
+                       "--alpha", "0.5", "--out", str(tmp_path / out)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NotADirectoryError"
+        assert calls == []
+
+    def test_run_refuses_a_one_record_dataset_at_the_holdout(self, tmp_path, capsys):
+        data_path = tmp_path / "one.txt"
+        save_dataset(make_synthetic(3, 6, per_class=1, spread=0.2, seed=0).subset([0]),
+                     data_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg = dataclasses.replace(tiny_config(rounds=1), dataset=str(data_path))
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        rc = cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == ("global_test_fraction: the global holdout needs at least 2 "
+                                  "instances, the dataset has 1")
 
     def test_run_and_eval_commands(self, tmp_path, capsys):
         cfg = tiny_config(rounds=2)

@@ -12,7 +12,6 @@ from hyperfl.learner import (
     TripletConfig,
     forward_batch,
     init_params,
-    layout_for,
     local_train,
     mean_triplet_loss,
     predict_batch,
@@ -39,7 +38,7 @@ def protos3():
 
 
 def flat(*tensors):
-    """Parameters packed in ``layout_for`` order: w0, b0, w1, b1, ..."""
+    """Parameters packed in ``ExtractorConfig.spans`` order: w0, b0, w1, b1, ..."""
     return np.concatenate([np.asarray(t, dtype=np.float64).ravel() for t in tensors])
 
 
@@ -51,7 +50,7 @@ def constant_feature(z):
 class TestExtract:
     def test_zero_parameters_give_zero_feature(self):
         cfg = ExtractorConfig(input_dim=4, hidden=(6,), output_dim=3)
-        theta = np.zeros(sum(np.prod(s) for _, s in layout_for(cfg)))
+        theta = np.zeros(sum(np.prod(shape) for _, _, shape in cfg.spans))
         out = forward_batch(theta, cfg, np.array([[1.0, -2.0, 0.5, 3.0]]))
         assert np.array_equal(out, np.zeros((1, 3)))
 
@@ -70,14 +69,15 @@ class TestExtract:
 
     def test_layer_views_follow_layout(self):
         # init_params writes weights and biases through the layer views: the
-        # bias slices at layout_for offsets are zero, the weight slices not
+        # bias slices (odd positions of spans) are zero, the weight slices not
         cfg = ExtractorConfig(input_dim=4, hidden=(6, 5), output_dim=3)
         theta = init_params(cfg, 7)
         offset = 0
-        for name, shape in layout_for(cfg):
-            part = theta[offset : offset + int(np.prod(shape))]
-            offset += part.size
-            assert part.any() == name.startswith("w"), name
+        for i, (start, stop, shape) in enumerate(cfg.spans):
+            assert start == offset and stop - start == int(np.prod(shape))
+            offset = stop
+            assert theta[start:stop].any() == (i % 2 == 0), i
+        assert [shape for _, _, shape in cfg.spans] == [(6, 4), (6,), (5, 6), (5,), (3, 5), (3,)]
         assert offset == theta.size == cfg.num_params
 
     def test_dimension_checked(self):
@@ -292,6 +292,23 @@ class TestLocalTrain:
         snapshot = theta.copy()
         local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 2, 16, lr=0.3, seed=2)
         assert np.array_equal(theta, snapshot)
+
+    def test_never_hashes_the_config(self, monkeypatch):
+        # the layout is an attribute of the config object, not a lookup keyed
+        # by it: no SGD step hashes the config
+        shard = make_blob_shard(seed=6)
+        theta = init_params(self.cfg, 0)
+        calls = []
+        config_hash = ExtractorConfig.__hash__
+
+        def counted(cfg):
+            calls.append(cfg)
+            return config_hash(cfg)
+
+        monkeypatch.setattr(ExtractorConfig, "__hash__", counted)
+        out = local_train(theta, shard.train, self.ps, self.cfg, self.tcfg, 2, 8, lr=0.3, seed=3)
+        assert not np.array_equal(out, theta)  # the steps moved theta
+        assert calls == []
 
 
 class TestPredict:

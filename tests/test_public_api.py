@@ -8,11 +8,14 @@ public name, or a private module-level function, that none of these reaches
 is code that only tests use: it belongs in ``tests/``, not ``src/``.
 """
 
+import functools
 import importlib
 import inspect
 import json
 import pkgutil
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,15 +37,14 @@ TINY = {
 }
 
 
-def module_members(unwrap=True):
+def module_members():
     """(module short name, attribute, object) of everything a hyperfl module
-    defines itself; a cached function stands for the function it wraps
-    unless ``unwrap`` is False."""
+    defines itself."""
     for info in pkgutil.iter_modules(hyperfl.__path__):
         mod = importlib.import_module(f"hyperfl.{info.name}")
         for attr, obj in vars(mod).items():
             if getattr(obj, "__module__", None) == mod.__name__:
-                yield info.name, attr, inspect.unwrap(obj) if unwrap else obj
+                yield info.name, attr, obj
 
 
 def private_functions() -> dict:
@@ -67,6 +69,8 @@ def public_code() -> dict:
             for meth, member in vars(obj).items():
                 if isinstance(member, property):
                     member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
                 member = getattr(member, "__func__", member)  # static/classmethod
                 if not meth.startswith("_") and inspect.isfunction(member):
                     found[f"{module}.{attr}.{meth}"] = member.__code__
@@ -101,11 +105,6 @@ def cli_commands(tmp_path) -> list[list[str]]:
 def called_code(tmp_path_factory) -> set:
     """Code objects called while every CLI command runs."""
     commands = cli_commands(tmp_path_factory.mktemp("cli"))
-    # a cached function runs its body only on a miss, and earlier tests may
-    # have filled the cache: start from empty caches
-    for _, _, obj in module_members(unwrap=False):
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
     called = set()
 
     def profile(frame, event, arg):
@@ -120,6 +119,17 @@ def called_code(tmp_path_factory) -> set:
         sys.setprofile(previous)
     assert codes == [0] * len(commands)
     return called
+
+
+def test_src_caches_no_function():
+    # a process-wide cache keeps every key alive and hashes it on each call;
+    # the called-code fixture also relies on every function body running
+    # when called, which a cache hit would skip
+    src = Path(hyperfl.__file__).parent
+    cached = [f"{path.name}:{i}" for path in sorted(src.glob("*.py"))
+              for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+              if re.search(r"functools\.cache\b|lru_cache|@cache\b", line)]
+    assert cached == []
 
 
 def test_every_public_name_runs_from_the_cli(called_code):
