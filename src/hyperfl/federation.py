@@ -354,6 +354,9 @@ def run_experiment(
     if ds.size < 2:  # the holdout keeps at least one instance on each side
         raise ValueError(f"global_test_fraction: the global holdout needs at least 2 "
                          f"instances, the dataset has {ds.size}")
+    if ds.num_classes < 2:  # a file's header may declare one class; prototypes need two
+        raise ValueError(f"dataset {cfg.dataset}: {ds.num_classes} class declared, "
+                         f"training needs at least 2")
     pool, global_test = stratified_holdout(
         ds, cfg.global_test_fraction, seed=derive_seed(cfg.seed, "holdout")
     )

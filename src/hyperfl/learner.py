@@ -8,7 +8,8 @@ exp map projects them into the ball, where the triplet hinge
 pulls each sample toward its class prototype and pushes it from a randomly
 sampled negative prototype.  Negatives are drawn uniformly over the *full*
 class set minus the true label, so classes absent from a client's shard
-still shape its representation.
+still shape its representation.  ``local_train`` draws them; ``triplet_grad``
+takes them as an array, so one SGD step is a pure function of its arrays.
 
 d is the run's metric, "geodesic" or the flat "euclidean"; every distance
 and distance gradient comes from ``poincare``, which resolves the name.
@@ -176,52 +177,45 @@ def triplet_grad(
     cfg: ExtractorConfig,
     x: np.ndarray,
     y: np.ndarray,
+    neg: np.ndarray,
     protos: PrototypeSet,
-    tcfg: TripletConfig,
-    rng: np.random.Generator,
+    margin: float,
     out: np.ndarray,
     metric: str = "geodesic",
 ) -> np.ndarray:
     """Analytic gradient in theta of the batch-mean triplet loss.
 
-    Per sample the loss averages tcfg.negatives_per_sample independently
-    drawn negatives; all R rounds are one ``sample_negative`` draw on the
-    (R, batch) label block, taken before any distance.  Only the 1 + R
-    distances per sample that the hinge reads are computed.  Samples whose
-    hinge is inactive contribute nothing to the gradient; one
-    distance-gradient call covers every positive and the negative of every
-    active (round, sample) pair.  A step with no active hinge skips it, the
-    pullback and the backward pass.  The sampled loss itself is not formed;
-    SGD reads only its gradient.
+    ``neg`` (R, B) holds the negatives, one row per round: per sample the
+    loss averages its R hinges.  Only the 1 + R distances per sample that
+    the hinge reads are computed.  Samples whose hinge is inactive
+    contribute nothing to the gradient; one distance-gradient call covers
+    every positive and the negative of every active (round, sample) pair.  A
+    step with no active hinge skips it, the pullback and the backward pass.
+    The sampled loss itself is not formed; SGD reads only its gradient.
 
-    Negatives are drawn from ``rng``.  The gradient is written into ``out``
-    and returned; a caller that steps repeatedly passes the same buffer every
-    time.  The finished gradient is checked once for finiteness, so a
-    diverging step raises ValueError.
+    The step draws nothing: it is a function of its arrays.  The gradient is
+    written into ``out`` and returned; a caller that steps repeatedly passes
+    the same buffer every time.  The finished gradient is checked once for
+    finiteness, so a diverging step raises ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    c = protos.num_classes
     b = x.shape[0]
 
     z, acts, layers = _forward_cached(theta, cfg, x)
     # each row norm is taken once and shared by the kernels that read it
     z_norm = np.sqrt(np.add.reduce(z * z, axis=-1))
     p, p2 = poincare.exp_map_origin_arr(z, z_norm)
-    # row 0: the true labels; row 1 + r: the negatives of round r, drawn on
-    # a copy of the labels in each row (np.broadcast_to costs more per step)
-    cols = np.empty((1 + tcfg.negatives_per_sample, b), dtype=np.int64)
-    cols[:] = y
-    cols[1:] = sample_negative(cols[1:], c, rng)
+    # row 0: the true labels; row 1 + r: the negatives of round r
     w, w2 = protos.weights, protos.sq_norms
-    d = _distances_at(p, p2, w, w2, cols, metric)
-    gap = d[0] - d[1:] + tcfg.margin
-    scale = 1.0 / (b * tcfg.negatives_per_sample)
+    d = _distances_at(p, p2, w, w2, np.concatenate((y[None], neg)), metric)
+    gap = d[0] - d[1:] + margin
+    scale = 1.0 / neg.size
     rnd, s = np.nonzero(gap > 0.0)
     if s.size:
         # rows :b take each sample's positive, rows b: each active negative; the
         # kernel is row-wise, so each row has the bits a call of its own gives
-        pts, cls = np.concatenate((p, p[s])), np.concatenate((y, cols[1 + rnd, s]))
+        pts, cls = np.concatenate((p, p[s])), np.concatenate((y, neg[rnd, s]))
         g = poincare.dist_grad_wrt_point_arr(
             pts, np.concatenate((p2, p2[s])), w[cls], w2[cls], metric
         )
@@ -287,8 +281,9 @@ def local_train(
 ) -> np.ndarray:
     """Mini-batch SGD on a client's local training split ``train``.
 
-    One RNG (from ``seed``) drives both the per-epoch shuffle and the
-    negative sampling, so a run is reproducible bit-for-bit.
+    One RNG (from ``seed``) draws, per epoch, the shuffle and then, per batch,
+    all R rounds of negatives in one ``sample_negative`` call on the (R, B)
+    label block, so a run is reproducible bit-for-bit.
 
     Each step is one ``triplet_grad`` call writing into a single gradient
     buffer allocated here and reused for every step; a non-finite gradient
@@ -298,16 +293,17 @@ def local_train(
     """
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
-    n = train.size
+    n, c = train.size, protos.num_classes
     grad = np.zeros_like(theta)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            triplet_grad(
-                theta, cfg, train.features[idx], train.labels[idx], protos, tcfg,
-                rng, grad, metric,
-            )
+            y = train.labels[idx]
+            # a copy of the labels per round (np.broadcast_to costs more per step)
+            neg = sample_negative(y[None].repeat(tcfg.negatives_per_sample, 0), c, rng)
+            triplet_grad(theta, cfg, train.features[idx], y, neg, protos, tcfg.margin, grad,
+                         metric)
             grad *= lr
             theta -= grad
     if not np.isfinite(theta).all():

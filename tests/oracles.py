@@ -47,30 +47,33 @@ def log0(p):
     return np.divide(np.arctanh(r), r, out=np.ones_like(r), where=r > 0) * p
 
 
-def sampled_triplet_loss(theta, cfg, x, y, protos, tcfg, rng, metric="geodesic"):
-    """The batch-mean triplet loss that ``learner.triplet_grad`` differentiates:
-    per sample, the hinge averaged over tcfg.negatives_per_sample negatives,
-    drawn from ``rng`` as the step draws them (one (R, B) label block)."""
+def draw_negatives(y, num_classes, rounds=1, seed=0):
+    """(rounds, B) negatives for the labels ``y``, drawn as ``learner.local_train``
+    draws one step's: one ``sample_negative`` call on the label block, here
+    from a new generator seeded with ``seed``."""
     y = np.asarray(y, dtype=np.int64)
-    rounds, b = tcfg.negatives_per_sample, y.shape[0]
+    return learner.sample_negative(y[None].repeat(rounds, 0), num_classes,
+                                   np.random.default_rng(seed))
+
+
+def sampled_triplet_loss(theta, cfg, x, y, neg, protos, margin, metric="geodesic"):
+    """The batch-mean triplet loss that ``learner.triplet_grad`` differentiates:
+    per sample, the hinge averaged over its negatives, one (R, B) row of
+    ``neg`` per round."""
+    y = np.asarray(y, dtype=np.int64)
     d = distances(exp0(learner.forward_batch(theta, cfg, np.asarray(x, dtype=np.float64))),
                   protos.weights, metric)
-    neg = learner.sample_negative(np.broadcast_to(y, (rounds, b)), protos.num_classes, rng)
-    rows = np.arange(b)
-    gap = d[rows, y] - d[rows, neg] + tcfg.margin
-    return float(np.sum(np.maximum(gap, 0.0)) / (b * rounds))
+    rows = np.arange(y.shape[0])
+    gap = d[rows, y] - d[rows, neg] + margin
+    return float(np.sum(np.maximum(gap, 0.0)) / neg.size)
 
 
-def fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed, metric="geodesic"):
-    """The sampled loss and one ``learner.triplet_grad`` step, each drawing
-    its negatives from a new generator seeded with ``seed``, the step writing
-    into a new buffer, so that repeated calls (finite differences) see the
-    same negatives."""
-    grad = learner.triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
-                                np.zeros_like(theta), metric)
-    loss = sampled_triplet_loss(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
+def fresh_triplet_grad(theta, cfg, x, y, neg, protos, margin, metric="geodesic"):
+    """The sampled loss and one ``learner.triplet_grad`` step on the
+    negatives ``neg``, the step writing into a new buffer."""
+    grad = learner.triplet_grad(theta, cfg, x, y, neg, protos, margin, np.zeros_like(theta),
                                 metric)
-    return loss, grad
+    return sampled_triplet_loss(theta, cfg, x, y, neg, protos, margin, metric), grad
 
 
 def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:

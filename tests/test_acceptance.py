@@ -20,7 +20,7 @@ from hyperfl.federation import (
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.prototypes import build_prototypes, optimize_prototypes
-from oracles import distances, exp0, fresh_triplet_grad, log0, mobius_add_arr
+from oracles import distances, draw_negatives, exp0, fresh_triplet_grad, log0, mobius_add_arr
 
 
 def report(num, ok, desc):
@@ -110,7 +110,6 @@ def test_criterion_3_gradient_oracle():
     t0 = time.time()
     protos, _ = build_prototypes(3, 3, 0.9, seed=5)
     cfg = ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3)
-    tcfg = TripletConfig(margin=3.0)
     rng = np.random.default_rng(12)
     ok = True
     for draw in range(20):
@@ -120,15 +119,16 @@ def test_criterion_3_gradient_oracle():
         theta += 0.3 * rng.standard_normal(theta.size)
         x = rng.standard_normal((5, 4))
         y = rng.integers(0, 3, 5)
-        _, grad = fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed=11)
+        neg = draw_negatives(y, 3, seed=11)
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, neg, protos, 3.0)
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = fresh_triplet_grad(tp, cfg, x, y, protos, tcfg, seed=11)
-            lm, _ = fresh_triplet_grad(tm, cfg, x, y, protos, tcfg, seed=11)
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, neg, protos, 3.0)
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, neg, protos, 3.0)
             fd[i] = (lp - lm) / (2 * h)
         both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)

@@ -31,36 +31,36 @@ from hyperfl.federation import (
 )
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.prototypes import build_prototypes
-from oracles import fresh_triplet_grad
+from oracles import draw_negatives, fresh_triplet_grad
 
 
 class TestMultipleNegatives:
     def test_gradient_matches_finite_differences(self):
         protos, _ = build_prototypes(4, 3, 0.9, seed=2)
         cfg = ExtractorConfig(input_dim=3, hidden=(6,), output_dim=3)
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=3)
         rng = np.random.default_rng(1)
         theta = learner.init_params(cfg, 0)
         theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((4, 3))
         y = rng.integers(0, 4, 4)
-        _, grad = fresh_triplet_grad(theta, cfg, x, y, protos, tcfg, seed=13)
+        neg = draw_negatives(y, 4, rounds=3, seed=13)
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, neg, protos, 3.0)
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = fresh_triplet_grad(tp, cfg, x, y, protos, tcfg, seed=13)
-            lm, _ = fresh_triplet_grad(tm, cfg, x, y, protos, tcfg, seed=13)
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, neg, protos, 3.0)
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, neg, protos, 3.0)
             fd[i] = (lp - lm) / (2 * h)
         both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
         assert float(np.max(np.where(both_small, 0.0, rel))) < 1e-4
 
     def test_loss_averages_over_draws(self):
-        # with C = 2 every draw picks the same negative, so the multi-draw
-        # loss must equal the single-draw loss exactly
+        # with C = 2 every round has the same negative, so the five-round
+        # loss must equal the one-round loss exactly
         w = np.array([[0.9, 0.0], [-0.9, 0.0]])
         from hyperfl.prototypes import PrototypeSet
 
@@ -69,10 +69,8 @@ class TestMultipleNegatives:
         theta = learner.init_params(cfg, 1)
         x = np.array([[0.3, 0.7]])
         y = np.array([0])
-        l1, g1 = fresh_triplet_grad(theta, cfg, x, y, protos, TripletConfig(), seed=0)
-        l5, g5 = fresh_triplet_grad(
-            theta, cfg, x, y, protos, TripletConfig(negatives_per_sample=5), seed=0
-        )
+        l1, g1 = fresh_triplet_grad(theta, cfg, x, y, draw_negatives(y, 2), protos, 3.0)
+        l5, g5 = fresh_triplet_grad(theta, cfg, x, y, draw_negatives(y, 2, rounds=5), protos, 3.0)
         assert l1 == pytest.approx(l5, abs=1e-12)
         assert np.max(np.abs(g1 - g5)) < 1e-12
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -834,6 +835,25 @@ class TestCli:
         assert rc == 0
         result = json.loads(capsys.readouterr().out)
         assert 0.0 <= result["accuracy"] <= 1.0
+
+    def test_run_refuses_a_one_class_dataset_before_partitioning(self, tmp_path, monkeypatch):
+        calls = []
+        partition = federation.dirichlet_partition
+
+        def counted(*args):
+            calls.append(args)
+            return partition(*args)
+
+        monkeypatch.setattr(federation, "dirichlet_partition", counted)
+        data_path = tmp_path / "one_class.txt"
+        ds = make_synthetic(3, 6, per_class=10, spread=0.2, seed=0)
+        save_dataset(LabeledDataset(ds.features, np.zeros(ds.size, dtype=np.int64), 1),
+                     data_path)
+        cfg = dataclasses.replace(tiny_config(rounds=1), dataset=str(data_path))
+        message = f"dataset {data_path}: 1 class declared, training needs at least 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg)
+        assert calls == []
 
     def test_run_refuses_out_under_a_file_before_training(self, tmp_path, capsys, monkeypatch):
         calls = []

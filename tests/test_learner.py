@@ -19,7 +19,17 @@ from hyperfl.learner import (
     triplet_grad,
 )
 from hyperfl.prototypes import PrototypeSet, build_prototypes
-from oracles import dist_grad, distances, exp0, fresh_triplet_grad, log0, pullback, sq_norms
+from oracles import (
+    dist_grad,
+    distances,
+    draw_negatives,
+    exp0,
+    fresh_triplet_grad,
+    log0,
+    pullback,
+    sampled_triplet_loss,
+    sq_norms,
+)
 
 
 def antipodal_protos(radius=0.9):
@@ -88,17 +98,17 @@ class TestExtract:
 
 class TestTripletLoss:
     def test_anchor_on_positive_prototype(self, protos3):
-        # every other prototype is further than the margin, whichever is drawn
+        # every other prototype is further than the margin: both, one round each
         theta, cfg = constant_feature(log0(protos3.weights[0]))
-        loss, _ = fresh_triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), protos3,
-                                     TripletConfig(margin=3.0), seed=0)
+        loss, _ = fresh_triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]),
+                                     np.array([[1], [2]]), protos3, 3.0)
         assert loss == 0.0
 
     def test_equidistant_anchor_pays_margin(self):
         ps = antipodal_protos()
         theta, cfg = constant_feature(np.zeros(2))
-        loss, _ = fresh_triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), ps,
-                                     TripletConfig(margin=3.0), seed=0)
+        loss, _ = fresh_triplet_grad(theta, cfg, np.ones((1, 1)), np.array([0]), np.array([[1]]),
+                                     ps, 3.0)
         assert loss == pytest.approx(3.0, abs=1e-12)
 
 
@@ -113,50 +123,47 @@ class TestTripletGrad:
         theta = flat(np.stack([z0, z1], axis=1), np.zeros(2))
         x = np.eye(2)
         y = np.array([0, 1])
-        loss, grad = fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0), seed=0)
+        loss, grad = fresh_triplet_grad(theta, cfg, x, y, 1 - y[None], ps, 3.0)
         assert loss == 0.0
         assert np.array_equal(grad, np.zeros_like(grad))
 
     def test_single_layer_matches_finite_differences(self):
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
-        tcfg = TripletConfig(margin=3.0)
         rng = np.random.default_rng(0)
         theta = init_params(cfg, 1)
         theta += 0.2 * rng.standard_normal(theta.size)
         x = rng.standard_normal((1, 2))
-        y = np.array([0])
-        _, grad = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=7)
+        y, neg = np.array([0]), np.array([[1]])
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, neg, ps, 3.0)
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = fresh_triplet_grad(tp, cfg, x, y, ps, tcfg, seed=7)
-            lm, _ = fresh_triplet_grad(tm, cfg, x, y, ps, tcfg, seed=7)
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, neg, ps, 3.0)
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, neg, ps, 3.0)
             fd[i] = (lp - lm) / (2 * h)
         denom = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(grad - fd) / denom) < 1e-4
 
     def test_repeated_sample_batch_equals_single(self):
-        # C = 2 makes the sampled negative deterministic, so batch mean over
-        # identical rows must equal the single-sample gradient
+        # the batch mean over identical rows, with identical negatives, must
+        # equal the single-sample gradient
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
-        tcfg = TripletConfig(margin=3.0)
         theta = init_params(cfg, 2)
         x = np.array([[0.4, -1.2]])
         y = np.array([1])
-        _, g1 = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=3)
-        _, gb = fresh_triplet_grad(theta, cfg, np.repeat(x, 8, axis=0), np.repeat(y, 8), ps,
-                                   tcfg, seed=3)
+        _, g1 = fresh_triplet_grad(theta, cfg, x, y, 1 - y[None], ps, 3.0)
+        yb = np.repeat(y, 8)
+        _, gb = fresh_triplet_grad(theta, cfg, np.repeat(x, 8, axis=0), yb, 1 - yb[None], ps, 3.0)
         assert np.max(np.abs(g1 - gb)) < 1e-12
 
     def test_gradient_oracle_small_mlp(self, protos3):
         # 20 random draws on a [4 -> 8 -> 3] extractor, C = 3, m = 3
         cfg = ExtractorConfig(input_dim=4, hidden=(8,), output_dim=3)
-        tcfg = TripletConfig(margin=3.0)
         rng = np.random.default_rng(12)
         for draw in range(20):
             theta = init_params(
@@ -165,15 +172,16 @@ class TestTripletGrad:
             theta += 0.3 * rng.standard_normal(theta.size)
             x = rng.standard_normal((5, 4))
             y = rng.integers(0, 3, 5)
-            _, grad = fresh_triplet_grad(theta, cfg, x, y, protos3, tcfg, seed=11)
+            neg = draw_negatives(y, 3, seed=11)
+            _, grad = fresh_triplet_grad(theta, cfg, x, y, neg, protos3, 3.0)
             h = 1e-5
             fd = np.zeros_like(theta)
             for i in range(theta.size):
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                lp, _ = fresh_triplet_grad(tp, cfg, x, y, protos3, tcfg, seed=11)
-                lm, _ = fresh_triplet_grad(tm, cfg, x, y, protos3, tcfg, seed=11)
+                lp, _ = fresh_triplet_grad(tp, cfg, x, y, neg, protos3, 3.0)
+                lm, _ = fresh_triplet_grad(tm, cfg, x, y, neg, protos3, 3.0)
                 fd[i] = (lp - lm) / (2 * h)
             both_small = (np.abs(fd) < 1e-8) & (np.abs(grad) < 1e-8)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -182,19 +190,18 @@ class TestTripletGrad:
     def test_euclidean_metric_gradient(self):
         ps = antipodal_protos()
         cfg = linear_cfg(2, 2)
-        tcfg = TripletConfig(margin=1.0)
         theta = init_params(cfg, 4)
         x = np.array([[1.0, 0.5]])
-        y = np.array([0])
-        _, grad = fresh_triplet_grad(theta, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
+        y, neg = np.array([0]), np.array([[1]])
+        _, grad = fresh_triplet_grad(theta, cfg, x, y, neg, ps, 1.0, "euclidean")
         h = 1e-5
         fd = np.zeros_like(theta)
         for i in range(theta.size):
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            lp, _ = fresh_triplet_grad(tp, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
-            lm, _ = fresh_triplet_grad(tm, cfg, x, y, ps, tcfg, seed=5, metric="euclidean")
+            lp, _ = fresh_triplet_grad(tp, cfg, x, y, neg, ps, 1.0, "euclidean")
+            lm, _ = fresh_triplet_grad(tm, cfg, x, y, neg, ps, 1.0, "euclidean")
             fd[i] = (lp - lm) / (2 * h)
         assert np.max(np.abs(grad - fd)) < 1e-4
 
@@ -236,8 +243,8 @@ class TestSampleNegative:
             neg = sample_negative(y, 10, batched)
             assert neg.shape == y.shape
             assert np.array_equal(neg, [sample_negative(int(label), 10, scalar) for label in y])
-        # a (rounds, batch) block, as triplet_grad draws it: round-major
-        block = sample_negative(np.broadcast_to(y, (4, y.size)), 10, batched)
+        # a (rounds, batch) block, as local_train draws it: round-major
+        block = sample_negative(y[None].repeat(4, 0), 10, batched)
         assert block.shape == (4, y.size)
         assert np.array_equal(
             block, [[sample_negative(int(label), 10, scalar) for label in y] for _ in range(4)]
@@ -355,7 +362,7 @@ def test_mean_triplet_loss_matches_single_negative_for_two_classes():
     y = rng.integers(0, 2, 30)
     ds = LabeledDataset(x, y, 2)
     # with C = 2 the expectation over negatives is the sampled loss itself
-    expected, _ = fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(margin=3.0), seed=0)
+    expected = sampled_triplet_loss(theta, cfg, x, y, 1 - y[None], ps, 3.0)
     got = mean_triplet_loss(theta, cfg, ds.features, ds.labels, ps.weights, ps.sq_norms,
                             margin=3.0)
     assert got == pytest.approx(expected, abs=1e-12)
@@ -382,10 +389,10 @@ REFERENCE_ACT_PRIME = {
 }
 
 
-def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
-    """Per-sample reference for triplet_grad: one scalar RNG draw per
-    sample, and a fresh concatenated gradient per call."""
-    b, c = x.shape[0], protos.num_classes
+def reference_triplet_grad(theta, cfg, x, y, neg, protos, margin, metric):
+    """Per-sample reference for triplet_grad: one pass per round (row of
+    ``neg``), and a fresh concatenated gradient per call."""
+    b = x.shape[0]
     z, acts, layers = learner._forward_cached(theta, cfg, x)
     p = exp0(z)
     d_all = distances(p, protos.weights, metric)
@@ -393,21 +400,16 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
     loss_acc = np.zeros(b)
     d_p_acc = np.zeros_like(p)
     grad_pos = dist_grad(p, protos.weights[y], metric)
-    for _ in range(tcfg.negatives_per_sample):
-        neg = []
-        for label in y:
-            j = int(rng.integers(c - 1))
-            neg.append(j + 1 if j >= label else j)
-        neg = np.array(neg)
-        gap = d_pos - d_all[np.arange(b), neg] + tcfg.margin
+    for row in neg:
+        gap = d_pos - d_all[np.arange(b), row] + margin
         active = gap > 0.0
         loss_acc += np.maximum(gap, 0.0)
         if np.any(active):
             grad_neg = dist_grad(
-                p[active], protos.weights[neg[active]], metric
+                p[active], protos.weights[row[active]], metric
             )
             d_p_acc[active] += grad_pos[active] - grad_neg
-    scale = 1.0 / (b * tcfg.negatives_per_sample)
+    scale = 1.0 / (b * len(neg))
     d_z = pullback(z, d_p_acc * scale)
     grads = []
     delta = d_z
@@ -420,6 +422,8 @@ def reference_triplet_grad(theta, cfg, x, y, protos, tcfg, rng, metric):
 
 def reference_local_train(theta_in, train, protos, cfg, tcfg, epochs, batch_size, lr,
                           seed, metric="geodesic"):
+    """Per-sample reference for local_train: per epoch one permutation, then
+    per batch one scalar RNG draw per label per round, round-major."""
     rng = np.random.default_rng(seed)
     theta = theta_in.copy()
     n = train.size
@@ -427,9 +431,14 @@ def reference_local_train(theta_in, train, protos, cfg, tcfg, epochs, batch_size
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
+            y = train.labels[idx]
+            neg = np.empty((tcfg.negatives_per_sample, y.size), dtype=np.int64)
+            for r in range(tcfg.negatives_per_sample):
+                for i, label in enumerate(y):
+                    j = int(rng.integers(protos.num_classes - 1))
+                    neg[r, i] = j + 1 if j >= label else j
             _, grad = reference_triplet_grad(
-                theta, cfg, train.features[idx], train.labels[idx], protos,
-                tcfg, rng, metric,
+                theta, cfg, train.features[idx], y, neg, protos, tcfg.margin, metric
             )
             theta -= lr * grad
     return theta
@@ -460,14 +469,12 @@ class TestBitExactAgainstReference:
     @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
     def test_triplet_grad_bitwise_equal(self, protos3, metric):
         cfg = ExtractorConfig(input_dim=4, hidden=(5, 6), output_dim=3, activation="relu")
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=2)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((9, 4)), rng.integers(0, 3, 9)
+        neg = draw_negatives(y, 3, rounds=2, seed=1)
         theta = init_params(cfg, 0)
-        grad = triplet_grad(theta, cfg, x, y, protos3, tcfg, np.random.default_rng(1),
-                            np.zeros_like(theta), metric)
-        _, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos3, tcfg,
-                                             np.random.default_rng(1), metric)
+        grad = triplet_grad(theta, cfg, x, y, neg, protos3, 3.0, np.zeros_like(theta), metric)
+        _, ref_grad = reference_triplet_grad(theta, cfg, x, y, neg, protos3, 3.0, metric)
         assert grad.tobytes() == ref_grad.tobytes()
 
 
@@ -477,15 +484,13 @@ class TestBitExactAgainstReference:
         # would pair their hinges up instead of adding them in draw order
         protos = random_protos(100, 8, seed=seed)
         cfg = ExtractorConfig(input_dim=6, hidden=(7,), output_dim=8)
-        tcfg = TripletConfig(margin=3.0, negatives_per_sample=12)
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((1, 6)), rng.integers(0, 100, 1)
+        neg = draw_negatives(y, 100, rounds=12, seed=seed)
         theta = init_params(cfg, seed)
         theta += rng.standard_normal(theta.size)
-        grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
-                            np.zeros_like(theta))
-        _, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
-                                             np.random.default_rng(seed), "geodesic")
+        grad = triplet_grad(theta, cfg, x, y, neg, protos, 3.0, np.zeros_like(theta))
+        _, ref_grad = reference_triplet_grad(theta, cfg, x, y, neg, protos, 3.0, "geodesic")
         assert grad.tobytes() == ref_grad.tobytes()
 
 
@@ -500,11 +505,10 @@ class TestNoActiveHinge:
         theta = flat(z.T, np.zeros(4))
         y = np.array([0, 3, 5, 1, 1, 2, 4])
         x = np.eye(6)[y]
-        tcfg = TripletConfig(margin=0.1, negatives_per_sample=negatives)
-        grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(2),
-                            np.zeros_like(theta))
-        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
-                                                    np.random.default_rng(2), "geodesic")
+        neg = draw_negatives(y, 6, rounds=negatives, seed=2)
+        grad = triplet_grad(theta, cfg, x, y, neg, protos, 0.1, np.zeros_like(theta))
+        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, neg, protos, 0.1,
+                                                    "geodesic")
         assert ref_loss == 0.0
         assert grad.tobytes() == ref_grad.tobytes()
         assert not grad.any()
@@ -573,12 +577,10 @@ class TestStepMatchesReference:
             (w0, _), (w1, _) = learner._layers(theta, cfg)
             w0 += 1e-3 * rng.standard_normal(w0.shape)
             w1 += 1e-3 * k * rng.standard_normal(w1.shape)
-        tcfg = TripletConfig(margin=margin, negatives_per_sample=rounds)
+        neg = draw_negatives(y, c, rounds, seed=seed)
         out = np.full_like(theta, np.nan) if prefilled else np.zeros_like(theta)
-        grad = triplet_grad(theta, cfg, x, y, protos, tcfg, np.random.default_rng(seed),
-                            out, metric)
-        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, protos, tcfg,
-                                                    np.random.default_rng(seed), metric)
+        grad = triplet_grad(theta, cfg, x, y, neg, protos, margin, out, metric)
+        ref_loss, ref_grad = reference_triplet_grad(theta, cfg, x, y, neg, protos, margin, metric)
         assert grad.tobytes() == ref_grad.tobytes()
         if no_hinge:
             assert ref_loss == 0.0 and not grad.any()
@@ -663,17 +665,15 @@ class TestGradientBuffer:
     def setup_method(self):
         self.ps, _ = build_prototypes(4, 3, 0.9, seed=2)
         self.cfg = ExtractorConfig(input_dim=5, hidden=(6,), output_dim=3)
-        self.tcfg = TripletConfig(margin=3.0, negatives_per_sample=2)
         rng = np.random.default_rng(3)
         self.x, self.y = rng.standard_normal((10, 5)), rng.integers(0, 4, 10)
+        self.neg = draw_negatives(self.y, 4, rounds=2, seed=4)
 
     def test_prefilled_buffer_matches_fresh_gradient(self):
         theta = init_params(self.cfg, 2)
         out = np.full_like(theta, np.nan)
-        grad = triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
-                            np.random.default_rng(4), out)
-        _, fresh = fresh_triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
-                                      seed=4)
+        grad = triplet_grad(theta, self.cfg, self.x, self.y, self.neg, self.ps, 3.0, out)
+        _, fresh = fresh_triplet_grad(theta, self.cfg, self.x, self.y, self.neg, self.ps, 3.0)
         assert grad is out
         assert out.tobytes() == fresh.tobytes()
 
@@ -681,8 +681,7 @@ class TestGradientBuffer:
         theta = init_params(self.cfg, 2)
         other = init_params(ExtractorConfig(input_dim=5, hidden=(7,), output_dim=3), 0)
         with pytest.raises(ValueError, match="layout expects"):
-            triplet_grad(theta, self.cfg, self.x, self.y, self.ps, self.tcfg,
-                         np.random.default_rng(4), other)
+            triplet_grad(theta, self.cfg, self.x, self.y, self.neg, self.ps, 3.0, other)
 
 
 class TestDivergenceFailsFast:
@@ -693,7 +692,7 @@ class TestDivergenceFailsFast:
         theta *= 1e150  # finite, but the backward pass overflows
         x, y = np.array([[1.0, -0.5], [0.3, 2.0]]), np.array([0, 1])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
-            fresh_triplet_grad(theta, cfg, x, y, ps, TripletConfig(), seed=0)
+            fresh_triplet_grad(theta, cfg, x, y, 1 - y[None], ps, 3.0)
 
     @pytest.mark.parametrize(
         "case",
@@ -741,7 +740,7 @@ class TestDivergenceFailsFast:
             assert np.isfinite(z).all() == (case != "z_overflows")
             assert not d[0] - d[1] + 3.0 > 0.0  # no active hinge (NaN compares False)
             with pytest.raises(ValueError, match="not finite"):
-                fresh_triplet_grad(theta, cfg, x, np.array([0]), ps, TripletConfig(), seed=0)
+                fresh_triplet_grad(theta, cfg, x, np.array([0]), np.array([[1]]), ps, 3.0)
 
     def test_huge_learning_rate_raises_in_local_train(self):
         ps = antipodal_protos()

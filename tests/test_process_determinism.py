@@ -6,13 +6,16 @@ one with every thread variable the benchmark sets (``THREAD_VARS`` in
 bench/run.py) at 1 and one with them at 2, and once in this process.  Every
 file except the timed ones must have the same sha256 in all three.  A
 threaded BLAS that splits a product differently at another thread count
-shows up here.  The outputs are the golden ``TINY`` run and a C=100, n=16
-prototype file, whose (C, C) Gram and (C, C) @ (C, n) subgradient product
-are the largest BLAS calls of set-up.
+shows up here.  The outputs are the golden ``TINY`` run, the benchmark's
+``cross_device`` workload at master seed 0 (K = 300 clients, the largest
+(K, K) deviation Gram of any workload; its config is read from
+bench/workloads.py), and a C=100, n=16 prototype file, whose (C, C) Gram and
+(C, C) @ (C, n) subgradient product are the largest BLAS calls of set-up.
 """
 
 import ast
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,6 +23,7 @@ import sys
 from pathlib import Path
 
 import golden
+from hyperfl.federation import ExperimentConfig, run_experiment
 from hyperfl.prototypes import build_prototypes, save_prototypes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,19 +62,39 @@ def wait(proc: subprocess.Popen) -> None:
     assert proc.returncode == 0, err.decode()
 
 
-def test_bytes_match_across_processes_and_thread_counts(tmp_path):
-    config = tmp_path / "tiny.json"
-    config.write_text(json.dumps(golden.TINY), encoding="utf-8")
+STREAMS = {"rounds.jsonl", "aggregation.jsonl", "prototypes.bin", "global.params"}
+
+
+def run_everywhere(tmp_path: Path, config: dict) -> dict[str, str]:
+    """``hyperfl run`` on ``config`` as two processes, at 1 and at 2 threads,
+    and once in this process; every output file must hash the same in all
+    three.  Returns the in-process hashes."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
     procs = {}
     for threads in (1, 2):
         out = tmp_path / f"threads_{threads}"
-        procs[out] = launch(["run", "--config", str(config), "--out", str(out)], threads)
-    in_process = golden.output_hashes("tiny", tmp_path)
+        procs[out] = launch(["run", "--config", str(path), "--out", str(out)], threads)
+    run_experiment(ExperimentConfig.from_dict(config), out_dir=tmp_path / "in_process")
+    in_process = file_hashes(tmp_path / "in_process")
     for out, proc in procs.items():
         wait(proc)
         assert file_hashes(out) == in_process, out.name
-    streams = {"rounds.jsonl", "aggregation.jsonl", "prototypes.bin", "global.params"}
-    assert streams <= set(in_process)
+    return in_process
+
+
+def test_bytes_match_across_processes_and_thread_counts(tmp_path):
+    assert STREAMS <= set(run_everywhere(tmp_path, golden.TINY))
+
+
+def test_cross_device_bytes_match_across_processes_and_thread_counts(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.config("cross_device", 0)
+    assert config["partition"]["num_clients"] == 300
+    assert STREAMS <= set(run_everywhere(tmp_path, config))
 
 
 def test_prototype_bytes_match_across_processes_and_thread_counts(tmp_path):

@@ -6,7 +6,8 @@ metrics that BENCHMARK.json names, such as ``learner.triplet_grad.calls``.  A
 run that misses one of them is marked incorrect.  Checking the names here
 makes a refactor that drops or renames a traced function fail in pytest
 instead.  So does one that breaks the run's tiny-config check, which counts
-one ``learner.triplet_grad`` call per client SGD step.  One test runs
+one ``learner.triplet_grad`` call per client SGD step, or one that changes the
+``learner.sample_negative`` count, one draw per step.  One test runs
 bench/tracer.py itself on the tiny config, in a subprocess, as the traced
 benchmark run does.  This module only reads BENCHMARK.json, bench/tracer.py
 and bench/workloads.py.
@@ -91,21 +92,28 @@ def test_module_totals_name_a_module(name):
 
 def test_one_triplet_grad_call_per_sgd_step(monkeypatch):
     # the tiny-config check of the traced run, without the tracer: training
-    # and P-FL finetuning make one triplet_grad call per minibatch
+    # and P-FL finetuning make one triplet_grad call per minibatch, and
+    # local_train draws that step's negatives in one sample_negative call
     workloads = _bench_module("workloads")
-    calls = 0
-    step = learner.triplet_grad
+    calls = {}
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return step(*args, **kwargs)
+    def count(name):
+        fn = getattr(learner, name)
+        calls[name] = 0
 
-    monkeypatch.setattr(learner, "triplet_grad", counted)
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(learner, name, counted)
+
+    count("triplet_grad")
+    count("sample_negative")
     res = run_experiment(ExperimentConfig.from_dict(workloads.TINY))
     shards = [(s.n_train, s.test is not None and s.test.size > 0) for s in res.shards]
     assert len(shards) == workloads.TINY["partition"]["num_clients"]
-    assert calls == workloads.expected_sgd_steps(workloads.TINY, shards) > 0
+    assert calls["triplet_grad"] == workloads.expected_sgd_steps(workloads.TINY, shards) > 0
+    assert calls["sample_negative"] == calls["triplet_grad"]
 
 
 def test_traced_tiny_run_reports_every_layer(tmp_path):
