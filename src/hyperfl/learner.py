@@ -12,7 +12,9 @@ still shape its representation.  ``local_train`` draws them; ``triplet_grad``
 takes them as an array, so one SGD step is a pure function of its arrays.
 
 d is the run's metric, "geodesic" or the flat "euclidean"; every distance
-and distance gradient comes from ``poincare``, which resolves the name.
+and distance gradient comes from ``poincare``, which resolves the name.  The
+step measures only the 1 + R pairs per sample its hinge reads, from p - w;
+scoring measures every class from one inner-product matrix.
 
 All gradients are analytic (chain rule through the exp map and the distance
 formula); the optimizer is plain SGD.  The prototypes are frozen, so every
@@ -145,22 +147,6 @@ def _backward(cfg: ExtractorConfig, acts, layers, delta: np.ndarray, grads) -> N
             delta = (delta @ layers[i][0]) * act_prime(acts[i])
 
 
-def _distances_at(
-    p: np.ndarray, p2: np.ndarray, w: np.ndarray, w2: np.ndarray, cols: np.ndarray, metric: str
-) -> np.ndarray:
-    """Distance from row i of ``p`` to ``w[cols[..., i]]``, for class indices
-    ``cols`` of shape (..., B), given the squared row norms ``p2`` and ``w2``.
-
-    Each entry has the bits of the matching entry of
-    ``poincare.distance_to_set_arr``: its inner product is gathered from the
-    full BLAS ``p @ w.T`` (a per-pair product rounds differently), and only
-    the gathered entries go through the distance formula.
-    """
-    from_inner, _ = poincare.metric_kernels(metric)
-    pw = (p @ w.T)[np.arange(p.shape[0]), cols]
-    return from_inner(p2, w2[cols], pw)
-
-
 def sample_negative(y: int | np.ndarray, num_classes: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform draws over the full class set excluding the true label.
 
@@ -186,12 +172,14 @@ def triplet_grad(
     """Analytic gradient in theta of the batch-mean triplet loss.
 
     ``neg`` (R, B) holds the negatives, one row per round: per sample the
-    loss averages its R hinges.  Only the 1 + R distances per sample that
-    the hinge reads are computed.  Samples whose hinge is inactive
-    contribute nothing to the gradient; one distance-gradient call covers
-    every positive and the negative of every active (round, sample) pair.  A
-    step with no active hinge skips it, the pullback and the backward pass.
-    The sampled loss itself is not formed; SGD reads only its gradient.
+    loss averages its R hinges.  Each sample's 1 + R prototypes are gathered
+    once, and their differences p - w and squared separations u, taken once,
+    give both the hinge distances and the gradient.  Per pair the gradient
+    has a scalar weight: +k on a sample's positive, k its number of active
+    rounds, -1 on each active negative and 0 otherwise, so one
+    distance-gradient call covers the batch.  A step with no active hinge
+    skips it, the pullback and the backward pass.  The sampled loss itself
+    is not formed; SGD reads only its gradient.
 
     The step draws nothing: it is a function of its arrays.  The gradient is
     written into ``out`` and returned; a caller that steps repeatedly passes
@@ -200,31 +188,23 @@ def triplet_grad(
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    b = x.shape[0]
 
     z, acts, layers = _forward_cached(theta, cfg, x)
     # each row norm is taken once and shared by the kernels that read it
     z_norm = np.sqrt(np.add.reduce(z * z, axis=-1))
     p, p2 = poincare.exp_map_origin_arr(z, z_norm)
-    # row 0: the true labels; row 1 + r: the negatives of round r
-    w, w2 = protos.weights, protos.sq_norms
-    d = _distances_at(p, p2, w, w2, np.concatenate((y[None], neg)), metric)
-    gap = d[0] - d[1:] + margin
-    scale = 1.0 / neg.size
-    rnd, s = np.nonzero(gap > 0.0)
-    if s.size:
-        # rows :b take each sample's positive, rows b: each active negative; the
-        # kernel is row-wise, so each row has the bits a call of its own gives
-        pts, cls = np.concatenate((p, p[s])), np.concatenate((y, neg[rnd, s]))
-        g = poincare.dist_grad_wrt_point_arr(
-            pts, np.concatenate((p2, p2[s])), w[cls], w2[cls], metric
-        )
-        # summed from zero over (round, sample) pairs in round-major order: an
-        # entry hit by several rounds takes their terms one at a time, in draw
-        # order
-        flat = (s[:, None] * p.shape[1] + np.arange(p.shape[1])).ravel()
-        d_p_acc = np.bincount(flat, (g[s] - g[b:]).ravel(), minlength=p.size)
-        d_p = d_p_acc.reshape(p.shape) * scale
+    # pair row 0: the true labels; row 1 + r: the negatives of round r
+    cols = np.concatenate((y[None], neg))
+    diff = p - protos.weights[cols]
+    u = np.add.reduce(diff * diff, axis=-1)
+    w2 = protos.sq_norms[cols]
+    d = poincare.metric_kernels(metric)[0](p2, w2, u)
+    active = d[0] - d[1:] + margin > 0.0
+    if active.any():
+        # the loss scale 1/(B R) is folded into the pair weights
+        scale = 1.0 / neg.size
+        weight = np.concatenate((active.sum(axis=0, keepdims=True) * scale, active * -scale))
+        d_p = poincare.dist_grad_wrt_point_arr(p, p2, diff, u, w2, weight, metric)
         d_z = poincare.exp_map_origin_jvp_transpose_arr(z, z_norm, d_p)
         _backward(cfg, acts, layers, d_z, _layers(out, cfg))
         finite = np.isfinite(out).all()

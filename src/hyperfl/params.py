@@ -12,14 +12,20 @@ as little-endian float64 in ``ExtractorConfig.spans`` order.  The header
 object holds ``model``: the fields of ``ExtractorConfig`` (``input_dim``,
 ``hidden``, ``output_dim``, ``activation``), ``metric`` and
 ``prototypes_sha256``.  A checkpoint so names everything needed to score
-it.  A header missing any of it is rejected with an error naming the file
-and field, and a payload of another size than the architecture implies
-with one naming the file and both sizes.  Any other header key, such as
-the ``layout`` that older checkpoints stored, is ignored.
+it.  Next to ``model``, ``sha256`` is the digest of ``model`` (as JSON with
+sorted keys) followed by the payload, so a header edited to another
+architecture of the same size no longer fits its values.  A header missing
+a ``model`` field is rejected with an error naming the file and field, a
+payload of another size than the architecture implies with one naming the
+file and both sizes, and a digest that does not match with one naming the
+file.  A header without ``sha256``, as written before it existed,
+loads unchecked.  Any other header key, such as the ``layout`` that older
+checkpoints stored, is ignored.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -54,12 +60,17 @@ _MODEL_FIELDS = {"input_dim": int, "hidden": list, "output_dim": int, "activatio
                  "metric": str, "prototypes_sha256": str}
 
 
+def _digest(model: dict, body: bytes) -> str:
+    """The header's ``sha256``: over ``model`` as sorted-key JSON, then the payload."""
+    return hashlib.sha256(json.dumps(model, sort_keys=True).encode() + body).hexdigest()
+
+
 def save_params(params: ParamVector, path: str | Path) -> None:
     """Write ``params`` as a checkpoint (format in the module docstring)."""
     model = {**asdict(params.extractor), "metric": params.metric,
              "prototypes_sha256": params.prototypes_sha256}
-    header = json.dumps({"model": model}).encode()
     body = params.values.astype("<f8").tobytes()
+    header = json.dumps({"model": model, "sha256": _digest(model, body)}).encode()
     Path(path).write_bytes(_CKPT_MAGIC + header + b"\n" + body)
 
 
@@ -99,6 +110,8 @@ def load_params(path: str | Path) -> ParamVector:
     body = rest[newline + 1 :]
     if len(body) != 8 * ext.num_params:
         raise ValueError(f"{path}: expected {8 * ext.num_params} payload bytes, found {len(body)}")
+    if "sha256" in header and header["sha256"] != _digest(model, body):
+        raise ValueError(f"{path}: header field 'sha256' does not match the model and payload")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:
         return ParamVector(values, ext, model["metric"], model["prototypes_sha256"])

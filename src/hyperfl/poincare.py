@@ -9,7 +9,10 @@ Conventions:
 
 Distances take a metric name.  ``metric_kernels`` is the one place that
 resolves it: "geodesic" is the ball distance above, "euclidean" the flat
-alternative ||a - b||, each with its gradient in the point.
+alternative ||a - b||.  Each is one elementwise function of ||a||^2, ||b||^2
+and u = ||a - b||^2.  The training step takes u from the difference a - b,
+which it shares with the gradient kernel and which stays accurate as a nears
+b; scoring takes every u from one inner-product matrix.
 
 Every kernel works row-wise on float64 arrays and is pure (no shared mutable
 state).  A kernel takes the row norms it reads (||z||, ||p||^2, ||w||^2) from
@@ -55,71 +58,54 @@ def exp_map_origin_arr(z: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.nda
     return _project_to_ball_arr(z * scale)
 
 
-def _geodesic_from_inner(p2: np.ndarray, w2: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """Geodesic distance from the squared norms ``p2``, ``w2`` and the inner
-    product ``pw``, elementwise over their broadcast shape.
-
-    Elementwise, so an entry's bits depend only on its three inputs: fed
-    entries gathered from the set-wide quantities it reproduces the matching
-    entries of ``distance_to_set_arr``.
-    """
-    sq = np.maximum(p2 + w2 - 2.0 * pw, 0.0)
-    arg = 1.0 + 2.0 * sq / ((1.0 - p2) * (1.0 - w2))
-    return np.arccosh(np.maximum(arg, 1.0))
+def _geodesic(p2: np.ndarray, w2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Geodesic distance from the squared norms ``p2`` = ||p||^2, ``w2`` =
+    ||w||^2 and the squared separation ``u`` = ||p - w||^2, elementwise:
+    arcosh(1 + x) with x = 2u/((1-||p||^2)(1-||w||^2)), taken as
+    log1p(x + sqrt(x (x + 2))), which keeps its accuracy as x -> 0."""
+    x = 2.0 * u / ((1.0 - p2) * (1.0 - w2))
+    return np.log1p(x + np.sqrt(x * (x + 2.0)))
 
 
-def _euclidean_from_inner(p2: np.ndarray, w2: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """Euclidean counterpart of ``_geodesic_from_inner``."""
-    return np.sqrt(np.maximum(p2 + w2 - 2.0 * pw, 0.0))
+def _euclidean(p2: np.ndarray, w2: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Euclidean counterpart of ``_geodesic``: sqrt(u)."""
+    return np.sqrt(u)
 
 
-def _geodesic_grad(p: np.ndarray, p2: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Gradient of the geodesic distance(p, w) with respect to p, row-wise,
-    given the squared row norms ``p2`` = ||p||^2 and ``w2`` = ||w||^2.
+def _geodesic_grad(p2: np.ndarray, w2: np.ndarray, u: np.ndarray, weight: np.ndarray):
+    """Pair scales (s, t) of the weighted geodesic gradient: with a =
+    1-||p||^2, b = 1-||w||^2 and x = 2u/(ab), the gradient of d(p, w) in p is
 
-    With u = ||p-w||^2, a = 1-||p||^2, b = 1-||w||^2 and
-    A = 1 + 2u/(ab):
+        (4 / (ab sqrt(x (x + 2)))) [(p - w) + (u/a) p],
 
-        dA/dp = (4/(ab)) [(p - w) + (u/a) p]
-        dd/dp = dA/dp / sqrt(A^2 - 1)
-
-    Rows with u ~ 0 come back as zero; callers decide whether that needs
-    flagging.
-    """
-    diff = p - w
-    u = np.add.reduce(diff * diff, axis=-1, keepdims=True)
-    a = 1.0 - p2[:, None]
-    b = 1.0 - w2[:, None]
-    ab = a * b
-    a_minus_1 = 2.0 * u / ab
-    big_a = 1.0 + a_minus_1
-    # A^2 - 1 = (A-1)(A+1) = (2u/ab)(A+1): evaluate in factored form so the
-    # u -> 0 cancellation against the (p - w) numerator stays accurate.
-    root = np.sqrt(np.maximum(a_minus_1 * (big_a + 1.0), 0.0))
-    d_a = (4.0 / ab) * (diff + (u / a) * p)
-    grad = np.divide(d_a, root, out=np.zeros_like(d_a), where=root > 0)
-    grad[(u <= _ZERO_DIST_SQ).ravel()] = 0.0
-    return grad
+    so s = weight 4/(ab sqrt(x (x + 2))) per pair scales p - w, and t = sum
+    over pairs of s u/a scales p.  ``live`` pairs (u > _ZERO_DIST_SQ) only."""
+    a = 1.0 - p2
+    ab = a * (1.0 - w2)
+    x = 2.0 * u / ab
+    live = u > _ZERO_DIST_SQ
+    s = np.divide(4.0 * weight, ab * np.sqrt(x * (x + 2.0)), out=np.zeros_like(u), where=live)
+    # summed in pair order: a reduction over a lone sample's pairs would pair them up
+    return s, np.cumsum(s * u, axis=0)[-1] / a
 
 
-def _euclidean_grad(p: np.ndarray, p2: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Unit vector (p - w)/||p - w|| row-wise; zero where p = w.  The
-    squared norms go unused."""
-    diff = p - w
-    r = np.linalg.norm(diff, axis=-1, keepdims=True)
-    return np.divide(diff, r, out=np.zeros_like(diff), where=r > 0)
+def _euclidean_grad(p2: np.ndarray, w2: np.ndarray, u: np.ndarray, weight: np.ndarray):
+    """Pair scales of the weighted Euclidean gradient, (p - w)/||p - w|| per
+    pair: s = weight/sqrt(u) on ``live`` pairs, and no term along p."""
+    live = u > _ZERO_DIST_SQ
+    return np.divide(weight, np.sqrt(u), out=np.zeros_like(u), where=live), None
 
 
-# Metric name -> (distance from ||p||^2, ||w||^2 and p.w, elementwise; the
-# distance's gradient in p from p, ||p||^2, w and ||w||^2, row-wise).
+# Metric name -> (distance from ||p||^2, ||w||^2 and u = ||p - w||^2,
+# elementwise; the pair scales of its weighted gradient in p).
 _METRICS = {
-    "geodesic": (_geodesic_from_inner, _geodesic_grad),
-    "euclidean": (_euclidean_from_inner, _euclidean_grad),
+    "geodesic": (_geodesic, _geodesic_grad),
+    "euclidean": (_euclidean, _euclidean_grad),
 }
 
 
 def metric_kernels(metric: str):
-    """The (from_inner, grad) kernels of ``metric``; a ValueError names an
+    """The (distance, grad) kernels of ``metric``; a ValueError names an
     unknown metric."""
     try:
         return _METRICS[metric]
@@ -134,19 +120,41 @@ def distance_to_set_arr(
     each row of ``w`` (C, n) or (..., C, n), given the squared row norms
     ``p2`` (..., B) and ``w2`` (C,) or (..., C).
 
-    One ``np.matmul`` takes every inner product; a leading axis stacks
-    independent (B, n) by (C, n) products, each with the bits of its own call.
+    One ``np.matmul`` takes every inner product, and u = ||p||^2 + ||w||^2 -
+    2 p.w: cheap for every pair, but it cancels as p nears w, so only
+    scoring, which reads an argmin or a mean, uses it.  A leading axis
+    stacks independent (B, n) by (C, n) products, each with the bits of its
+    own call.
     """
-    from_inner, _ = metric_kernels(metric)
-    return from_inner(p2[..., None], w2[..., None, :], p @ w.mT)
+    distance, _ = metric_kernels(metric)
+    p2, w2 = p2[..., None], w2[..., None, :]
+    return distance(p2, w2, np.maximum(p2 + w2 - 2.0 * (p @ w.mT), 0.0))
 
 
 def dist_grad_wrt_point_arr(
-    p: np.ndarray, p2: np.ndarray, w: np.ndarray, w2: np.ndarray, metric: str = "geodesic"
+    p: np.ndarray,
+    p2: np.ndarray,
+    diff: np.ndarray,
+    u: np.ndarray,
+    w2: np.ndarray,
+    weight: np.ndarray,
+    metric: str = "geodesic",
 ) -> np.ndarray:
-    """Gradient of the ``metric`` distance(p, w) with respect to p, row-wise,
-    for (B, n) rows ``p`` and ``w`` with squared norms ``p2`` and ``w2`` (B,)."""
-    return metric_kernels(metric)[1](p, p2, w, w2)
+    """sum_k weight[k] grad_p d(p, w_k): the weighted gradient in p of the
+    ``metric`` distances from each row of ``p`` (B, n) to K prototypes, given
+    per pair k the shared ``diff`` = p - w_k (K, B, n), ``u`` = ||diff||^2
+    and ``w2`` = ||w_k||^2 (K, B), and ||p||^2 ``p2`` (B,).
+
+    The (K, B) weights are folded into scalar pair scales first, so the only
+    (n-wide) work is one sum over the pairs, taken in pair order from zero.
+    A pair with u <= _ZERO_DIST_SQ sits at the non-differentiable minimum
+    d = 0 and adds nothing.
+    """
+    s, t = metric_kernels(metric)[1](p2, w2, u, weight)
+    grad = np.add.reduce(s[..., None] * diff, axis=0)
+    if t is not None:
+        grad += t[:, None] * p
+    return grad
 
 
 def exp_map_origin_jvp_transpose_arr(z: np.ndarray, r: np.ndarray, v: np.ndarray) -> np.ndarray:

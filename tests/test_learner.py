@@ -20,12 +20,13 @@ from hyperfl.learner import (
 )
 from hyperfl.prototypes import PrototypeSet, build_prototypes
 from oracles import (
-    dist_grad,
     distances,
     draw_negatives,
     exp0,
     fresh_triplet_grad,
     log0,
+    pair_distance,
+    pair_grad_scales,
     pullback,
     sampled_triplet_loss,
     sq_norms,
@@ -390,34 +391,44 @@ REFERENCE_ACT_PRIME = {
 
 
 def reference_triplet_grad(theta, cfg, x, y, neg, protos, margin, metric):
-    """Per-sample reference for triplet_grad: one pass per round (row of
-    ``neg``), and a fresh concatenated gradient per call."""
-    b = x.shape[0]
+    """Per-pair reference for triplet_grad: the sampled loss and a fresh
+    gradient from a loop over each sample's positive and R negatives, one
+    pair at a time.  A pair's weight is +k on the positive, k the sample's
+    number of active rounds, -1 on an active negative and 0 otherwise, times
+    the loss scale 1/(B R); the pairs' gradient terms are summed in pair
+    order from zero."""
     z, acts, layers = learner._forward_cached(theta, cfg, x)
     p = exp0(z)
-    d_all = distances(p, protos.weights, metric)
-    d_pos = d_all[np.arange(b), y]
-    loss_acc = np.zeros(b)
-    d_p_acc = np.zeros_like(p)
-    grad_pos = dist_grad(p, protos.weights[y], metric)
-    for row in neg:
-        gap = d_pos - d_all[np.arange(b), row] + margin
-        active = gap > 0.0
-        loss_acc += np.maximum(gap, 0.0)
-        if np.any(active):
-            grad_neg = dist_grad(
-                p[active], protos.weights[row[active]], metric
-            )
-            d_p_acc[active] += grad_pos[active] - grad_neg
-    scale = 1.0 / (b * len(neg))
-    d_z = pullback(z, d_p_acc * scale)
+    scale = 1.0 / neg.size
+    loss = 0.0
+    d_p = np.zeros_like(p)
+    for i in range(x.shape[0]):
+        p2 = sq_norms(p[i])
+        pairs = [y[i], *neg[:, i]]
+        diffs = [p[i] - protos.weights[c] for c in pairs]
+        us = [sq_norms(diff) for diff in diffs]
+        w2s = [protos.sq_norms[c] for c in pairs]
+        d = [pair_distance(p2, w2, u, metric) for w2, u in zip(w2s, us)]
+        gaps = [d[0] - d_neg + margin for d_neg in d[1:]]
+        loss += sum(max(gap, 0.0) for gap in gaps)
+        active = [gap > 0.0 for gap in gaps]
+        if not any(active):
+            continue
+        weights = [sum(active) * scale] + [-scale if a else 0.0 for a in active]
+        acc, t = np.zeros_like(p[i]), 0.0
+        for diff, u, w2, weight in zip(diffs, us, w2s, weights):
+            s, e = pair_grad_scales(p2, w2, u, weight, metric)
+            acc = acc + s * diff
+            t = t + e
+        d_p[i] = acc + (t / (1.0 - p2)) * p[i] if metric == "geodesic" else acc
+    d_z = pullback(z, d_p)
     grads = []
     delta = d_z
     for i in reversed(range(len(layers))):
         grads[:0] = [delta.T @ acts[i], delta.sum(axis=0)]
         if i > 0:
             delta = (delta @ layers[i][0]) * REFERENCE_ACT_PRIME[cfg.activation](acts[i])
-    return float(np.sum(loss_acc) * scale), flat(*grads)
+    return float(loss * scale), flat(*grads)
 
 
 def reference_local_train(theta_in, train, protos, cfg, tcfg, epochs, batch_size, lr,
@@ -528,7 +539,7 @@ def steerable_net(target_z, k, activation):
 
 
 class TestStepMatchesReference:
-    """triplet_grad has the bits of the per-sample reference on both of its
+    """triplet_grad has the bits of the per-pair reference on both of its
     paths: steps with an active hinge, and steps without one (anchors on
     their own prototypes), with rows on the ball clamp and rows small enough
     for the series branch of the pullback."""
@@ -615,50 +626,52 @@ class TestMixedSteps:
         assert False in active and True in active
 
 
-class TestGatheredDistances:
-    """Each gathered pair distance has the bits of the matching entry of the
-    (B, C) matrix, at the ball boundary and for near-coincident points too."""
+class TestStepKernelCalls:
+    """The step measures each of its pairs once, from p - w: a step with an
+    active hinge makes one distance-gradient call and takes no (B, C)
+    distance matrix; a step without one makes neither call."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        b=st.integers(1, 40),
-        c=st.integers(2, 120),
-        n=st.integers(1, 20),
-        rounds=st.integers(0, 5),
-        seed=st.integers(0, 2**32 - 1),
-        clamped=st.integers(0, 10),
-        coincident=st.integers(0, 10),
-    )
-    def test_pair_distance_bytes(self, b, c, n, rounds, seed, clamped, coincident):
-        rng = np.random.default_rng(seed)
-        w = exp0(rng.standard_normal((c, n)))
-        p = exp0(rng.standard_normal((b, n)))
-        # rounds == 0 stands for a single (B,) row of class indices
-        cols = rng.integers(0, c, (max(rounds, 1), b))
-        if rounds == 0:
-            cols = cols[0]
-        rows = np.atleast_2d(cols)
-        # huge tangent vectors land on the clamp at norm 1 - 1e-5
-        for _ in range(clamped):
-            p[rng.integers(b)] = exp0(1e3 * rng.standard_normal((1, n)))
-            w[rng.integers(c)] = exp0(1e3 * rng.standard_normal((1, n)))
-        # p on, or within rounding of, a prototype it is measured against
-        for _ in range(coincident):
-            i = rng.integers(b)
-            target = w[rows[rng.integers(rows.shape[0]), i]]
-            p[i] = target * (1.0 + float(rng.choice([0.0, 1e-16, -1e-12, 1e-9])))
-        full_rows = np.arange(b)
-        for metric in ("geodesic", "euclidean"):
-            full = distances(p, w, metric)
-            got = learner._distances_at(p, sq_norms(p), w, sq_norms(w), cols, metric)
-            assert got.shape == cols.shape
-            assert got.tobytes() == full[full_rows, cols].tobytes()
+    def kernel_calls(self, monkeypatch, *step_args):
+        calls = {"distance_to_set_arr": 0, "dist_grad_wrt_point_arr": 0}
+        for name in calls:
+            fn = getattr(poincare, name)
 
-    def test_unknown_metric_rejected(self):
-        p = np.zeros((2, 3))
-        with pytest.raises(ValueError, match="metric"):
-            w = np.eye(3) * 0.5
-            learner._distances_at(p, sq_norms(p), w, sq_norms(w), np.array([0, 1]), "cosine")
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(poincare, name, counted)
+        grad = fresh_triplet_grad(*step_args)[1]
+        return calls, grad
+
+    @pytest.mark.parametrize("metric", ["geodesic", "euclidean"])
+    def test_active_step_makes_one_gradient_call(self, protos3, monkeypatch, metric):
+        cfg = ExtractorConfig(input_dim=4, hidden=(5,), output_dim=3)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((11, 4)), rng.integers(0, 3, 11)
+        neg = draw_negatives(y, 3, rounds=3, seed=3)
+        calls, grad = self.kernel_calls(monkeypatch, init_params(cfg, 0), cfg, x, y, neg,
+                                        protos3, 3.0, metric)
+        assert grad.any()
+        assert calls == {"distance_to_set_arr": 0, "dist_grad_wrt_point_arr": 1}
+
+    def test_step_without_active_hinge_makes_no_kernel_call(self, monkeypatch):
+        # anchors on their own prototypes, margin below every prototype gap
+        protos = random_protos(6, 4, seed=3)
+        theta = flat(log0(protos.weights).T, np.zeros(4))
+        y = np.array([0, 3, 5, 1])
+        neg = draw_negatives(y, 6, rounds=2, seed=2)
+        calls, grad = self.kernel_calls(monkeypatch, theta, linear_cfg(6, 4), np.eye(6)[y], y,
+                                        neg, protos, 0.1)
+        assert not grad.any()
+        assert calls == {"distance_to_set_arr": 0, "dist_grad_wrt_point_arr": 0}
+
+    def test_unknown_metric_rejected(self, protos3):
+        cfg = linear_cfg(2, 3)
+        theta = init_params(cfg, 0)
+        with pytest.raises(ValueError, match="unknown metric 'cosine'"):
+            triplet_grad(theta, cfg, np.ones((2, 2)), np.array([0, 1]), np.array([[1, 2]]),
+                         protos3, 3.0, np.zeros_like(theta), "cosine")
 
 
 class TestGradientBuffer:

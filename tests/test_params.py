@@ -40,7 +40,45 @@ def test_checkpoint_roundtrip(tmp_path):
     assert (back.metric, back.prototypes_sha256) == (pv.metric, pv.prototypes_sha256)
     assert np.array_equal(back.values, pv.values)
     header = json.loads(path.read_bytes().split(b"\n")[1])
-    assert header == {"model": MODEL}
+    assert header.keys() == {"model", "sha256"}
+    assert header["model"] == MODEL
+
+
+def edit_header(path, edit) -> None:
+    """Rewrite the header line of the checkpoint at ``path`` through ``edit``."""
+    magic, line, body = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(magic + b"\n" + header_line(edit(json.loads(line))) + b"\n" + body)
+
+
+def test_checkpoint_edited_to_another_architecture_of_the_same_size_refused(tmp_path):
+    # 3-2 and 3-1-2 both hold 8 values, so only the digest ties them to EXT
+    assert ExtractorConfig(3, (1,), 2).num_params == EXT.num_params
+    path = tmp_path / "model.params"
+    save_params(make_pv(np.linspace(-1, 1, 8)), path)
+    edit_header(path, lambda h: {**h, "model": {**h["model"], "hidden": [1]}})
+    with pytest.raises(ValueError, match="'sha256' does not match") as err:
+        load_params(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_edited_payload_refused(tmp_path):
+    path = tmp_path / "model.params"
+    save_params(make_pv(np.linspace(-1, 1, 8)), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + np.array([0.5], dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="'sha256' does not match"):
+        load_params(path)
+
+
+def test_checkpoint_without_digest_loads_unchecked(tmp_path):
+    # a header written before the digest existed: same values, same record
+    pv = make_pv(np.linspace(-1, 1, 8))
+    path = tmp_path / "model.params"
+    save_params(pv, path)
+    edit_header(path, lambda h: {"model": h["model"]})
+    back = load_params(path)
+    assert back.extractor == pv.extractor
+    assert back.values.tobytes() == pv.values.tobytes()
 
 
 def test_checkpoint_with_stored_layout_loads(tmp_path):
@@ -70,9 +108,11 @@ def test_checkpoint_nonfinite_payload_rejected(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "model.params"
     save_params(pv, path)
+    # without the digest, which an edited payload would fail first
+    edit_header(path, lambda h: {"model": h["model"]})
     raw = path.read_bytes()
     path.write_bytes(raw[:-8] + np.array([np.inf], dtype="<f8").tobytes())
-    with pytest.raises(ValueError, match="finite") as err:
+    with pytest.raises(ValueError, match="values must be finite") as err:
         load_params(path)
     assert str(path) in str(err.value)
 

@@ -1,9 +1,20 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from hyperfl import poincare as pb
 from hyperfl.poincare import _project_to_ball_arr
-from oracles import dist_grad, distances, exp0, log0, mobius_add_arr, pullback, sq_norms
+from oracles import (
+    dist_grad,
+    distances,
+    exp0,
+    log0,
+    mobius_add_arr,
+    pullback,
+    sq_norms,
+    step_distances,
+)
 
 RNG = np.random.default_rng(20240601)
 
@@ -212,6 +223,67 @@ class TestMetricTable:
     def test_unknown_metric_named_by_every_entry(self, metric):
         # an unknown name is refused, never read as one of the known metrics
         p, w = np.zeros((1, 2)), np.full((1, 2), 0.5)
-        for call in (pb.distance_to_set_arr, pb.dist_grad_wrt_point_arr):
-            with pytest.raises(ValueError, match=f"unknown metric {metric!r}"):
-                call(p, sq_norms(p), w, sq_norms(w), metric)
+        with pytest.raises(ValueError, match=f"unknown metric {metric!r}"):
+            pb.distance_to_set_arr(p, sq_norms(p), w, sq_norms(w), metric)
+        with pytest.raises(ValueError, match=f"unknown metric {metric!r}"):
+            dist_grad(p, w, metric)
+
+
+def decimal_geodesic(p, w, digits=50):
+    """d(p, w) and its gradient in p for one pair of float64 points, in
+    ``digits``-digit decimal arithmetic on the points' exact values: with u =
+    ||p - w||^2, a = 1 - ||p||^2, b = 1 - ||w||^2 and A = 1 + 2u/(ab),
+    d = acosh(A) = ln(A + sqrt(A^2 - 1)) and its gradient is
+    (4 / (ab sqrt(A^2 - 1))) [(p - w) + (u/a) p]."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pd = [Decimal(float(v)) for v in p]
+        wd = [Decimal(float(v)) for v in w]
+        diff = [x - y for x, y in zip(pd, wd)]
+        u = sum(x * x for x in diff)
+        a = 1 - sum(x * x for x in pd)
+        b = 1 - sum(x * x for x in wd)
+        big_a = 1 + 2 * u / (a * b)
+        root = (big_a * big_a - 1).sqrt()
+        scale = 4 / (a * b * root)
+        grad = [scale * (x + u / a * y) for x, y in zip(diff, pd)]
+        return float((big_a + root).ln()), np.array([float(g) for g in grad])
+
+
+class TestNearCoincidentPoints:
+    """The training step's distance and gradient, both from p - w, stay
+    accurate as a point nears a prototype, against a 50-digit oracle; the
+    inner-product form the scoring matrix uses cancels there instead."""
+
+    @pytest.mark.parametrize("separation", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_distance_and_gradient_match_decimal_oracle(self, separation):
+        rng = np.random.default_rng(27)
+        n = 16
+        for _ in range(20):
+            w = rng.standard_normal(n)
+            w *= 0.9 / np.linalg.norm(w)
+            step = rng.standard_normal(n)
+            p = w + separation * step / np.linalg.norm(step)
+            want_d, want_g = decimal_geodesic(p, w)
+            got_d = step_distances(p[None], w[None])[0]
+            got_g = dist_grad(p[None], w[None])[0]
+            assert abs(got_d - want_d) <= 1e-13 * want_d
+            assert np.linalg.norm(got_g - want_g) <= 1e-13 * np.linalg.norm(want_g)
+
+    @pytest.mark.parametrize("r", [6.11, 6.5, 8.0, 20.0, 1e3, 1e8])
+    def test_gradient_finite_past_the_ball_clamp(self, r):
+        # tangent norms above artanh(1 - 1e-5) ~ 6.10 land on the clamp,
+        # whose projection the pullback does not differentiate
+        assert np.arctanh(1.0 - pb.EPS_BALL) < 6.11
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal((8, 16))
+        z *= r / np.linalg.norm(z, axis=1, keepdims=True)
+        p = exp0(z)
+        assert np.allclose(np.linalg.norm(p, axis=1), 1.0 - pb.EPS_BALL, rtol=0, atol=1e-15)
+        # prototypes at 0.9, on the clamp, and within 1e-8 of the point
+        w = np.concatenate((0.9 * p[:3] / np.linalg.norm(p[:3], axis=1, keepdims=True),
+                            exp0(rng.standard_normal((3, 16)) * 50.0), p[6:] * (1.0 - 1e-8)))
+        for metric in ("geodesic", "euclidean"):
+            d = step_distances(p, w, metric)
+            g = pullback(z, dist_grad(p, w, metric))
+            assert np.isfinite(d).all() and np.isfinite(g).all()

@@ -6,11 +6,14 @@ one with every thread variable the benchmark sets (``THREAD_VARS`` in
 bench/run.py) at 1 and one with them at 2, and once in this process.  Every
 file except the timed ones must have the same sha256 in all three.  A
 threaded BLAS that splits a product differently at another thread count
-shows up here.  The outputs are the golden ``TINY`` run, the benchmark's
-``cross_device`` workload at master seed 0 (K = 300 clients, the largest
-(K, K) deviation Gram of any workload; its config is read from
-bench/workloads.py), and a C=100, n=16 prototype file, whose (C, C) Gram and
-(C, C) @ (C, n) subgradient product are the largest BLAS calls of set-up.
+shows up here.  The outputs are the golden ``TINY`` run, two of the
+benchmark's workloads at master seed 0, their configs read from
+bench/workloads.py: ``cross_device`` (K = 300 clients, the largest (K, K)
+deviation Gram of any workload) and ``many_classes`` (B = 256 batches,
+whose forward and backward products are the largest of any training step,
+large enough for OpenBLAS to split them across threads), and a C=100, n=16
+prototype file, whose (C, C) Gram and (C, C) @ (C, n) subgradient product
+are the largest BLAS calls of set-up.
 """
 
 import ast
@@ -87,13 +90,24 @@ def test_bytes_match_across_processes_and_thread_counts(tmp_path):
     assert STREAMS <= set(run_everywhere(tmp_path, golden.TINY))
 
 
-def test_cross_device_bytes_match_across_processes_and_thread_counts(tmp_path):
+def workload_config(name: str) -> dict:
+    """The benchmark's ``name`` workload at master seed 0, from bench/workloads.py."""
     spec = importlib.util.spec_from_file_location("bench_workloads",
                                                   ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    config = workloads.config("cross_device", 0)
+    return workloads.config(name, 0)
+
+
+def test_cross_device_bytes_match_across_processes_and_thread_counts(tmp_path):
+    config = workload_config("cross_device")
     assert config["partition"]["num_clients"] == 300
+    assert STREAMS <= set(run_everywhere(tmp_path, config))
+
+
+def test_many_classes_bytes_match_across_processes_and_thread_counts(tmp_path):
+    config = workload_config("many_classes")
+    assert config["batch_size"] == 256
     assert STREAMS <= set(run_everywhere(tmp_path, config))
 
 
