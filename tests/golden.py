@@ -76,6 +76,10 @@ CONFIGS = {
     # two negatives per sample: a sample whose hinge is active in both rounds
     # sums its two gradient terms in round-major order
     "two_negatives": ({**TINY, "triplet": {"negatives_per_sample": 2}}, None),
+    # a large step drives some training-step features past artanh(1 - EPS_BALL),
+    # so the exp map's radius cap reaches the bytes; the other configs stay
+    # below it (at lr 3 only scoring reaches it, and no output byte shows it)
+    "ball_cap": ({**TINY, "lr": 8.0}, None),
 }
 
 
