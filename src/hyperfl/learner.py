@@ -1,7 +1,9 @@
 """Client-side training: extractor, hyperbolic triplet objective, local SGD.
 
-A small MLP maps raw features to tangent vectors at the ball origin; the
-exp map projects them into the ball, where the triplet hinge
+A small MLP maps raw features to tangent vectors z at the ball origin; the
+exp map, which caps the radius at 1 - EPS_BALL, takes them into the ball.
+One helper, ``_embed``, does both for every batch: the training step and
+both scoring functions take their ball points from it.  There the hinge
 
     max(d(exp0(z), w_y) - d(exp0(z), w_neg) + margin, 0)
 
@@ -115,26 +117,21 @@ def init_params(cfg: ExtractorConfig, seed: int) -> np.ndarray:
     return theta
 
 
-def _forward_cached(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
+def _embed(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
+    """Run the extractor on a (B, input_dim) batch, or a (..., B, input_dim)
+    stack under a (..., P) block of models, and map its tangent features z
+    into the ball: returns the ball points p, ||p||^2, ||z||, the activations
+    (input first, z last) and the layer views the backward pass reads."""
     layers = _layers(theta, cfg)
     act = _ACTIVATIONS[cfg.activation][0]
     acts = [x]
     for i, (w, b) in enumerate(layers):
         a = acts[-1] @ w.mT + b[..., None, :]
         acts.append(act(a) if i < len(layers) - 1 else a)
-    return acts[-1], acts, layers
-
-
-def forward_batch(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray) -> np.ndarray:
-    """Tangent-space features for a (B, input_dim) batch, or for a (..., B,
-    input_dim) stack of batches under a (..., P) block of models."""
-    return _forward_cached(theta, cfg, x)[0]
-
-
-def _ball_points(theta: np.ndarray, cfg: ExtractorConfig, x: np.ndarray):
-    """The ball points exp0(forward(x)) of a batch and their squared norms."""
-    z = forward_batch(theta, cfg, x)
-    return poincare.exp_map_origin_arr(z, np.sqrt(np.add.reduce(z * z, axis=-1)))
+    z = acts[-1]
+    # ||z|| is taken once: the exp map and its pullback both read it
+    z_norm = np.sqrt(np.add.reduce(z * z, axis=-1))
+    return (*poincare.exp_map_origin_arr(z, z_norm), z_norm, acts, layers)
 
 
 def _backward(cfg: ExtractorConfig, acts, layers, delta: np.ndarray, grads) -> None:
@@ -189,10 +186,7 @@ def triplet_grad(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
 
-    z, acts, layers = _forward_cached(theta, cfg, x)
-    # each row norm is taken once and shared by the kernels that read it
-    z_norm = np.sqrt(np.add.reduce(z * z, axis=-1))
-    p, p2 = poincare.exp_map_origin_arr(z, z_norm)
+    p, p2, z_norm, acts, layers = _embed(theta, cfg, x)
     # pair row 0: the true labels; row 1 + r: the negatives of round r
     cols = np.concatenate((y[None], neg))
     diff = p - protos.weights[cols]
@@ -205,7 +199,7 @@ def triplet_grad(
         scale = 1.0 / neg.size
         weight = np.concatenate((active.sum(axis=0, keepdims=True) * scale, active * -scale))
         d_p = poincare.dist_grad_wrt_point_arr(p, p2, diff, u, w2, weight, metric)
-        d_z = poincare.exp_map_origin_jvp_transpose_arr(z, z_norm, d_p)
+        d_z = poincare.exp_map_origin_jvp_transpose_arr(acts[-1], z_norm, d_p)
         _backward(cfg, acts, layers, d_z, _layers(out, cfg))
         finite = np.isfinite(out).all()
     else:
@@ -239,7 +233,7 @@ def mean_triplet_loss(
     (G, B) against one set or G sets stacked as (G, C, n) and (G, C), and
     returns G losses.
     """
-    p, p2 = _ball_points(theta, cfg, x)
+    p, p2 = _embed(theta, cfg, x)[:2]
     d_all = poincare.distance_to_set_arr(p, p2, w, w2, metric)
     pos = y[..., None]
     gaps = np.maximum(np.take_along_axis(d_all, pos, axis=-1) - d_all + margin, 0.0)
@@ -304,5 +298,5 @@ def predict_batch(
     Takes the stacked shapes of ``mean_triplet_loss`` as well: a (G, P)
     block with (G, B, d) inputs gives (G, B) labels.
     """
-    p, p2 = _ball_points(theta, cfg, x)
+    p, p2 = _embed(theta, cfg, x)[:2]
     return np.argmin(poincare.distance_to_set_arr(p, p2, w, w2, metric), axis=-1)

@@ -17,10 +17,10 @@ sorted keys) followed by the payload, so a header edited to another
 architecture of the same size no longer fits its values.  A header missing
 a ``model`` field is rejected with an error naming the file and field, a
 payload of another size than the architecture implies with one naming the
-file and both sizes, and a digest that does not match with one naming the
-file.  A header without ``sha256``, as written before it existed,
-loads unchecked.  Any other header key, such as the ``layout`` that older
-checkpoints stored, is ignored.
+file and both sizes, and a missing or unmatched ``sha256`` with one naming
+the file and the field.  So a checkpoint written before the digest existed
+no longer loads; a re-run writes it again.  Any other header key, such as
+the ``layout`` that older checkpoints stored, is ignored.
 """
 
 from __future__ import annotations
@@ -110,7 +110,9 @@ def load_params(path: str | Path) -> ParamVector:
     body = rest[newline + 1 :]
     if len(body) != 8 * ext.num_params:
         raise ValueError(f"{path}: expected {8 * ext.num_params} payload bytes, found {len(body)}")
-    if "sha256" in header and header["sha256"] != _digest(model, body):
+    if "sha256" not in header:
+        raise ValueError(f"{path}: checkpoint header has no 'sha256' field")
+    if header["sha256"] != _digest(model, body):
         raise ValueError(f"{path}: header field 'sha256' does not match the model and payload")
     values = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:

@@ -1,7 +1,8 @@
 """Poincare-ball geometry at curvature -1 (open unit ball), as batched kernels.
 
 Conventions:
-    ball point   x : ||x||_2 < 1; kernels clamp their outputs to 1 - EPS_BALL
+    ball point   x : ||x||_2 < 1; the exp map, the one way into the ball,
+                     caps its outputs at radius 1 - EPS_BALL
     tangent vec  z : any finite vector, read as tangent at the origin
 
     distance(a, b)   = arcosh(1 + 2||a-b||^2 / ((1-||a||^2)(1-||b||^2)))
@@ -24,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Boundary clamp: points are kept at norm <= 1 - EPS_BALL so that the
-# distance formula (which diverges at the boundary) stays finite.
+# Boundary cap: the exp map keeps its points at norm <= 1 - EPS_BALL so that
+# the distance formula (which diverges at the boundary) stays finite.
 EPS_BALL = 1e-5
 
 # Below this squared separation the distance gradient is treated as sitting
@@ -33,29 +34,20 @@ EPS_BALL = 1e-5
 _ZERO_DIST_SQ = 1e-24
 
 
-def _project_to_ball_arr(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Radially clamp rows of ``x`` to norm <= 1 - EPS_BALL; returns the
-    clamped rows and their squared norms.
-
-    Rows already inside the limit are returned bit-identical.
-    """
-    sq = np.add.reduce(x * x, axis=-1)
-    norms = np.sqrt(sq)[..., None]
-    limit = 1.0 - EPS_BALL
-    over = norms > limit
-    if not over.any():
-        return x, sq
-    x = x * np.where(over, limit / np.maximum(norms, limit), 1.0)
-    return x, np.add.reduce(x * x, axis=-1)
-
-
 def exp_map_origin_arr(z: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise exp map at the origin, ball-clamped, for ``z`` of shape
-    (..., B, n) and its row norms ``r`` = ||z|| of shape (..., B); returns
-    the ball points p and their squared norms ||p||^2."""
+    """Row-wise exp map at the origin for ``z`` of shape (..., B, n) and its
+    row norms ``r`` = ||z|| of shape (..., B); returns the ball points p and
+    their squared norms ||p||^2.
+
+    The radius is capped in the scale itself: p = z min(tanh r, 1 - EPS_BALL)/r,
+    so a row with r > artanh(1 - EPS_BALL) lands at radius 1 - EPS_BALL on
+    its own ray, and every other row is z tanh(r)/r.  A zero row stays zero.
+    """
     r = r[..., None]
-    scale = np.divide(np.tanh(r), r, out=np.ones_like(r), where=r > 0)
-    return _project_to_ball_arr(z * scale)
+    scale = np.divide(np.minimum(np.tanh(r), 1.0 - EPS_BALL), r, out=np.ones_like(r),
+                      where=r > 0)
+    p = z * scale
+    return p, np.add.reduce(p * p, axis=-1)
 
 
 def _geodesic(p2: np.ndarray, w2: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -165,6 +157,11 @@ def exp_map_origin_jvp_transpose_arr(z: np.ndarray, r: np.ndarray, v: np.ndarray
     (symmetric), so the transpose product is g v + (g'(r)/r) (z . v) z.
     Rows with r < 1e-4 use the series expansions g ~ 1 - r^2/3,
     g'/r ~ -2/3, evaluated only when such a row exists.
+
+    This is the Jacobian of the uncapped map tanh(r) z/r: a row that
+    ``exp_map_origin_arr`` caps at radius 1 - EPS_BALL gets the gradient it
+    would have below the cap (straight through the cap), not the capped
+    map's, which has no radial part.
     """
     r = r[..., None]
     small = r < 1e-4

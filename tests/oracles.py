@@ -4,7 +4,7 @@ import numpy as np
 
 from hyperfl import learner
 from hyperfl.poincare import (
-    _project_to_ball_arr,
+    EPS_BALL,
     dist_grad_wrt_point_arr,
     distance_to_set_arr,
     exp_map_origin_arr,
@@ -24,6 +24,21 @@ def exp0(z):
     their norms taken here."""
     z = np.asarray(z, dtype=np.float64)
     return exp_map_origin_arr(z, np.sqrt(sq_norms(z)))[0]
+
+
+def features(theta, cfg, x):
+    """The tangent features z of a batch: the extractor's last activation,
+    from the program's one embedding helper."""
+    return learner._embed(theta, cfg, np.asarray(x, dtype=np.float64))[3][-1]
+
+
+def project_to_ball(x):
+    """Rows of ``x`` radially clamped to norm <= 1 - EPS_BALL; rows already
+    inside the limit are returned bit-identical."""
+    x = np.asarray(x, dtype=np.float64)
+    norms = np.sqrt(sq_norms(x))[..., None]
+    limit = 1.0 - EPS_BALL
+    return x * np.where(norms > limit, limit / np.maximum(norms, limit), 1.0)
 
 
 def distances(p, w, metric="geodesic"):
@@ -101,7 +116,7 @@ def sampled_triplet_loss(theta, cfg, x, y, neg, protos, margin, metric="geodesic
     per sample, the hinge averaged over its negatives, one (R, B) row of
     ``neg`` per round, each distance taken from p - w."""
     y = np.asarray(y, dtype=np.int64)
-    p = exp0(learner.forward_batch(theta, cfg, np.asarray(x, dtype=np.float64)))
+    p = exp0(features(theta, cfg, x))
     cols = np.concatenate((y[None], neg))
     d = pair_distance(sq_norms(p), protos.sq_norms[cols],
                       sq_norms(p - protos.weights[cols]), metric)
@@ -127,4 +142,4 @@ def mobius_add_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ab = np.sum(a * b, axis=-1, keepdims=True)
     num = (1.0 + 2.0 * ab + b2) * a + (1.0 - a2) * b
     den = 1.0 + 2.0 * ab + a2 * b2
-    return _project_to_ball_arr(num / den)[0]
+    return project_to_ball(num / den)

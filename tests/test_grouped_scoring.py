@@ -18,14 +18,14 @@ from hyperfl.data import ClientShard, LabeledDataset
 from hyperfl.federation import evaluate_pfl
 from hyperfl.learner import ExtractorConfig, TripletConfig
 from hyperfl.prototypes import random_prototypes
-from oracles import distances, exp0
+from oracles import distances, exp0, features
 
 NUM_CLASSES, DIM = 4, 3
 
 
 def reference_loss(theta, cfg, ds, protos, margin, metric):
     """The loss metric of one client, written out per sample."""
-    p = exp0(learner.forward_batch(theta, cfg, ds.features))
+    p = exp0(features(theta, cfg, ds.features))
     d_all = distances(p, protos.weights, metric)
     idx = np.arange(ds.size)
     gaps = np.maximum(d_all[idx, ds.labels][:, None] - d_all + margin, 0.0)
@@ -89,7 +89,7 @@ def test_grouped_scoring_equals_per_client_calls(sizes, metric, activation, hidd
             single = learner.predict_batch(models[k], cfg, protos[k].weights, protos[k].sq_norms,
                                            test.features, metric)
             assert pred.tobytes() == single.tobytes()
-            p = exp0(learner.forward_batch(models[k], cfg, test.features))
+            p = exp0(features(models[k], cfg, test.features))
             assert np.array_equal(pred, np.argmin(distances(p, protos[k].weights, metric), axis=1))
 
     tcfg = TripletConfig(margin=margin)

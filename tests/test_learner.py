@@ -10,7 +10,6 @@ from hyperfl.data import ClientShard, LabeledDataset, PartitionSpec, make_synthe
 from hyperfl.learner import (
     ExtractorConfig,
     TripletConfig,
-    forward_batch,
     init_params,
     local_train,
     mean_triplet_loss,
@@ -23,6 +22,7 @@ from oracles import (
     distances,
     draw_negatives,
     exp0,
+    features,
     fresh_triplet_grad,
     log0,
     pair_distance,
@@ -62,20 +62,20 @@ class TestExtract:
     def test_zero_parameters_give_zero_feature(self):
         cfg = ExtractorConfig(input_dim=4, hidden=(6,), output_dim=3)
         theta = np.zeros(sum(np.prod(shape) for _, _, shape in cfg.spans))
-        out = forward_batch(theta, cfg, np.array([[1.0, -2.0, 0.5, 3.0]]))
+        out = features(theta, cfg, np.array([[1.0, -2.0, 0.5, 3.0]]))
         assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_identity_layer_passes_basis_vector(self):
         cfg = linear_cfg(3, 3)
         theta = flat(np.eye(3), np.zeros(3))
-        out = forward_batch(theta, cfg, np.array([[1.0, 0.0, 0.0]]))
+        out = features(theta, cfg, np.array([[1.0, 0.0, 0.0]]))
         assert np.array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_deterministic(self):
         cfg = ExtractorConfig(input_dim=5, hidden=(7,), output_dim=2)
         x = np.arange(5.0)[None, :]
-        a = forward_batch(init_params(cfg, 3), cfg, x)
-        b = forward_batch(init_params(cfg, 3), cfg, x)
+        a = features(init_params(cfg, 3), cfg, x)
+        b = features(init_params(cfg, 3), cfg, x)
         assert np.array_equal(a, b)
 
     def test_layer_views_follow_layout(self):
@@ -94,7 +94,7 @@ class TestExtract:
     def test_dimension_checked(self):
         cfg = linear_cfg(3, 2)
         with pytest.raises(ValueError):
-            forward_batch(init_params(cfg, 0), cfg, np.zeros((1, 4)))
+            features(init_params(cfg, 0), cfg, np.zeros((1, 4)))
 
 
 class TestTripletLoss:
@@ -339,7 +339,7 @@ class TestPredict:
         cfg = ExtractorConfig(input_dim=3, hidden=(4,), output_dim=2)
         theta = init_params(cfg, 0)
         theta += 1e6  # absurd weights still give a valid ball point
-        z = forward_batch(theta, cfg, np.ones((1, 3)))
+        z = features(theta, cfg, np.ones((1, 3)))
         p = exp0(z)
         assert np.linalg.norm(p) <= 1.0 - poincare.EPS_BALL + 1e-15
 
@@ -397,7 +397,8 @@ def reference_triplet_grad(theta, cfg, x, y, neg, protos, margin, metric):
     number of active rounds, -1 on an active negative and 0 otherwise, times
     the loss scale 1/(B R); the pairs' gradient terms are summed in pair
     order from zero."""
-    z, acts, layers = learner._forward_cached(theta, cfg, x)
+    _, _, _, acts, layers = learner._embed(theta, cfg, x)
+    z = acts[-1]
     p = exp0(z)
     scale = 1.0 / neg.size
     loss = 0.0
@@ -747,7 +748,7 @@ class TestDivergenceFailsFast:
                          np.zeros((2, 2)), target)
             x = np.array([[1e300, 1e300]]) if relu else np.array([[0.5, -0.5]])
         with np.errstate(all="ignore"):
-            z = forward_batch(theta, cfg, x)
+            z = features(theta, cfg, x)
             p = exp0(z)
             d = distances(p, ps.weights)[0]
             assert np.isfinite(z).all() == (case != "z_overflows")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -70,15 +71,15 @@ def test_checkpoint_edited_payload_refused(tmp_path):
         load_params(path)
 
 
-def test_checkpoint_without_digest_loads_unchecked(tmp_path):
-    # a header written before the digest existed: same values, same record
-    pv = make_pv(np.linspace(-1, 1, 8))
+def test_checkpoint_without_digest_refused(tmp_path):
+    # with the digest gone, an edit to another architecture of the same size
+    # would load as that architecture; so would a header written before it
     path = tmp_path / "model.params"
-    save_params(pv, path)
-    edit_header(path, lambda h: {"model": h["model"]})
-    back = load_params(path)
-    assert back.extractor == pv.extractor
-    assert back.values.tobytes() == pv.values.tobytes()
+    save_params(make_pv(np.linspace(-1, 1, 8)), path)
+    edit_header(path, lambda h: {"model": {**h["model"], "hidden": [1]}})
+    with pytest.raises(ValueError, match="no 'sha256' field") as err:
+        load_params(path)
+    assert str(path) in str(err.value)
 
 
 def test_checkpoint_with_stored_layout_loads(tmp_path):
@@ -86,8 +87,8 @@ def test_checkpoint_with_stored_layout_loads(tmp_path):
     pv = make_pv(np.linspace(-1, 1, 8))
     path = tmp_path / "old.params"
     body = pv.values.astype("<f8").tobytes()
-    path.write_bytes(b"HFPARAM1\n" + header_line({"layout": LAYOUT_JSON, "model": MODEL})
-                     + b"\n" + body)
+    header = {"layout": LAYOUT_JSON, "model": MODEL, "sha256": digest(MODEL, body)}
+    path.write_bytes(b"HFPARAM1\n" + header_line(header) + b"\n" + body)
     back = load_params(path)
     assert back.extractor == pv.extractor
     assert (back.metric, back.prototypes_sha256) == (pv.metric, pv.prototypes_sha256)
@@ -105,13 +106,11 @@ def test_checkpoint_truncated(tmp_path):
 
 
 def test_checkpoint_nonfinite_payload_rejected(tmp_path):
-    pv = make_pv(np.linspace(-1, 1, 8))
+    # the digest fits the payload, so the load reaches the finiteness check
     path = tmp_path / "model.params"
-    save_params(pv, path)
-    # without the digest, which an edited payload would fail first
-    edit_header(path, lambda h: {"model": h["model"]})
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8] + np.array([np.inf], dtype="<f8").tobytes())
+    body = np.array([0, 1, 2, 3, 4, 5, 6, np.inf], dtype="<f8").tobytes()
+    header = {"model": MODEL, "sha256": digest(MODEL, body)}
+    path.write_bytes(b"HFPARAM1\n" + header_line(header) + b"\n" + body)
     with pytest.raises(ValueError, match="values must be finite") as err:
         load_params(path)
     assert str(path) in str(err.value)
@@ -126,6 +125,11 @@ def test_checkpoint_bad_magic(tmp_path):
 
 def header_line(header) -> bytes:
     return json.dumps(header).encode()
+
+
+def digest(model, body) -> str:
+    """A header's ``sha256``: of ``model`` as sorted-key JSON, then the payload."""
+    return hashlib.sha256(json.dumps(model, sort_keys=True).encode() + body).hexdigest()
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,17 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperfl import poincare as pb
-from hyperfl.poincare import _project_to_ball_arr
 from oracles import (
     dist_grad,
     distances,
     exp0,
     log0,
     mobius_add_arr,
+    project_to_ball,
     pullback,
     sq_norms,
     step_distances,
@@ -143,12 +145,12 @@ class TestExpLogMaps:
 
 class TestClamping:
     def test_construction_clamps_to_ball(self):
-        p = _project_to_ball_arr(np.array([5.0, 0.0]))[0]
+        p = project_to_ball(np.array([5.0, 0.0]))
         assert np.linalg.norm(p) <= 1.0 - pb.EPS_BALL + 1e-15
 
     def test_no_nan_for_extreme_inputs(self):
-        huge = _project_to_ball_arr(np.full(3, 1e12))[0]
-        near = _project_to_ball_arr(np.array([1.0 - 1e-12, 0.0, 0.0]))[0]
+        huge = project_to_ball(np.full(3, 1e12))
+        near = project_to_ball(np.array([1.0 - 1e-12, 0.0, 0.0]))
         for a in (huge, near):
             for b in (huge, near):
                 assert np.isfinite(dist(a, b))
@@ -158,6 +160,68 @@ class TestClamping:
         z = np.full(4, 1e6)
         out = exp0(z)
         assert np.linalg.norm(out) <= 1.0 - pb.EPS_BALL + 1e-15
+
+
+LIMIT = 1.0 - pb.EPS_BALL
+
+
+@st.composite
+def tangent_rows(draw):
+    """A (B, n) batch of tangent rows with norms from 0 up to 1e150, many of
+    them near the cap artanh(LIMIT) ~ 6.10, zero rows among them."""
+    n, b = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    radius = st.one_of(st.floats(0.0, 12.0), st.floats(0.0, 1e150))
+    rows = np.zeros((b, n))
+    for row in rows:
+        direction = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n)),
+                             dtype=np.float64)
+        norm = np.sqrt(sq_norms(direction))
+        if norm > 0:
+            row[:] = direction * (draw(radius) / norm)
+    return rows
+
+
+def exp_map(z):
+    """The exp map of rows ``z`` and the row norms it read, taken as the
+    program takes them."""
+    r = np.sqrt(sq_norms(z))
+    return pb.exp_map_origin_arr(z, r), r[:, None]
+
+
+class TestBallBoundary:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(z=tangent_rows())
+    def test_points_stay_inside_the_ball(self, z):
+        # a capped row's exact norm is LIMIT ||z||/r times two roundings (of
+        # the scale and of each product), and r = ||z|| is off by at most
+        # n/2 + 1 roundings: n/2 + 3 ulps of LIMIT in all
+        (p, p2), _ = exp_map(z)
+        assert np.isfinite(p).all()
+        assert p2.tobytes() == sq_norms(p).tobytes()
+        bound = z.shape[1] / 2 + 3
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for row in p:
+                norm = sum(Decimal(float(v)) ** 2 for v in row).sqrt()
+                assert (norm - Decimal(LIMIT)) / Decimal(np.spacing(LIMIT)) <= bound
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(z=tangent_rows())
+    def test_radius_is_capped_in_the_scale(self, z):
+        # a capped row is z (1 - EPS_BALL)/r, one rounding of its own scale
+        (p, _), r = exp_map(z)
+        live = r[:, 0] > 0
+        expected = z[live] * (np.minimum(np.tanh(r[live]), LIMIT) / r[live])
+        assert p[live].tobytes() == expected.tobytes()
+        assert p[~live].tobytes() == z[~live].tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(z=tangent_rows())
+    def test_rows_below_the_cap_keep_their_bits(self, z):
+        (p, _), r = exp_map(z)
+        below = (r[:, 0] > 0) & (np.tanh(r[:, 0]) < LIMIT)
+        expected = z[below] * (np.tanh(r[below]) / r[below])
+        assert p[below].tobytes() == expected.tobytes()
 
 
 def distance_grad(z, b):
